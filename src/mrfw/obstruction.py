@@ -62,7 +62,10 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
 
     Raises ExactnessError when the characteristic polynomial does not
     factor into linear and one quadratic factor over the integers."""
-    M = codegree_matrix(ring)
+    return _codegrees_of(codegree_matrix(ring))
+
+
+def _codegrees_of(M: list[list[int]]) -> tuple[QuadExt, ...]:
     fact = factor_linear_quadratic(charpoly(M))
     if fact.residual.degree > 0:
         raise ExactnessError(
@@ -115,13 +118,12 @@ class InductionData:
     M: tuple[tuple[int, ...], ...]
     codegrees: tuple[QuadExt, ...]
     i1_dims: tuple[QuadExt, ...]  # candidate dims f_1/f_i of I(1) summands
-    FI: tuple[tuple[int, ...], ...]
     H: tuple[tuple[int, ...], ...]
 
 
 def induction_data(ring: FusionRing) -> InductionData:
     M = codegree_matrix(ring)
-    cod = codegrees(ring)
+    cod = _codegrees_of(M)
     total = global_fpdim(ring)
     if cod[0] != total:
         raise ExactnessError(
@@ -133,7 +135,6 @@ def induction_data(ring: FusionRing) -> InductionData:
         tuple(tuple(r) for r in M),
         cod,
         dims,
-        tuple(tuple(r) for r in H),
         tuple(tuple(r) for r in H),
     )
 
@@ -193,7 +194,7 @@ def i1_dimension_system(
     dims.require_exact()
     d = dims.dims
     n = ring.rank
-    bounds = data.FI[0]
+    bounds = data.H[0]
     irr = _irrational_indices(d)
     lines: list[str] = []
     summands: list[I1Summand] = []

@@ -44,10 +44,11 @@ class FusionRing:
 
     N[i][j][k] is the multiplicity of X_k in X_i (x) X_j; basis index 0 is
     the unit.  The duality permutation is inferred from N[i][j][0], never
-    taken on faith from a caller.  Instances are immutable.
+    taken on faith from a caller.  Instances are immutable, so the axiom
+    check and the FP dimensions are computed once and cached.
     """
 
-    __slots__ = ("rank", "labels", "N", "dual", "_valid")
+    __slots__ = ("rank", "labels", "N", "dual", "_valid", "_fpdims")
 
     def __init__(self, labels: Sequence[str], N: Sequence[Sequence[Sequence[int]]]):
         n = len(labels)
@@ -68,6 +69,7 @@ class FusionRing:
         object.__setattr__(self, "N", tensor)
         object.__setattr__(self, "dual", tuple(dual))
         object.__setattr__(self, "_valid", None)
+        object.__setattr__(self, "_fpdims", None)
 
     def __setattr__(self, *args):
         raise AttributeError("FusionRing is immutable")
@@ -86,115 +88,72 @@ class FusionRing:
     # -- axioms
 
     def validate(self) -> list[Violation]:
-        """Exhaustive axiom check; empty list means valid."""
-        out: list[Violation] = []
-        n, N = self.rank, self.N
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if N[i][j][k] < 0:
-                        out.append(Violation("nonnegativity", (i, j, k), "negative"))
-                        break
-                else:
-                    continue
-                break
-        for j in range(n):
-            for k in range(n):
-                if N[0][j][k] != (1 if j == k else 0):
-                    out.append(
-                        Violation("unit-law", (0, j, k), "left unit fails")
-                    )
-                    break
-            else:
-                continue
-            break
-        for i in range(n):
-            for k in range(n):
-                if N[i][0][k] != (1 if i == k else 0):
-                    out.append(
-                        Violation("unit-law", (i, 0, k), "right unit fails")
-                    )
-                    break
-            else:
-                continue
-            break
-        # duality normalization: each row i has exactly one j with
-        # N[i][j][0] = 1, everything else 0
-        for i in range(n):
-            row = [self.N[i][j][0] for j in range(n)]
-            ones = [j for j, v in enumerate(row) if v == 1]
-            if len(ones) != 1 or sum(row) != 1:
-                out.append(
-                    Violation(
-                        "duality-normalization",
-                        (i,),
-                        f"unit multiplicities {row}",
-                    )
-                )
-                break
-        dual = self.dual
-        for i in range(n):
-            if dual[dual[i]] != i or dual[0] != 0:
-                out.append(
-                    Violation("duality-involution", (i,), f"dual map {dual}")
-                )
-                break
-        done = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ok = (
-                        N[i][j][k] == N[dual[i]][k][j] == N[k][dual[j]][i]
-                    )
-                    if not ok:
-                        out.append(
-                            Violation(
-                                "frobenius-reciprocity",
-                                (i, j, k),
-                                f"{N[i][j][k]}, {N[dual[i]][k][j]}, "
-                                f"{N[k][dual[j]][i]}",
-                            )
-                        )
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        done = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        lhs = sum(N[i][j][m] * N[m][k][l] for m in range(n))
-                        rhs = sum(N[j][k][m] * N[i][m][l] for m in range(n))
-                        if lhs != rhs:
-                            out.append(
-                                Violation(
-                                    "associativity",
-                                    (i, j, k, l),
-                                    f"{lhs} != {rhs}",
-                                )
-                            )
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        return out
+        """Exhaustive axiom check; an empty list means valid.
+
+        Reports the first violation, in index order, of each axiom.  The
+        check runs once per (immutable) ring; every call returns a fresh
+        list, so callers may modify it."""
+        if self._valid is None:
+            found = (next(check, None) for check in self._axiom_checks())
+            object.__setattr__(self, "_valid", tuple(v for v in found if v is not None))
+        return list(self._valid)
+
+    def _axiom_checks(self):
+        """One lazy stream of violations per axiom, in reporting order."""
+        n, N, dual = self.rank, self.N, self.dual
+        cube = list(itertools.product(range(n), repeat=3))
+        units = [[N[i][j][0] for j in range(n)] for i in range(n)]
+        return (
+            (Violation("nonnegativity", (i, j, k), "negative")
+             for i, j, k in cube if N[i][j][k] < 0),
+            (Violation("unit-law", (0, j, k), "left unit fails")
+             for j in range(n) for k in range(n) if N[0][j][k] != int(j == k)),
+            (Violation("unit-law", (i, 0, k), "right unit fails")
+             for i in range(n) for k in range(n) if N[i][0][k] != int(i == k)),
+            # each row i has exactly one j with N[i][j][0] = 1, all else 0
+            (Violation("duality-normalization", (i,), f"unit multiplicities {row}")
+             for i, row in enumerate(units) if row.count(1) != 1 or sum(row) != 1),
+            (Violation("duality-involution", (i,), f"dual map {dual}")
+             for i in range(n) if dual[dual[i]] != i or dual[0] != 0),
+            (Violation("frobenius-reciprocity", (i, j, k),
+                       f"{N[i][j][k]}, {N[dual[i]][k][j]}, {N[k][dual[j]][i]}")
+             for i, j, k in cube
+             if not N[i][j][k] == N[dual[i]][k][j] == N[k][dual[j]][i]),
+            self._associativity_violations(),
+        )
+
+    def _associativity_violations(self):
+        """Compare (X_i X_j) X_k with X_i (X_j X_k) as sparse vectors built
+        from the nonzero structure constants, at the smallest differing
+        basis index l."""
+        n = self.rank
+        supp = [
+            [[(m, c) for m, c in enumerate(row) if c] for row in plane]
+            for plane in self.N
+        ]
+        for i, j, k in itertools.product(range(n), repeat=3):
+            lhs: dict[int, int] = {}
+            rhs: dict[int, int] = {}
+            for m, c in supp[i][j]:
+                for l, e in supp[m][k]:
+                    lhs[l] = lhs.get(l, 0) + c * e
+            for m, c in supp[j][k]:
+                for l, e in supp[i][m]:
+                    rhs[l] = rhs.get(l, 0) + c * e
+            if lhs != rhs:
+                for l in sorted(lhs.keys() | rhs.keys()):
+                    a, b = lhs.get(l, 0), rhs.get(l, 0)
+                    if a != b:
+                        yield Violation("associativity", (i, j, k, l), f"{a} != {b}")
 
     @property
     def is_valid(self) -> bool:
-        if self._valid is None:
-            object.__setattr__(self, "_valid", not self.validate())
-        return self._valid
+        return not self.validate()
 
     def require_valid(self):
-        if not self.is_valid:
-            raise InvalidRingError("; ".join(str(v) for v in self.validate()[:3]))
+        problems = self.validate()
+        if problems:
+            raise InvalidRingError("; ".join(str(v) for v in problems[:3]))
 
     @property
     def is_commutative(self) -> bool:
@@ -290,14 +249,17 @@ def validate(ring: FusionRing) -> list[Violation]:
     return ring.validate()
 
 
-def left_matrix(ring: FusionRing, i: int) -> list[list[int]]:
-    return ring.left_matrix(i)
-
-
 def fpdims(ring: FusionRing) -> FPDims:
     """Exact FP dimension of each basis element: the Perron root of its
-    left-multiplication matrix."""
-    ring.require_valid()
+    left-multiplication matrix.  Computed once per ring; later calls return
+    the same object."""
+    if ring._fpdims is None:
+        ring.require_valid()
+        object.__setattr__(ring, "_fpdims", _perron_dims(ring))
+    return ring._fpdims
+
+
+def _perron_dims(ring: FusionRing) -> FPDims:
     dims: list[QuadExt] = []
     exact: list[bool] = []
     bounds: list[Optional[tuple[Fraction, Fraction]]] = []
@@ -328,18 +290,23 @@ def global_fpdim(ring: FusionRing) -> QuadExt:
     return fpdims(ring).total()
 
 
-def subrings(ring: FusionRing, bound: int = 12) -> list[frozenset[int]]:
-    """All unital, dual- and tensor-closed basis subsets, by closing every
-    generator subset (each subring is the closure of itself, so nothing is
-    missed)."""
+def subrings(ring: FusionRing) -> list[frozenset[int]]:
+    """All unital, dual- and tensor-closed basis subsets, as a join
+    lattice: start from the trivial subring and close each subring found
+    together with each element it lacks.  Every subring is reached along a
+    chain of such one-element joins, so nothing is missed, and the work is
+    (number of subrings) x rank closures, with no rank limit."""
     ring.require_valid()
-    if ring.rank > bound:
-        raise ValueError(f"rank {ring.rank} exceeds enumeration bound {bound}")
     found = {ring.closure(())}
-    nonunit = [i for i in range(ring.rank) if i != 0]
-    for r in range(1, len(nonunit) + 1):
-        for gens in itertools.combinations(nonunit, r):
-            found.add(ring.closure(gens))
+    todo = list(found)
+    while todo:
+        sub = todo.pop()
+        for x in range(ring.rank):
+            if x not in sub:
+                bigger = ring.closure(sub | {x})
+                if bigger not in found:
+                    found.add(bigger)
+                    todo.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -360,13 +327,19 @@ def subrings_bruteforce(ring: FusionRing) -> list[frozenset[int]]:
 
 def detect_mr(ring: FusionRing) -> Optional[MRData]:
     """Find a rank-(n-1) subring and verify the forced fusion rules of the
-    extension: X_n (x) X_i = d_i X_n and X_n (x) X_n = sum d_i X_i + kappa X_n."""
+    extension: X_n (x) X_i = d_i X_n and X_n (x) X_n = sum d_i X_i + kappa X_n.
+
+    A rank-(n-1) subring is the complement of one non-unit element, so this
+    takes at most n - 1 closure checks, tried in the (len, sorted) order of
+    `subrings`.  There is at most one such subring: if the complements of
+    a != b were both closed, Frobenius reciprocity would force
+    X_a (x) X_b = 0."""
     ring.require_valid()
     n = ring.rank
-    for sub in subrings(ring):
-        if len(sub) != n - 1:
+    for extra in range(n - 1, 0, -1):
+        sub = frozenset(range(n)) - {extra}
+        if ring.closure(sub) != sub:
             continue
-        (extra,) = set(range(n)) - sub
         if ring.dual[extra] != extra:
             raise InvalidRingError("maximal-rank extension with non-self-dual extra")
         base = tuple(sorted(sub))

@@ -243,6 +243,9 @@ class QuadExt:
         return self.p == other.p and self.q == other.q and self.D == other.D
 
     def __hash__(self):
+        # rational values hash as the Fraction (and int) they equal
+        if self.q == 0:
+            return hash(self.p)
         return hash((self.p, self.q, self.D))
 
     def __lt__(self, other):
@@ -558,29 +561,12 @@ def factor_linear_quadratic(p: IntPoly) -> Factorization:
 # Sturm sequences (certified enclosures for the occasional inexact path)
 
 
-def _frac_poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
     p0 = [Fraction(c) for c in p.coeffs]
     p1 = [Fraction(k * c) for k, c in enumerate(p.coeffs)][1:]
     chain = [p0, p1]
     while chain[-1]:
-        rem = _frac_poly_rem(chain[-2], chain[-1])
+        rem = _frac_poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -643,6 +629,15 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
         if n % d == 0:
             poly = poly.divexact(cyclotomic_polynomial(d))
     return poly
+
+
+@lru_cache(maxsize=None)
+def _mean_conjugate(d: int) -> Fraction:
+    """Average of the primitive d-th roots of unity, mu(d)/phi(d): minus the
+    subleading coefficient of the d-th cyclotomic polynomial over its
+    degree."""
+    phi = cyclotomic_polynomial(d)
+    return Fraction(-phi.coeffs[-2], phi.degree)
 
 
 def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -845,10 +840,15 @@ class CycNumber:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        # hash rational values compatibly with Fraction
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self.order, self.coeffs))
+        # Hash the average of the Galois conjugates.  It is the value itself
+        # when rational, so ints and Fractions hash alike, and it does not
+        # change when a value is lifted to a larger order, so equal values
+        # stored at different orders hash alike.
+        n = self.order
+        return hash(sum(
+            c * _mean_conjugate(n // math.gcd(k, n))
+            for k, c in enumerate(self.coeffs)
+        ))
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, coeffs={list(self.coeffs)})"

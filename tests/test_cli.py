@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from mrfw.cli import main
-from mrfw.corpus import fibonacci_ring, write_corpus
+from mrfw.corpus import cyclic_ring, fibonacci_ring, write_corpus
+from mrfw.mr import mr_extend
 from mrfw.serialize import load_document, ring_to_doc, save_document
 
 runner = CliRunner()
@@ -74,6 +75,16 @@ class TestReport:
         assert result.exit_code == 0
         assert "pointed" in result.output
         assert "no corank-one subring" in result.output
+
+    def test_rank13_near_group(self, tmp_path):
+        # C(Z_12, 4): rank 13, integral, with extra dimension 6
+        p = tmp_path / "c-z12-4.json"
+        save_document(ring_to_doc(mr_extend(cyclic_ring(12), 4)), p)
+        result = invoke("report", str(p))
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        assert "MR(a=12, kappa=4)" in result.output
+        assert "integral" in result.output
 
 
 class TestObstruct:

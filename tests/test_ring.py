@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mrfw.corpus import (
+    RING_BUILDERS,
     cyclic_ring,
     fibonacci_ring,
     ising_ring,
@@ -13,9 +14,12 @@ from mrfw.corpus import (
     trivial_ring,
     z3_base_ring,
 )
+from mrfw.mr import mr_extend
 from mrfw.ring import (
     FusionRing,
     InvalidRingError,
+    MRData,
+    Violation,
     adjoint_and_grading,
     detect_mr,
     fpdims,
@@ -44,6 +48,22 @@ CORPUS = {
 
 PHI = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
 
+# C(Z_a, kappa) for a <= 8, as (a, kappa) pairs
+SMALL_NEAR_GROUPS = [(a, k) for a in range(1, 9) for k in sorted({0, 1, a})]
+
+
+def dense_associativity(ring):
+    """O(n^5) oracle: the first (i, j, k, l) in index order where
+    (X_i X_j) X_k and X_i (X_j X_k) differ, as a one-element violation
+    list."""
+    n, N = ring.rank, ring.N
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs = sum(N[i][j][m] * N[m][k][l] for m in range(n))
+        rhs = sum(N[j][k][m] * N[i][m][l] for m in range(n))
+        if lhs != rhs:
+            return [Violation("associativity", (i, j, k, l), f"{lhs} != {rhs}")]
+    return []
+
 
 class TestValidate:
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -58,14 +78,16 @@ class TestValidate:
         bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
         report = validate(bad)
         assert any(v.axiom == "duality-normalization" for v in report)
+        # the result is cached per ring; callers get their own copy
+        report.clear()
+        assert validate(bad) != []
+        assert not bad.is_valid
+        with pytest.raises(InvalidRingError):
+            bad.require_valid()
 
     def test_z3_base_kappa3_by_exhaustive_oracle(self):
         ring = z3_base_ring(3)
-        n = ring.rank
-        for i, j, k, l in itertools.product(range(n), repeat=4):
-            lhs = sum(ring.N[i][j][m] * ring.N[m][k][l] for m in range(n))
-            rhs = sum(ring.N[j][k][m] * ring.N[i][m][l] for m in range(n))
-            assert lhs == rhs
+        assert dense_associativity(ring) == []
         assert validate(ring) == []
 
     @pytest.mark.parametrize(
@@ -86,7 +108,11 @@ class TestValidate:
         for i, j, k in itertools.product(range(n), repeat=3):
             N = [[list(row) for row in plane] for plane in ring.N]
             N[i][j][k] += 1
-            if validate(FusionRing(ring.labels, N)) == []:
+            mutant = FusionRing(ring.labels, N)
+            report = validate(mutant)
+            assoc = [v for v in report if v.axiom == "associativity"]
+            assert assoc == dense_associativity(mutant)
+            if report == []:
                 undetected.add((i, j, k))
         assert undetected == survivors
 
@@ -150,6 +176,10 @@ class TestFPDims:
                     lhs = lhs + ring.N[i][j][k] * d[k]
                 assert lhs == d[i] * d[j]
 
+    def test_computed_once(self):
+        ring = z3_base_ring(2)
+        assert fpdims(ring) is fpdims(ring)
+
     def test_global_fpdim(self):
         assert global_fpdim(fibonacci_ring()) == (5 + QuadExt.sqrt(5)) * Fraction(1, 2)
         assert global_fpdim(cyclic_ring(2)).as_fraction() == 2
@@ -184,6 +214,11 @@ class TestSubrings:
             pytest.skip("oracle reserved for rank <= 5")
         assert subrings(ring) == subrings_bruteforce(ring)
 
+    def test_no_rank_limit(self):
+        # rank 13: subgroups of Z12 (one per divisor) plus the whole ring
+        got = subrings(mr_extend(cyclic_ring(12), 2))
+        assert [len(s) for s in got] == [1, 2, 3, 4, 6, 12, 13]
+
 
 class TestDetectMR:
     def test_fibonacci(self):
@@ -203,6 +238,28 @@ class TestDetectMR:
 
     def test_pointed_z4_has_no_mr(self):
         assert detect_mr(cyclic_ring(4)) is None
+
+    @pytest.mark.parametrize(
+        "ring",
+        [builder() for _, builder in sorted(RING_BUILDERS.items())]
+        + [mr_extend(cyclic_ring(a), k) for a, k in SMALL_NEAR_GROUPS],
+        ids=sorted(RING_BUILDERS) + [f"C(Z{a},{k})" for a, k in SMALL_NEAR_GROUPS],
+    )
+    def test_matches_first_corank_one_subset_of_oracle(self, ring):
+        n = ring.rank
+        first = next((s for s in subrings_bruteforce(ring) if len(s) == n - 1), None)
+        mr = detect_mr(ring)
+        if first is None:
+            assert mr is None
+        else:
+            (extra,) = set(range(n)) - first
+            assert (mr.base, mr.extra) == (tuple(sorted(first)), extra)
+
+    @pytest.mark.parametrize("a,kappa", [(12, 0), (12, 5), (20, 3)])
+    def test_large_near_group_forced_data(self, a, kappa):
+        # ranks 13 and 21
+        mr = detect_mr(mr_extend(cyclic_ring(a), kappa))
+        assert mr == MRData(tuple(range(a)), a, kappa, (1,) * a, a)
 
 
 class TestGrading:

@@ -111,6 +111,44 @@ def test_ring_of_integers_closure(a1, b1, a2, b2, D):
     assert (x * y).is_algebraic_integer()
 
 
+small_fractions = st.fractions(max_denominator=6).filter(lambda f: abs(f) < 50)
+
+
+@st.composite
+def spellings(draw):
+    """One value written several ways; the first spelling equals all."""
+    kind = draw(st.sampled_from(["rational", "quadratic", "cyclotomic"]))
+    if kind == "rational":
+        r = draw(small_fractions)
+        c = draw(small_fractions)
+        m = draw(st.integers(1, 12))
+        out = [r, QuadExt(r), QuadExt(r - 2 * c, c, 4), CycNumber(m, [r]),
+               CycNumber(m, [r]).lift(3 * m)]
+        if r.denominator == 1:
+            out.append(int(r))
+        return out
+    if kind == "quadratic":
+        p = draw(small_fractions)
+        q = draw(small_fractions.filter(bool))
+        D = draw(st.sampled_from([2, 3, 5, 6, 7]))
+        return [QuadExt(p, q, D), QuadExt(p, q / 2, 4 * D), QuadExt(p, q / 3, 9 * D)]
+    m = draw(st.integers(2, 12))
+    coeffs = draw(st.lists(small_fractions, min_size=1, max_size=m))
+    x = CycNumber(m, coeffs)
+    # zeta^m = 1, so shifting every power by m spells the same value
+    shifted = CycNumber(m, [Fraction(0)] * m + coeffs)
+    return [x, shifted, x.lift(m * draw(st.integers(2, 4))), (x + 1) - 1]
+
+
+@given(spellings())
+def test_equal_values_hash_equal(values):
+    assert all(v == values[0] for v in values)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
 class TestCharpoly:
     def test_identity(self):
         assert charpoly([[1, 0], [0, 1]]) == IntPoly([1, -2, 1])
