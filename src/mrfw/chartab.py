@@ -119,6 +119,9 @@ def validate_table(t: CharacterTable) -> list[str]:
     for j, s in enumerate(t.class_sizes):
         if s <= 0 or t.order % s != 0:
             problems.append(f"class {j} size {s} does not divide order {t.order}")
+    if k == 0:
+        problems.append("table has no conjugacy classes")
+        return problems
     if len(t.characters) != k or any(len(row) != k for row in t.characters):
         problems.append("character matrix is not square of size k")
         return problems
@@ -135,29 +138,36 @@ def validate_table(t: CharacterTable) -> list[str]:
         degs.append(v.as_fraction())
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
+    conj = _conjugates(t)
     for i in range(k):
         for j in range(i, k):
             acc = CycNumber.from_rational(0)
             for c in range(k):
-                acc = acc + t.class_sizes[c] * (
-                    t.characters[i][c] * t.characters[j][c].conjugate()
-                )
+                acc = acc + t.class_sizes[c] * (t.characters[i][c] * conj[j][c])
             want = t.order if i == j else 0
             if acc != want:
                 problems.append(
                     f"row orthogonality fails for characters ({i}, {j})"
                 )
+    if any(s <= 0 for s in t.class_sizes):
+        # reported above; the centralizer orders below divide by the sizes
+        return problems
     for c in range(k):
         for d in range(c, k):
             acc = CycNumber.from_rational(0)
             for i in range(k):
-                acc = acc + t.characters[i][c] * t.characters[i][d].conjugate()
+                acc = acc + t.characters[i][c] * conj[i][d]
             want = t.order // t.class_sizes[c] if c == d else 0
             if acc != want:
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
                 )
     return problems
+
+
+def _conjugates(t: CharacterTable) -> list[list[CycNumber]]:
+    """Complex conjugate of every character value, row by row."""
+    return [[v.conjugate() for v in row] for row in t.characters]
 
 
 def fusion_from_table(t: CharacterTable) -> FusionRing:
@@ -170,19 +180,21 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
     """
     kcount = t.k
     inv = Fraction(1, t.order)
-    N: list[list[list[int]]] = []
+    conj = _conjugates(t)
+    N = [[[0] * kcount for _ in range(kcount)] for _ in range(kcount)]
+    # chi_i chi_j = chi_j chi_i pointwise, so N[i][j] = N[j][i]; pairs and
+    # multiplicities are visited in index order, so the first bad entry
+    # reported is the same as in a full (i, j, m) scan
     for i in range(kcount):
-        plane: list[list[int]] = []
-        for j in range(kcount):
-            row: list[int] = []
+        for j in range(i, kcount):
+            weighted = [
+                t.class_sizes[c] * (t.characters[i][c] * t.characters[j][c])
+                for c in range(kcount)
+            ]
             for m in range(kcount):
                 acc = CycNumber.from_rational(0)
                 for c in range(kcount):
-                    acc = acc + t.class_sizes[c] * (
-                        t.characters[i][c]
-                        * t.characters[j][c]
-                        * t.characters[m][c].conjugate()
-                    )
+                    acc = acc + weighted[c] * conj[m][c]
                 val = acc * inv
                 if not val.is_rational:
                     raise ValueError(
@@ -194,9 +206,7 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
                         f"multiplicity ({i}, {j}, {m}) = {f} is not a "
                         "nonnegative integer"
                     )
-                row.append(int(f))
-            plane.append(row)
-        N.append(plane)
+                N[i][j][m] = N[j][i][m] = int(f)
     labels = [f"chi{i + 1}" for i in range(kcount)]
     ring = FusionRing(labels, N)
     report = validate(ring)

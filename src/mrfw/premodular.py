@@ -14,6 +14,7 @@ on an invertible that fixes the corank-one extra object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -75,8 +76,10 @@ def smatrix(
     Dimensions must be multiplicative against the fusion rules and twists
     must be roots of unity with a trivial twist on the unit; both are
     verified.  Quadratic irrational dimensions are supported only for the
-    golden field (sqrt 5); other fields raise UnsupportedFieldError.
+    golden field (sqrt 5); other fields raise UnsupportedFieldError.  The
+    ring must satisfy the fusion axioms (InvalidRingError otherwise).
     """
+    ring.require_valid()
     n = ring.rank
     d = [_to_cyc(x) for x in dims]
     t = [_to_cyc(x) for x in twists]
@@ -98,16 +101,17 @@ def smatrix(
                 raise ValueError(
                     f"dimensions are not multiplicative at ({i}, {j})"
                 )
+    t_inv = [tw.inverse() for tw in t]
+    td = [tw * dk for tw, dk in zip(t, d)]
     S: list[list[CycNumber]] = []
     for i in range(n):
         row: list[CycNumber] = []
-        ti = t[i].inverse()
         for j in range(n):
             acc = CycNumber.from_rational(0)
             for k in range(n):
                 if ring.N[i][j][k]:
-                    acc = acc + ring.N[i][j][k] * (t[k] * d[k])
-            row.append(ti * t[j].inverse() * acc)
+                    acc = acc + ring.N[i][j][k] * td[k]
+            row.append(t_inv[i] * t_inv[j] * acc)
         S.append(row)
     return S
 
@@ -152,19 +156,32 @@ def centralizer_of(data: PremodularData, subset: Iterable[int]) -> frozenset[int
     return out
 
 
-def _det(M: list[list[CycNumber]]) -> CycNumber:
+def _det(M: Sequence[Sequence[CycNumber]]) -> CycNumber:
+    """Determinant by Gaussian elimination over the common cyclotomic field
+    of the entries: O(n^3) multiplications and one inverse per pivot."""
     n = len(M)
-    if n == 1:
-        return M[0][0]
-    acc = CycNumber.from_rational(0)
-    sign = 1
+    order = math.lcm(*(x.order for row in M for x in row))
+    rows = [[x.lift(order) for x in row] for row in M]
+    det = CycNumber.from_rational(1, order)
     for c in range(n):
-        minor = [
-            [M[r][cc] for cc in range(n) if cc != c] for r in range(1, n)
-        ]
-        acc = acc + sign * (M[0][c] * _det(minor))
-        sign = -sign
-    return acc
+        pivot = next((r for r in range(c, n) if not rows[r][c].is_zero), None)
+        if pivot is None:
+            return CycNumber.from_rational(0, order)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det = det * top[c]
+        inv = top[c].inverse()
+        for r in range(c + 1, n):
+            row = rows[r]
+            if row[c].is_zero:
+                continue
+            f = row[c] * inv
+            for j in range(c + 1, n):
+                if not top[j].is_zero:
+                    row[j] = row[j] - f * top[j]
+    return det
 
 
 @dataclass(frozen=True)
@@ -197,7 +214,7 @@ def degeneracy_class(data: PremodularData) -> DegeneracyReport:
         if i != 0
     )
     if center == frozenset({0}):
-        det = _det([list(row) for row in data.S])
+        det = _det(data.S)
         if not det.is_zero:
             return DegeneracyReport(NON_DEGENERATE, center, False)
         return DegeneracyReport(PROPERLY_DEGENERATE, center, False)

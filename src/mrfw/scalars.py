@@ -640,37 +640,98 @@ def _mean_conjugate(d: int) -> Fraction:
     return Fraction(-phi.coeffs[-2], phi.degree)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree of Phi_n and its nonzero coefficients below the leading one,
+    as (power, coefficient) pairs."""
     phi = cyclotomic_polynomial(n).coeffs
-    d = len(phi) - 1
-    work = coeffs[:]
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _hash_weights(n: int) -> tuple[Fraction, ...]:
+    """Mean of the Galois conjugates of each basis power zeta_n^k."""
+    d = _phi_tail(n)[0]
+    return tuple(_mean_conjugate(n // math.gcd(k, n)) for k in range(d))
+
+
+def _reduce_ints(work: list[int], n: int) -> list[int]:
+    """Integer coefficients of a polynomial in zeta_n, reduced modulo Phi_n
+    to exactly deg(Phi_n) entries.  Phi_n is monic, so the reduction stays
+    in the integers.  `work` may be consumed."""
+    d, tail = _phi_tail(n)
+    if len(work) > n:
+        # fold zeta^n = 1 first
+        folded = work[:n]
+        for k in range(n, len(work)):
+            folded[k % n] += work[k]
+        work = folded
     for i in range(len(work) - 1, d - 1, -1):
         c = work[i]
         if c:
-            for j in range(d + 1):
-                work[i - d + j] -= c * phi[j]
-    work = work[:d] + [Fraction(0)] * max(0, d - len(work))
-    return tuple(work[:d])
+            off = i - d
+            for j, pj in tail:
+                work[off + j] -= c * pj
+    if len(work) > d:
+        del work[d:]
+    elif len(work) < d:
+        work.extend([0] * (d - len(work)))
+    return work
+
+
+def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Divide integer numerators and a nonzero denominator by their common
+    content, leaving the denominator positive, so that equal values have
+    equal representations."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _cyc(order: int, num: list[int], den: int) -> "CycNumber":
+    """Internal constructor from numerators already reduced modulo
+    Phi_order; skips the reduction that the public constructor does."""
+    num, den = _content_free(num, den)
+    x = object.__new__(CycNumber)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _cyc_rational(order: int, p: int, q: int) -> "CycNumber":
+    """The rational p/q (q != 0) in Q(zeta_order)."""
+    num = [0] * _phi_tail(order)[0]
+    num[0] = p
+    return _cyc(order, num, q)
 
 
 class CycNumber:
     """An element of Q(zeta_n), stored as the canonical representative of a
-    polynomial in zeta_n modulo the n-th cyclotomic polynomial."""
+    polynomial in zeta_n modulo the n-th cyclotomic polynomial.
 
-    __slots__ = ("order", "coeffs")
+    The representative is kept as integer numerators over one positive
+    common denominator with no common factor; `coeffs` gives the same
+    representative as a tuple of Fractions, lowest power first.
+    """
+
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
-        cs = [_as_fraction(c) for c in coeffs]
-        d = cyclotomic_polynomial(order).degree
-        if len(cs) > d:
-            # fold zeta^n = 1 first, then reduce mod Phi_n
-            folded = [Fraction(0)] * order
-            for k, c in enumerate(cs):
-                folded[k % order] += c
-            cs = folded
-        cs = list(_reduce_mod_phi(cs, order))
+        if not isinstance(order, int):
+            raise TypeError(f"order must be an integer, not {order!r}")
+        _phi_tail(order)  # raises ValueError unless order >= 1
+        fracs = [_as_fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        num = [f.numerator * (den // f.denominator) for f in fracs]
+        num, den = _content_free(_reduce_ints(num, order), den)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycNumber is immutable")
@@ -679,29 +740,35 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, x: RationalLike, order: int = 1) -> "CycNumber":
-        return cls(order, [_as_fraction(x)] + [Fraction(0)] * 0)
+        f = _as_fraction(x)
+        return _cyc_rational(order, f.numerator, f.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CycNumber":
         power %= order
-        cs = [Fraction(0)] * (power + 1)
-        cs[power] = Fraction(1)
-        return cls(order, cs)
+        num = [0] * (power + 1)
+        num[power] = 1
+        return _cyc(order, _reduce_ints(num, order), 1)
 
     # -- structure
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise UnsupportedFieldError(f"{self!r} is irrational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._num[0], self._den)
 
     def lift(self, order: int) -> "CycNumber":
         """Re-express in Q(zeta_order); self.order must divide order."""
@@ -709,93 +776,117 @@ class CycNumber:
             return self
         if order % self.order:
             raise UnsupportedFieldError("target order must be a multiple")
+        if self.is_rational:
+            return _cyc_rational(order, self._num[0], self._den)
         step = order // self.order
-        cs = [Fraction(0)] * order
-        for k, c in enumerate(self.coeffs):
-            cs[(k * step) % order] += c
-        return CycNumber(order, cs)
+        work = [0] * order
+        for k, c in enumerate(self._num):
+            work[k * step] = c
+        return _cyc(order, _reduce_ints(work, order), self._den)
 
-    def _common(self, other: "CycNumber") -> tuple["CycNumber", "CycNumber"]:
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
+    def _common_order(self, other: "CycNumber") -> int:
+        n, m = self.order, other.order
+        return n if n == m else math.lcm(n, m)
 
     def _coerce(self, other) -> "CycNumber | None":
         if isinstance(other, CycNumber):
             return other
-        if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, [_as_fraction(other)])
+        if isinstance(other, int):
+            return _cyc_rational(self.order, other, 1)
+        if isinstance(other, Fraction):
+            return _cyc_rational(self.order, other.numerator, other.denominator)
         return None
 
     # -- arithmetic
+
+    def _add(self, o: "CycNumber", sign: int) -> "CycNumber":
+        n = self._common_order(o)
+        a = self.lift(n)
+        if o.is_rational:
+            p, q = o._num[0] * sign, o._den
+            da = a._den
+            num = [c * q for c in a._num] if q != 1 else list(a._num)
+            num[0] += p * da
+            return _cyc(n, num, da * q)
+        b = o.lift(n)
+        da, db = a._den, b._den
+        if da == db:
+            if sign > 0:
+                return _cyc(n, [x + y for x, y in zip(a._num, b._num)], da)
+            return _cyc(n, [x - y for x, y in zip(a._num, b._num)], da)
+        return _cyc(
+            n,
+            [x * db + sign * y * da for x, y in zip(a._num, b._num)],
+            da * db,
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        n = max(len(a.coeffs), len(b.coeffs))
-        cs = [
-            (a.coeffs[i] if i < len(a.coeffs) else Fraction(0))
-            + (b.coeffs[i] if i < len(b.coeffs) else Fraction(0))
-            for i in range(n)
-        ]
-        return CycNumber(a.order, cs)
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, [-c for c in self.coeffs])
+        return _cyc(self.order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, p: int, q: int) -> "CycNumber":
+        """self * p/q, for integers p and q != 0."""
+        return _cyc(self.order, [c * p for c in self._num], self._den * q)
+
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        if not isinstance(other, CycNumber):
             return NotImplemented
-        a, b = self._common(o)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1 or 1)
-        for i, ai in enumerate(a.coeffs):
+        n = self._common_order(other)
+        if other.is_rational:
+            return self.lift(n)._scale(other._num[0], other._den)
+        if self.is_rational:
+            return other.lift(n)._scale(self._num[0], self._den)
+        a, b = self.lift(n)._num, other.lift(n)._num
+        out = [0] * (2 * len(a) - 1)
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b.coeffs):
-                    out[i + j] += ai * bj
-        return CycNumber(a.order, out)
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _cyc(n, _reduce_ints(out, n), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Inverse modulo the cyclotomic polynomial (extended Euclid)."""
+        """Inverse, as the product of the other Galois conjugates divided by
+        the norm (which is rational and nonzero for a nonzero value)."""
         if self.is_zero:
             raise ZeroDivisionError("zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs]
-        r0, r1 = phi, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            if not r1:
-                raise ArithmeticError("element not invertible")
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return CycNumber(self.order, [c * inv for c in s1])
-            q, r = _frac_poly_divmod(r0, r1)
-            s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
+        n = self.order
+        if self.is_rational:
+            return _cyc_rational(n, self._den, self._num[0])
+        cofactor = None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                g = self.galois(k)
+                cofactor = g if cofactor is None else cofactor * g
+        norm = (self * cofactor).as_fraction()
+        return cofactor._scale(norm.denominator, norm.numerator)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        return a * b.inverse()
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
@@ -803,7 +894,7 @@ class CycNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycNumber(self.order, [Fraction(1)])
+        out = _cyc_rational(self.order, 1, 1)
         base = self
         while n:
             if n & 1:
@@ -819,39 +910,48 @@ class CycNumber:
         n = self.order
         if math.gcd(k, n) != 1:
             raise ValueError("Galois exponent must be coprime to the order")
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[(i * k) % n] += c
-        return CycNumber(n, cs)
+        work = [0] * n
+        for i, c in enumerate(self._num):
+            work[(i * k) % n] += c
+        return _cyc(n, _reduce_ints(work, n), self._den)
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation, zeta -> zeta^(n-1)."""
-        if self.order == 1:
+        if self.order <= 2:
             return self
         return self.galois(self.order - 1)
 
     # -- comparison
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return self._den == 1 and self._num[0] == other and self.is_rational
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        return a.coeffs == b.coeffs
+        if self.order != o.order:
+            n = self._common_order(o)
+            self, o = self.lift(n), o.lift(n)
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # Hash the average of the Galois conjugates.  It is the value itself
         # when rational, so ints and Fractions hash alike, and it does not
         # change when a value is lifted to a larger order, so equal values
         # stored at different orders hash alike.
-        n = self.order
-        return hash(sum(
-            c * _mean_conjugate(n // math.gcd(k, n))
-            for k, c in enumerate(self.coeffs)
-        ))
+        w = _hash_weights(self.order)
+        return hash(
+            Fraction(sum(c * wk for c, wk in zip(self._num, w) if c)) / self._den
+        )
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, coeffs={list(self.coeffs)})"
+
+
+# slot setters for _cyc; CycNumber.__setattr__ refuses all assignments
+_set_order = CycNumber.order.__set__
+_set_num = CycNumber._num.__set__
+_set_den = CycNumber._den.__set__
 
 
 def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -871,25 +971,6 @@ def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
     while a and a[-1] == 0:
         a.pop()
     return q, a
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------

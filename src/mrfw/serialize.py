@@ -76,6 +76,20 @@ def scalar_to_json(x: Any) -> Any:
     raise DocumentError(f"unsupported scalar type: {type(x).__name__}")
 
 
+def _require_int(v: Any, what: str, minimum: int | None = None) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise DocumentError(f"{what} must be an integer, not {v!r}")
+    if minimum is not None and v < minimum:
+        raise DocumentError(f"{what} must be at least {minimum}, not {v!r}")
+    return v
+
+
+def _require_list(v: Any, what: str) -> list:
+    if not isinstance(v, list):
+        raise DocumentError(f"{what} must be a list, not {v!r}")
+    return v
+
+
 def scalar_from_json(v: Any) -> Fraction | QuadExt | CycNumber:
     if isinstance(v, dict):
         keys = set(v)
@@ -83,12 +97,15 @@ def scalar_from_json(v: Any) -> Fraction | QuadExt | CycNumber:
             return QuadExt(
                 fraction_from_json(v["p"]),
                 fraction_from_json(v["q"]),
-                int(v["D"]),
+                _require_int(v["D"], "radicand", 1),
             )
         if keys == {"order", "coeffs"}:
             return CycNumber(
-                int(v["order"]),
-                [fraction_from_json(c) for c in v["coeffs"]],
+                _require_int(v["order"], "cyclotomic order", 1),
+                [
+                    fraction_from_json(c)
+                    for c in _require_list(v["coeffs"], "cyclotomic coeffs")
+                ],
             )
         raise DocumentError(f"unknown scalar object keys: {sorted(keys)}")
     return fraction_from_json(v)
@@ -126,13 +143,15 @@ def ring_to_doc(ring: FusionRing) -> dict:
 
 def ring_from_payload(payload: dict) -> FusionRing:
     _require_keys(payload, {"labels", "N"}, set(), "ring payload")
-    labels = payload["labels"]
-    N = payload["N"]
+    labels = _require_list(payload["labels"], "labels")
+    N = _require_list(payload["N"], "structure constants")
     n = len(labels)
+    if n == 0:
+        raise DocumentError("ring has an empty basis")
     if (
         len(N) != n
-        or any(len(plane) != n for plane in N)
-        or any(len(row) != n for plane in N for row in plane)
+        or any(not isinstance(plane, list) or len(plane) != n for plane in N)
+        or any(not isinstance(row, list) or len(row) != n for plane in N for row in plane)
     ):
         raise DocumentError("structure constant tensor is not rank x rank x rank")
     for plane in N:
@@ -166,9 +185,9 @@ def table_from_payload(payload: dict) -> CharacterTable:
         "chartable payload",
     )
     rows = []
-    for row in payload["characters"]:
+    for row in _require_list(payload["characters"], "characters"):
         vals = []
-        for v in row:
+        for v in _require_list(row, "character row"):
             s = scalar_from_json(v)
             if isinstance(s, QuadExt):
                 raise DocumentError(
@@ -176,12 +195,21 @@ def table_from_payload(payload: dict) -> CharacterTable:
                 )
             vals.append(s)
         rows.append(vals)
+    inverse_perm = payload.get("inverse_perm")
+    if inverse_perm is not None:
+        inverse_perm = [
+            _require_int(i, "inverse_perm entry")
+            for i in _require_list(inverse_perm, "inverse_perm")
+        ]
     return CharacterTable(
-        int(payload["order"]),
-        [int(s) for s in payload["class_sizes"]],
+        _require_int(payload["order"], "group order"),
+        [
+            _require_int(s, "class size")
+            for s in _require_list(payload["class_sizes"], "class_sizes")
+        ],
         rows,
         name=str(payload.get("name", "")),
-        inverse_perm=payload.get("inverse_perm"),
+        inverse_perm=inverse_perm,
     )
 
 
@@ -199,8 +227,10 @@ def premodular_to_doc(ring: FusionRing, dims, twists) -> dict:
 def premodular_from_payload(payload: dict) -> tuple[FusionRing, list, list]:
     _require_keys(payload, {"ring", "dims", "twists"}, set(), "premodular payload")
     ring = ring_from_payload(payload["ring"])
-    dims = [scalar_from_json(v) for v in payload["dims"]]
-    twists = [scalar_from_json(v) for v in payload["twists"]]
+    dims = [scalar_from_json(v) for v in _require_list(payload["dims"], "dims")]
+    twists = [
+        scalar_from_json(v) for v in _require_list(payload["twists"], "twists")
+    ]
     return ring, dims, twists
 
 

@@ -50,6 +50,19 @@ class TestValidateTable:
         report = validate_table(bad)
         assert any("squared degrees" in msg for msg in report)
 
+    def test_zero_class_size_reported(self):
+        t = s3_table()
+        bad = CharacterTable(6, [1, 0, 2], t.characters)
+        report = validate_table(bad)
+        assert any("class 1 size 0" in msg for msg in report)
+        assert not any("column orthogonality" in msg for msg in report)
+
+    def test_empty_table_reported(self):
+        assert validate_table(CharacterTable(1, [], [])) == [
+            "class sizes sum to 0, group order is 1",
+            "table has no conjugacy classes",
+        ]
+
     def test_centralizer_orders(self):
         assert s3_table().centralizer_orders == (6, 3, 2)
         assert s4_table().centralizer_orders == (24, 4, 8, 3, 4)
@@ -74,6 +87,27 @@ class TestInversePermutation:
             t.order, t.class_sizes, t.characters, inverse_perm=(0, 1, 2, 3)
         )
         assert class_inverse_permutation(t2) == (0, 1, 2, 3)
+
+
+def naive_fusion(t):
+    """N[i][j][m] = <chi_i chi_j, chi_m>, one inner product per triple."""
+    k = t.k
+    chi = t.characters
+    out = []
+    for i in range(k):
+        plane = []
+        for j in range(k):
+            row = []
+            for m in range(k):
+                acc = CycNumber.from_rational(0)
+                for c in range(k):
+                    acc = acc + t.class_sizes[c] * (
+                        chi[i][c] * chi[j][c] * chi[m][c].conjugate()
+                    )
+                row.append(int((acc / t.order).as_fraction()))
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 class TestFusionFromTable:
@@ -122,6 +156,22 @@ class TestFusionFromTable:
         for i in range(t.k):
             conj_row = tuple(v.conjugate() for v in t.characters[i])
             assert conj_row == t.characters[ring.dual[i]]
+
+    @pytest.mark.parametrize(
+        "family,ident",
+        [("corpus", name) for name in sorted(TABLE_BUILDERS)]
+        + [("cyclic", n) for n in (5, 6, 7)],
+    )
+    def test_matches_inner_product_oracle(self, family, ident):
+        t = TABLE_BUILDERS[ident]() if family == "corpus" else cyclic_table(ident)
+        assert fusion_from_table(t).N == naive_fusion(t)
+
+    def test_irrational_multiplicity_rejected(self):
+        t = s3_table()
+        rows = [list(r) for r in t.characters]
+        rows[1][1] = CycNumber.root_of_unity(3)
+        with pytest.raises(ValueError, match="irrational"):
+            fusion_from_table(CharacterTable(t.order, t.class_sizes, rows))
 
     def test_inconsistent_table_rejected(self):
         # orthogonal rows but non-group values: multiplicities fractional

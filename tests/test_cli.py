@@ -4,10 +4,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mrfw.cli import main
-from mrfw.corpus import cyclic_ring, fibonacci_ring, write_corpus
+from mrfw.cli import main, resolve_document
+from mrfw.corpus import cyclic_ring, fibonacci_ring, s3_table, write_corpus
 from mrfw.mr import mr_extend
-from mrfw.serialize import load_document, ring_to_doc, save_document
+from mrfw.serialize import (
+    load_document,
+    premodular_to_doc,
+    ring_to_doc,
+    save_document,
+    table_to_doc,
+)
 
 runner = CliRunner()
 
@@ -44,6 +50,15 @@ class TestCheck:
         result = invoke("check", "no-such-entry")
         assert result.exit_code == 2
 
+    def test_zero_class_size(self, tmp_path):
+        doc = table_to_doc(s3_table())
+        doc["payload"]["class_sizes"] = [1, 0, 2]
+        p = tmp_path / "zero.json"
+        save_document(doc, p)
+        result = invoke("check", str(p))
+        assert result.exit_code == 1
+        assert "INVALID: class 1 size 0 does not divide order 6" in result.output
+
     def test_corpus_env_override(self, tmp_path):
         write_corpus(tmp_path)
         result = invoke("check", "fibonacci", env={"MRFW_CORPUS": str(tmp_path)})
@@ -52,6 +67,80 @@ class TestCheck:
         empty.mkdir()
         result = invoke("check", "fibonacci", env={"MRFW_CORPUS": str(empty)})
         assert result.exit_code == 2
+
+
+def _bad_order(order):
+    def mutate(doc):
+        doc["payload"]["characters"][1][1] = {"order": order, "coeffs": [0, 1]}
+    return mutate
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc["payload"][key] = value
+    return mutate
+
+
+MALFORMED_TABLES = {
+    "order-0": _bad_order(0),
+    "order-negative": _bad_order(-4),
+    "order-string": _bad_order("x"),
+    "class-size-string": _set("class_sizes", ["a", 1]),
+    "characters-int": _set("characters", 5),
+    "inverse-perm-string": _set("inverse_perm", ["a", 1, 2]),
+}
+
+
+def _set_at(key, index, value):
+    def mutate(doc):
+        doc["payload"][key][index] = value
+    return mutate
+
+
+MALFORMED_PREMODULAR = {
+    "order-0": _set_at("twists", 1, {"order": 0, "coeffs": [0, 1]}),
+    "order-negative": _set_at("twists", 1, {"order": -4, "coeffs": [0, 1]}),
+    "order-string": _set_at("twists", 1, {"order": "x", "coeffs": [0, 1]}),
+    "coeffs-int": _set_at("twists", 1, {"order": 4, "coeffs": 5}),
+    "radicand-zero": _set_at("dims", 1, {"p": 0, "q": 1, "D": 0}),
+    "twists-int": _set("twists", 5),
+}
+
+
+class TestMalformedPayloads:
+    """Malformed scalars and tables are operational errors: exit 2."""
+
+    def _run(self, tmp_path, command, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        result = invoke(command, str(p))
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["check", "gagola"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_TABLES))
+    def test_chartable(self, tmp_path, command, shape):
+        doc = resolve_document("z3-table")
+        MALFORMED_TABLES[shape](doc)
+        self._run(tmp_path, command, doc)
+
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize(
+        "labels,N",
+        [([], []), (5, []), (["1"], 5), (["1"], [5])],
+        ids=["empty-basis", "labels-int", "tensor-int", "plane-int"],
+    )
+    def test_ring(self, tmp_path, command, labels, N):
+        doc = {"schema": 1, "kind": "ring", "payload": {"labels": labels, "N": N}}
+        self._run(tmp_path, command, doc)
+
+    @pytest.mark.parametrize("command", ["check", "smatrix"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_PREMODULAR))
+    def test_premodular(self, tmp_path, command, shape):
+        doc = resolve_document("premodular-z2-modular")
+        MALFORMED_PREMODULAR[shape](doc)
+        self._run(tmp_path, command, doc)
 
 
 class TestReport:
@@ -164,6 +253,21 @@ class TestSmatrix:
         doc = json.loads(result.output)
         assert doc["payload"]["S"] == [[1, 1], [1, -1]]
         assert doc["payload"]["degeneracy"] == "non-degenerate"
+
+
+    def test_invalid_ring_rejected(self, tmp_path):
+        # Z_2 with the unit rows swapped fails the unit axiom
+        ring = cyclic_ring(2)
+        N = [[list(row) for row in plane] for plane in ring.N]
+        N[0], N[1] = N[1], N[0]
+        doc = premodular_to_doc(ring, [1, 1], [1, 1])
+        doc["payload"]["ring"]["N"] = N
+        p = tmp_path / "swapped.json"
+        save_document(doc, p)
+        for command in ("check", "smatrix"):
+            result = invoke(command, str(p))
+            assert result.exit_code == 1, (command, result.output)
+            assert "INVALID" in result.output
 
 
 class TestExtend:

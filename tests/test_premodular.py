@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from mrfw.corpus import (
     z3_base_ring,
 )
 from mrfw.premodular import (
+    _det,
     NON_DEGENERATE,
     PROPERLY_DEGENERATE,
     SYMMETRIC,
@@ -19,7 +21,7 @@ from mrfw.premodular import (
     smatrix,
     tannakian_row_obstruction,
 )
-from mrfw.ring import detect_mr, fpdims
+from mrfw.ring import FusionRing, InvalidRingError, detect_mr, fpdims
 from mrfw.scalars import CycNumber, QuadExt, UnsupportedFieldError
 
 Z5 = CycNumber.root_of_unity(5)
@@ -93,6 +95,12 @@ class TestSMatrix:
             smatrix(cyclic_ring(2), [1, 1], [1, 2])
         with pytest.raises(ValueError, match="unit"):
             smatrix(cyclic_ring(2), [1, 1], [-1, 1])
+
+    def test_rejects_invalid_ring(self):
+        # Z_2 with the unit rows swapped: basis element 0 is not a unit
+        ring = FusionRing(["1", "g"], [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
+        with pytest.raises(InvalidRingError):
+            smatrix(ring, [1, 1], [1, 1])
 
     def test_unsupported_field(self):
         dims = fpdims(ising_ring()).dims  # contains sqrt(2)
@@ -201,3 +209,72 @@ class TestTannakianRowObstruction:
         data = fib_data()
         with pytest.raises(ValueError):
             tannakian_row_obstruction(data, None)
+
+
+def laplace_det(M):
+    """Cofactor expansion along the first row: the O(n!) oracle."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    acc = CycNumber.from_rational(0)
+    for c in range(n):
+        minor = [[M[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
+        term = M[0][c] * laplace_det(minor)
+        acc = acc + term if c % 2 == 0 else acc - term
+    return acc
+
+
+def pointed_smatrix(n):
+    zeta = CycNumber.root_of_unity(n)
+    return smatrix(cyclic_ring(n), [1] * n, [zeta ** (k * k) for k in range(n)])
+
+
+def random_cyc_matrix(rng, size, order):
+    return [
+        [
+            CycNumber(order, [rng.randint(-3, 3) for _ in range(order)])
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pointed_matches_laplace(self, n):
+        # s_jk = zeta^(2jk): for even n, row n/2 equals the unit row
+        S = pointed_smatrix(n)
+        det = _det(S)
+        assert det == laplace_det(S)
+        assert det.is_zero == (n % 2 == 0)
+
+    def test_fibonacci_matches_laplace(self):
+        S = [list(row) for row in fib_data().S]
+        assert _det(S) == laplace_det(S) == -(2 + PHI)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("order", [3, 4, 5, 12])
+    def test_random_matches_laplace(self, size, order):
+        rng = random.Random(f"det:{size}:{order}")
+        for _ in range(5):
+            M = random_cyc_matrix(rng, size, order)
+            assert _det(M) == laplace_det(M)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_singular(self, size):
+        rng = random.Random(f"singular:{size}")
+        for _ in range(5):
+            M = random_cyc_matrix(rng, size, 5)
+            repeated = [row[:] for row in M]
+            repeated[-1] = list(repeated[0])
+            combined = [row[:] for row in M]
+            a, b = M[1][0] + 2, CycNumber.root_of_unity(5, 2)
+            combined[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+            for S in (repeated, combined):
+                assert laplace_det(S).is_zero
+                assert _det(S).is_zero
+
+    def test_zero_leading_entry_needs_pivoting(self):
+        M = [[0, 1, 2], [1, 0, 3], [4, 5, 0]]
+        C = [[CycNumber.from_rational(x) for x in row] for row in M]
+        assert _det(C) == laplace_det(C) == 22
