@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ring import FusionRing, detect_mr, validate
+from .ring import FusionRing, detect_mr
 from .scalars import CycNumber, RationalLike
-
-CycLike = "CycNumber | RationalLike"
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -209,7 +207,7 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
                 N[i][j][m] = N[j][i][m] = int(f)
     labels = [f"chi{i + 1}" for i in range(kcount)]
     ring = FusionRing(labels, N)
-    report = validate(ring)
+    report = ring.validate()
     if report:
         raise ValueError(f"table induces an invalid fusion ring: {report[0]}")
     return ring

@@ -2,10 +2,21 @@
 categorification obstruction pipeline, character-table checks, S-matrices,
 and corank-one extensions.
 
-Exit codes: 0 = command completed (any verdict), 1 = validation failure,
-2 = operational error (unreadable or malformed input).  Documents are the
-JSON envelopes of the serialize module; bare names are resolved against
-the bundled corpus, or against the directory named by MRFW_CORPUS.
+Exit codes, all set by the one error boundary on the ``main`` group:
+
+- 0: the command completed, whatever its verdict;
+- 1: validation failure.  A ring or table that fails its axioms, and any
+  other ``ValueError`` a command raises, prints ``INVALID: <msg>`` on
+  stderr.  The problem lines that ``check`` and ``report`` list from a
+  validation report go to stdout, and so does a replay ``MISMATCH``;
+- 2: operational error.  An unreadable, malformed or wrong-kind document
+  (``DocumentError``, ``OSError``) or a result that cannot be computed
+  exactly (``ExactnessError``) prints ``error: <msg>`` on stderr.  Click
+  usage errors, such as an option value out of range, also exit 2.
+
+Documents are the JSON envelopes of the serialize module; bare names are
+resolved against the bundled corpus, or against the directory named by
+MRFW_CORPUS.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from .chartab import theorem57_check, validate_table
 from .mr import (
     grading_forcing_check,
     integrality_class,
+    mr_extend,
     prime_rank_check,
     spherical_witness,
 )
@@ -32,19 +44,18 @@ from .obstruction import (
 from .premodular import degeneracy_class, premodular_data
 from .ring import (
     FusionRing,
-    InvalidRingError,
     adjoint_and_grading,
     detect_mr,
     fpdims,
     invertibles,
-    validate,
 )
-from .scalars import ExactnessError, UnsupportedFieldError
+from .scalars import ExactnessError
 from .serialize import (
     DocumentError,
     canonical_dumps,
     load_document,
     premodular_from_payload,
+    replay_from_payload,
     report_doc,
     ring_from_payload,
     ring_to_doc,
@@ -75,23 +86,37 @@ def resolve_document(ref: str) -> dict:
     raise FileNotFoundError(f"no such file or corpus entry: {ref}")
 
 
-def _load_ring(ref: str) -> FusionRing:
+def _load(ref: str, kind: str) -> dict:
+    """The payload of document `ref`, which must be of `kind`."""
     doc = resolve_document(ref)
-    if doc["kind"] != "ring":
-        raise DocumentError(f"expected a ring document, got {doc['kind']!r}")
-    return ring_from_payload(doc["payload"])
+    if doc["kind"] != kind:
+        raise DocumentError(f"expected a {kind} document, got {doc['kind']!r}")
+    return doc["payload"]
 
 
 def _emit(doc: dict) -> None:
     click.echo(canonical_dumps(doc), nl=False)
 
 
-def _operational(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    raise SystemExit(EXIT_OPERATIONAL)
+class _ExitCodeGroup(click.Group):
+    """Maps what a command raises to the exit-code contract.
+
+    ``DocumentError`` is a ``ValueError``, so it is matched first.  Any
+    other exception type reaching here is a bug where it was raised.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DocumentError, OSError, ExactnessError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(EXIT_OPERATIONAL)
+        except ValueError as exc:
+            click.echo(f"INVALID: {exc}", err=True)
+            raise SystemExit(EXIT_INVALID)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 def main() -> None:
     """Exact-arithmetic workbench for corank-one fusion rings."""
 
@@ -100,24 +125,17 @@ def main() -> None:
 @click.argument("ref")
 def check(ref: str) -> None:
     """Validate a document (ring axioms or table orthogonality)."""
-    try:
-        doc = resolve_document(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
+    doc = resolve_document(ref)
     kind = doc["kind"]
     if kind == "ring":
-        ring = ring_from_payload(doc["payload"])
-        problems = [str(v) for v in validate(ring)]
+        problems = [str(v) for v in ring_from_payload(doc["payload"]).validate()]
     elif kind == "chartable":
         problems = validate_table(table_from_payload(doc["payload"]))
     elif kind == "premodular":
         ring, dims, twists = premodular_from_payload(doc["payload"])
-        problems = [str(v) for v in validate(ring)]
+        problems = [str(v) for v in ring.validate()]
         if not problems:
-            try:
-                premodular_data(ring, dims, twists)
-            except (ValueError, UnsupportedFieldError) as exc:
-                problems = [str(exc)]
+            premodular_data(ring, dims, twists)
     else:
         problems = []
     if problems:
@@ -131,11 +149,8 @@ def check(ref: str) -> None:
 @click.argument("ref")
 def report(ref: str) -> None:
     """One-page exact analysis of a ring document."""
-    try:
-        ring = _load_ring(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
-    problems = validate(ring)
+    ring = ring_from_payload(_load(ref, "ring"))
+    problems = ring.validate()
     if problems:
         click.echo(f"INVALID: {problems[0]}")
         raise SystemExit(EXIT_INVALID)
@@ -170,10 +185,7 @@ def report(ref: str) -> None:
     for line in prime.lines:
         click.echo(f"prime-rank: {line}")
     if klass == "integral":
-        try:
-            forcing = grading_forcing_check(ring, mr)
-        except ValueError:
-            forcing = None
+        forcing = grading_forcing_check(ring, mr)
         if forcing is not None:
             click.echo(
                 f"grading forcing: kappa = {forcing.kappa} forces a "
@@ -198,9 +210,16 @@ def _verdict_payload(ring: FusionRing, verdict, node_cap: int) -> dict:
 @main.command(name="obstruct")
 @click.argument("ref", required=False)
 @click.option("--sweep", is_flag=True, help="classify both rank-4 bases per kappa")
-@click.option("--kappa-max", type=int, default=60, show_default=True)
-@click.option("--node-cap", type=int, default=DEFAULT_NODE_CAP, show_default=True)
-@click.option("--jobs", type=int, default=None, help="worker processes for sweeps")
+@click.option("--kappa-max", type=click.IntRange(min=0), default=60, show_default=True)
+@click.option(
+    "--node-cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True
+)
+@click.option(
+    "--jobs",
+    type=click.IntRange(1, os.cpu_count() or 1),
+    default=None,
+    help="worker processes for sweeps",
+)
 @click.option("--replay", type=click.Path(exists=False), default=None,
               help="re-run a certificate document and compare verdicts")
 def obstruct_cmd(
@@ -213,17 +232,9 @@ def obstruct_cmd(
 ) -> None:
     """Run the categorification obstruction pipeline."""
     if replay is not None:
-        try:
-            doc = load_document(replay)
-        except (OSError, DocumentError) as exc:
-            _operational(exc)
-        payload = doc["payload"]
-        ring = ring_from_payload(payload["ring"])
-        verdict = obstruct(ring, node_cap=int(payload.get("node_cap", node_cap)))
-        same = (
-            verdict.status == payload.get("status")
-            and verdict.stage == payload.get("stage")
-        )
+        ring, status, stage, cap = replay_from_payload(_load(replay, "report"))
+        verdict = obstruct(ring, node_cap=cap or node_cap)
+        same = verdict.status == status and verdict.stage == stage
         click.echo(
             f"replay: {verdict.status} at stage {verdict.stage} "
             f"({'match' if same else 'MISMATCH'})"
@@ -244,17 +255,8 @@ def obstruct_cmd(
         return
     if ref is None:
         raise click.UsageError("provide a ring document or use --sweep")
-    try:
-        ring = _load_ring(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
-    try:
-        verdict = obstruct(ring, node_cap=node_cap)
-    except InvalidRingError as exc:
-        click.echo(f"INVALID: {exc}", err=True)
-        raise SystemExit(EXIT_INVALID)
-    except ExactnessError as exc:
-        _operational(exc)
+    ring = ring_from_payload(_load(ref, "ring"))
+    verdict = obstruct(ring, node_cap=node_cap)
     _emit(report_doc(_verdict_payload(ring, verdict, node_cap)))
 
 
@@ -262,18 +264,7 @@ def obstruct_cmd(
 @click.argument("ref")
 def gagola(ref: str) -> None:
     """Two-class nonvanishing criterion versus corank-one subring."""
-    try:
-        doc = resolve_document(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
-    if doc["kind"] != "chartable":
-        _operational(DocumentError(f"expected a chartable document, got {doc['kind']!r}"))
-    table = table_from_payload(doc["payload"])
-    try:
-        rep = theorem57_check(table)
-    except ValueError as exc:
-        click.echo(f"INVALID: {exc}")
-        raise SystemExit(EXIT_INVALID)
+    rep = theorem57_check(table_from_payload(_load(ref, "chartable")))
     if rep.holds:
         click.echo(
             f"criterion holds: character {rep.witness.char_index} is "
@@ -288,18 +279,7 @@ def gagola(ref: str) -> None:
 @click.argument("ref")
 def smatrix(ref: str) -> None:
     """S-matrix and degeneracy class of a premodular document."""
-    try:
-        doc = resolve_document(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
-    if doc["kind"] != "premodular":
-        _operational(DocumentError(f"expected a premodular document, got {doc['kind']!r}"))
-    ring, dims, twists = premodular_from_payload(doc["payload"])
-    try:
-        data = premodular_data(ring, dims, twists)
-    except (ValueError, UnsupportedFieldError) as exc:
-        click.echo(f"INVALID: {exc}", err=True)
-        raise SystemExit(EXIT_INVALID)
+    data = premodular_data(*premodular_from_payload(_load(ref, "premodular")))
     degeneracy = degeneracy_class(data)
     payload = {
         "S": [[scalar_to_json(v) for v in row] for row in data.S],
@@ -316,18 +296,8 @@ def smatrix(ref: str) -> None:
 @click.option("--label", default="Z", show_default=True, help="label of the new element")
 def extend(ref: str, kappa: int, label: str) -> None:
     """Corank-one extension of an integral base ring."""
-    try:
-        ring = _load_ring(ref)
-    except (OSError, DocumentError) as exc:
-        _operational(exc)
-    from .mr import mr_extend
-
-    try:
-        extended = mr_extend(ring, kappa, extra_label=label)
-    except ValueError as exc:
-        click.echo(f"INVALID: {exc}", err=True)
-        raise SystemExit(EXIT_INVALID)
-    _emit(ring_to_doc(extended))
+    ring = ring_from_payload(_load(ref, "ring"))
+    _emit(ring_to_doc(mr_extend(ring, kappa, extra_label=label)))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ detection of maximal-rank subring structure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,6 @@ from .scalars import (
     count_real_roots,
     factor_linear_quadratic,
     largest_real_root_bounds,
-    quad_compare,
     quad_max,
 )
 
@@ -245,10 +243,6 @@ class GradingData:
         return len(self.components)
 
 
-def validate(ring: FusionRing) -> list[Violation]:
-    return ring.validate()
-
-
 def fpdims(ring: FusionRing) -> FPDims:
     """Exact FP dimension of each basis element: the Perron root of its
     left-multiplication matrix.  Computed once per ring; later calls return
@@ -459,8 +453,3 @@ def invertibles(ring: FusionRing, mr: Optional[MRData] = None) -> InvertibleGrou
             for k in range(n)
         )
     return InvertibleGroup(tuple(elems), tuple(table), fixes)
-
-
-def sort_key(dim: QuadExt):
-    """Deterministic sort key for exact dims (ascending)."""
-    return functools.cmp_to_key(quad_compare)(dim)

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -286,15 +284,6 @@ class QuadExt:
         if self.q == 0:
             return str(self.p)
         return f"{self.p} + {self.q}*sqrt({self.D})"
-
-
-ExactScalar = Union[Fraction, QuadExt]
-
-
-def exact_to_quad(x: "ExactScalar | int") -> QuadExt:
-    if isinstance(x, QuadExt):
-        return x
-    return QuadExt(x)
 
 
 def quad_compare(a: QuadExt, b: QuadExt) -> int:

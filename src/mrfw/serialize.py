@@ -119,14 +119,19 @@ def _envelope(kind: str, payload: dict) -> dict:
     return {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload}
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
+def _require_keys(
+    obj: dict, required: set[str], optional: set[str] | None, where: str
+):
+    """Check that `obj` is an object with every `required` field.  Fields
+    outside `required` and `optional` are rejected, unless `optional` is
+    None, when they are ignored."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be an object")
     keys = set(obj)
     missing = required - keys
-    unknown = keys - required - optional
     if missing:
         raise DocumentError(f"{where} missing fields: {sorted(missing)}")
+    unknown = set() if optional is None else keys - required - optional
     if unknown:
         raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
 
@@ -238,6 +243,18 @@ def report_doc(payload: dict) -> dict:
     return _envelope("report", payload)
 
 
+def replay_from_payload(payload: dict) -> tuple[FusionRing, Any, Any, int | None]:
+    """The ring, status, stage and node cap (None when absent) that an
+    obstruction certificate records.  Other fields, such as the witness
+    rows, are not needed to replay it and are ignored."""
+    _require_keys(payload, {"ring", "status", "stage"}, None, "certificate payload")
+    node_cap = None
+    if "node_cap" in payload:
+        node_cap = _require_int(payload["node_cap"], "node_cap", 1)
+    ring = ring_from_payload(payload["ring"])
+    return ring, payload["status"], payload["stage"], node_cap
+
+
 # ---------------------------------------------------------------------------
 # load / save
 
@@ -263,7 +280,11 @@ def parse_document(text: str) -> dict:
 
 
 def load_document(path: str | Path) -> dict:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc}") from exc
+    return parse_document(text)
 
 
 def canonical_dumps(doc: dict) -> str:

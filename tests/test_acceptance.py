@@ -8,13 +8,12 @@ explicit Gram factorizations at kappa in {0, 5} and at every multiple
 of 6.  The attainable parts of the criterion are verified in full.
 """
 
-import itertools
-import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from gram_oracle import OracleBudgetExceeded, gram_bruteforce
 
 from mrfw.chartab import fusion_from_table, theorem57_check
 from mrfw.corpus import (
@@ -46,7 +45,7 @@ from mrfw.premodular import (
     premodular_data,
     tannakian_row_obstruction,
 )
-from mrfw.ring import detect_mr, fpdims, subrings, subrings_bruteforce, validate
+from mrfw.ring import detect_mr, fpdims, subrings, subrings_bruteforce
 from mrfw.scalars import CycNumber, QuadExt
 
 
@@ -174,34 +173,6 @@ def test_criterion_5_group_corpus():
     )
 
 
-def _gram_bruteforce(H, budget=200_000):
-    n = len(H)
-    rows = [
-        w
-        for w in itertools.product(
-            *[range(math.isqrt(max(H[i][i], 0)) + 1) for i in range(n)]
-        )
-        if any(w)
-    ]
-    nodes = [0]
-
-    def rec(R, allowed):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise TimeoutError
-        if all(R[i][j] == 0 for i in range(n) for j in range(n)):
-            return True
-        for k, w in enumerate(allowed):
-            R2 = [[R[i][j] - w[i] * w[j] for j in range(n)] for i in range(n)]
-            if any(R2[i][j] < 0 for i in range(n) for j in range(n)):
-                continue
-            if rec(R2, allowed[k:]):
-                return True
-        return False
-
-    return rec([list(r) for r in H], rows)
-
-
 def test_criterion_6_property_suite():
     # subring enumeration vs full subset brute force
     small = [
@@ -240,8 +211,8 @@ def test_criterion_6_property_suite():
         if max(H[i][i] for i in range(n)) > 40:
             continue
         try:
-            expected = _gram_bruteforce(H)
-        except TimeoutError:
+            expected = gram_bruteforce(H)
+        except OracleBudgetExceeded:
             continue
         assert (gram_search(H).status == FEASIBLE) == expected, H
         compared += 1
@@ -267,7 +238,7 @@ def test_criterion_6_property_suite():
     ]
     for _ in range(100):
         ring = mr_extend(rng.choice(bases), rng.randrange(0, 30))
-        assert validate(ring) == []
+        assert ring.validate() == []
     emit(
         6,
         True,

@@ -23,7 +23,7 @@ from mrfw.corpus import (
     s4_table,
 )
 from mrfw.obstruction import codegrees
-from mrfw.ring import detect_mr, fpdims, subrings, validate
+from mrfw.ring import detect_mr, fpdims, subrings
 from mrfw.scalars import CycNumber
 
 
@@ -141,7 +141,7 @@ class TestFusionFromTable:
     @pytest.mark.parametrize("name", sorted(TABLE_BUILDERS))
     def test_output_is_valid_ring(self, name):
         ring = fusion_from_table(TABLE_BUILDERS[name]())
-        assert validate(ring) == []
+        assert ring.validate() == []
 
     @pytest.mark.parametrize("name", sorted(TABLE_BUILDERS))
     def test_dims_equal_degrees(self, name):

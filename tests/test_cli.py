@@ -1,12 +1,17 @@
+import copy
 import json
+import os
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mrfw.cli import main, resolve_document
+from mrfw.cli import corpus_dir, main, resolve_document
 from mrfw.corpus import cyclic_ring, fibonacci_ring, s3_table, write_corpus
 from mrfw.mr import mr_extend
+from mrfw.ring import FusionRing
 from mrfw.serialize import (
     load_document,
     premodular_to_doc,
@@ -20,6 +25,19 @@ runner = CliRunner()
 
 def invoke(*args, env=None):
     return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+def assert_exit(result, code, prefix):
+    assert result.exit_code == code, result.output
+    assert prefix in result.output
+    assert "Traceback" not in result.output
+
+
+def swapped_z2_payload():
+    """Z_2 with the unit rows swapped: well-formed, but fails the unit axiom."""
+    N = [[list(row) for row in plane] for plane in cyclic_ring(2).N]
+    N[0], N[1] = N[1], N[0]
+    return {"labels": ["0", "1"], "N": N}
 
 
 class TestCheck:
@@ -45,6 +63,11 @@ class TestCheck:
         p.write_text("{not json")
         result = invoke("check", str(p))
         assert result.exit_code == 2
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"schema": 1, "kind": "ring", "payload": {"labels": ["\xff"]}}')
+        assert_exit(invoke("check", str(p)), 2, "error: not UTF-8 text")
 
     def test_missing_file(self):
         result = invoke("check", "no-such-entry")
@@ -256,12 +279,8 @@ class TestSmatrix:
 
 
     def test_invalid_ring_rejected(self, tmp_path):
-        # Z_2 with the unit rows swapped fails the unit axiom
-        ring = cyclic_ring(2)
-        N = [[list(row) for row in plane] for plane in ring.N]
-        N[0], N[1] = N[1], N[0]
-        doc = premodular_to_doc(ring, [1, 1], [1, 1])
-        doc["payload"]["ring"]["N"] = N
+        doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
+        doc["payload"]["ring"] = swapped_z2_payload()
         p = tmp_path / "swapped.json"
         save_document(doc, p)
         for command in ("check", "smatrix"):
@@ -287,3 +306,142 @@ class TestExtend:
         p.write_text(result.output)
         check = invoke("check", str(p))
         assert check.exit_code == 0
+
+
+def cubic_ring():
+    """Basis 1, X, Y with XX = 1 + Y, XY = X + Y, YY = 1 + X + Y: a valid
+    ring whose FP dimensions are roots of an irreducible cubic."""
+    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        N[0][i][i] = N[i][0][i] = 1
+    for i, j, ks in ((1, 1, (0, 2)), (1, 2, (1, 2)), (2, 2, (0, 1, 2))):
+        for k in ks:
+            N[i][j][k] = N[j][i][k] = 1
+    return FusionRing(["1", "X", "Y"], N)
+
+
+class TestExitCodes:
+    """Each input here once ended in a traceback or was accepted silently."""
+
+    @pytest.mark.parametrize(
+        "args", [["report"], ["extend", "--kappa", "1"]], ids=["report", "extend"]
+    )
+    def test_inexact_fpdims_are_operational(self, tmp_path, args):
+        p = tmp_path / "cubic.json"
+        save_document(ring_to_doc(cubic_ring()), p)
+        result = invoke(*args, str(p))
+        assert_exit(result, 2, "error: approximate Frobenius-Perron dimensions")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"status": "feasible"},
+            {"ring": ring_to_doc(fibonacci_ring())["payload"], "status": "feasible",
+             "stage": "gram", "node_cap": "x"},
+            {"ring": ring_to_doc(fibonacci_ring())["payload"], "status": "feasible",
+             "stage": "gram", "node_cap": -5},
+            ["ring"],
+        ],
+        ids=["no-ring", "node-cap-string", "node-cap-negative", "payload-list"],
+    )
+    def test_malformed_certificate(self, tmp_path, payload):
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps({"schema": 1, "kind": "report", "payload": payload}))
+        assert_exit(invoke("obstruct", "--replay", str(p)), 2, "error: ")
+
+    def test_certificate_of_invalid_ring(self, tmp_path):
+        p = tmp_path / "cert.json"
+        payload = {"ring": swapped_z2_payload(), "status": "feasible", "stage": "gram"}
+        save_document({"schema": 1, "kind": "report", "payload": payload}, p)
+        assert_exit(invoke("obstruct", "--replay", str(p)), 1, "INVALID: unit-law")
+
+    def test_certificate_extra_fields_ignored(self, tmp_path):
+        doc = json.loads(invoke("obstruct", "z3-base-k3").output)
+        doc["payload"]["stats"] = {"wall_s": 0.1}
+        del doc["payload"]["node_cap"]
+        p = tmp_path / "cert.json"
+        save_document(doc, p)
+        assert_exit(invoke("obstruct", "--replay", str(p)), 0, "(match)")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--sweep", "--jobs", "0"],
+            ["--sweep", "--jobs", "-1"],
+            ["--sweep", "--jobs", str((os.cpu_count() or 1) + 1)],
+            ["--sweep", "--kappa-max", "-1"],
+            ["fibonacci", "--node-cap", "0"],
+            ["fibonacci", "--node-cap", "-5"],
+        ],
+        ids=["jobs-0", "jobs-negative", "jobs-above-cpus", "kappa-max-negative",
+             "node-cap-0", "node-cap-negative"],
+    )
+    def test_option_out_of_range(self, args):
+        # click rejects the value before the command body runs, so no
+        # sweep and no worker pool starts
+        assert_exit(invoke("obstruct", *args), 2, "Invalid value for")
+
+
+CORPUS_DOCUMENTS = {
+    p.stem: json.loads(p.read_text(encoding="utf-8"))
+    for p in sorted(corpus_dir().glob("*.json"))
+}
+DOCUMENT_COMMANDS = [
+    ["check"],
+    ["report"],
+    ["gagola"],
+    ["smatrix"],
+    ["extend", "--kappa", "1"],
+    ["obstruct", "--node-cap", "2000"],
+]
+WRONG_VALUES = ["x", -1, 1.5, True, None, [], {}, "1/0"]
+DELETE = object()
+
+
+def json_paths(node, prefix=()):
+    """The path of every value inside a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def certificate():
+    return json.loads(invoke("obstruct", "z3-base-k3").output)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents_keep_exit_code_contract(
+        self, data, certificate, tmp_path_factory
+    ):
+        if data.draw(st.booleans(), label="replay"):
+            doc, command = certificate, ["obstruct", "--replay"]
+        else:
+            doc = CORPUS_DOCUMENTS[data.draw(st.sampled_from(sorted(CORPUS_DOCUMENTS)))]
+            command = data.draw(st.sampled_from(DOCUMENT_COMMANDS))
+        doc = copy.deepcopy(doc)
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        value = data.draw(st.sampled_from([DELETE] + WRONG_VALUES))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        p = tmp_path_factory.getbasetemp() / "mutated.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, command + [str(p)])
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            repr(result.exception)
+        )
+        assert "Traceback" not in result.output

@@ -25,7 +25,7 @@ from mrfw.mr import (
     prime_rank_check,
     spherical_witness,
 )
-from mrfw.ring import detect_mr, fpdims, validate
+from mrfw.ring import detect_mr, fpdims
 from mrfw.scalars import QuadExt
 
 PHI = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
@@ -38,7 +38,7 @@ class TestMRExtend:
 
     def test_z2_base_kappa0_is_ising(self):
         ring = mr_extend(cyclic_ring(2), 0)
-        assert validate(ring) == []
+        assert ring.validate() == []
         mr = detect_mr(ring)
         assert (mr.kappa, mr.a, mr.dims) == (0, 2, (1, 1))
 
@@ -85,7 +85,7 @@ class TestMRExtend:
             base = rng.choice(bases)
             kappa = rng.randrange(0, 25)
             ring = mr_extend(base, kappa)
-            assert validate(ring) == []
+            assert ring.validate() == []
             mr = detect_mr(ring)
             assert mr is not None and mr.kappa == kappa
 

@@ -1,9 +1,9 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from gram_oracle import OracleBudgetExceeded, gram_bruteforce
 
 from mrfw.corpus import (
     cyclic_ring,
@@ -221,42 +221,6 @@ class TestI1System:
     def test_fibonacci(self):
         res = i1_dimension_system(fibonacci_ring())
         assert res.solutions == (((1, 0), (1, 1)),)
-
-
-class OracleBudgetExceeded(Exception):
-    pass
-
-
-def gram_bruteforce(H, budget=200_000):
-    """Naive oracle: every multiset of nonnegative rows, no ordering
-    heuristics, no admissibility filters beyond residual nonnegativity.
-    Raises OracleBudgetExceeded instead of running unboundedly."""
-    n = len(H)
-    R = [[int(x) for x in row] for row in H]
-    rows = [
-        w
-        for w in itertools.product(
-            *[range(math.isqrt(max(R[i][i], 0)) + 1) for i in range(n)]
-        )
-        if any(w)
-    ]
-    nodes = [0]
-
-    def rec(R, allowed):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise OracleBudgetExceeded
-        if all(R[i][j] == 0 for i in range(n) for j in range(n)):
-            return True
-        for k, w in enumerate(allowed):
-            R2 = [[R[i][j] - w[i] * w[j] for j in range(n)] for i in range(n)]
-            if any(R2[i][j] < 0 for i in range(n) for j in range(n)):
-                continue
-            if rec(R2, allowed[k:]):
-                return True
-        return False
-
-    return rec(R, rows)
 
 
 class TestGramSearch:

@@ -27,7 +27,6 @@ from mrfw.ring import (
     invertibles,
     subrings,
     subrings_bruteforce,
-    validate,
 )
 from mrfw.scalars import QuadExt
 
@@ -68,7 +67,7 @@ def dense_associativity(ring):
 class TestValidate:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_rings_valid(self, name):
-        assert validate(CORPUS[name]) == []
+        assert CORPUS[name].validate() == []
 
     def test_fibonacci_rules(self):
         fib = fibonacci_ring()
@@ -76,11 +75,11 @@ class TestValidate:
 
     def test_duality_normalization_violation(self):
         bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
-        report = validate(bad)
+        report = bad.validate()
         assert any(v.axiom == "duality-normalization" for v in report)
         # the result is cached per ring; callers get their own copy
         report.clear()
-        assert validate(bad) != []
+        assert bad.validate() != []
         assert not bad.is_valid
         with pytest.raises(InvalidRingError):
             bad.require_valid()
@@ -88,7 +87,7 @@ class TestValidate:
     def test_z3_base_kappa3_by_exhaustive_oracle(self):
         ring = z3_base_ring(3)
         assert dense_associativity(ring) == []
-        assert validate(ring) == []
+        assert ring.validate() == []
 
     @pytest.mark.parametrize(
         "name,survivors",
@@ -109,7 +108,7 @@ class TestValidate:
             N = [[list(row) for row in plane] for plane in ring.N]
             N[i][j][k] += 1
             mutant = FusionRing(ring.labels, N)
-            report = validate(mutant)
+            report = mutant.validate()
             assoc = [v for v in report if v.axiom == "associativity"]
             assert assoc == dense_associativity(mutant)
             if report == []:
