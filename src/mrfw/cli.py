@@ -154,40 +154,46 @@ def report(ref: str) -> None:
     if problems:
         click.echo(f"INVALID: {problems[0]}")
         raise SystemExit(EXIT_INVALID)
-    click.echo(f"rank {ring.rank} basis ({', '.join(ring.labels)})")
+    # every step runs before the first line is printed, so a step that
+    # fails leaves stdout empty rather than holding half a report
+    click.echo("\n".join(_report_lines(ring)))
+
+
+def _report_lines(ring: FusionRing):
+    yield f"rank {ring.rank} basis ({', '.join(ring.labels)})"
     dims = fpdims(ring)
-    click.echo(
+    yield (
         "FP dims: "
         + ", ".join(str(d) for d in dims.dims)
         + f"; global dim {dims.total()}"
     )
     group = invertibles(ring)
     if len(group.elements) == ring.rank:
-        click.echo("pointed: every basis element is invertible")
+        yield "pointed: every basis element is invertible"
     mr = detect_mr(ring)
     if mr is None:
-        click.echo("no corank-one subring structure")
+        yield "no corank-one subring structure"
         return
-    click.echo(f"MR(a={mr.a}, kappa={mr.kappa}); extra object {ring.labels[mr.extra]}")
+    yield f"MR(a={mr.a}, kappa={mr.kappa}); extra object {ring.labels[mr.extra]}"
     if len(group.elements) == ring.rank - 1 and mr.extra not in group.elements:
-        click.echo("near-group: all non-extra basis elements invertible")
+        yield "near-group: all non-extra basis elements invertible"
     klass = integrality_class(mr.a, mr.kappa)
-    click.echo(f"integrality class: {klass}")
+    yield f"integrality class: {klass}"
     grading = adjoint_and_grading(ring)
     if grading.group_order > 1:
         line = f"faithfully graded by a group of order {grading.group_order}"
         if grading.rank_one_components:
             line += "; has a rank-1 component (fiber-functor flag)"
-        click.echo(line)
+        yield line
     cert = spherical_witness(mr.a, mr.kappa)
-    click.echo(f"spherical certificate: conclusion {cert.conclusion}")
+    yield f"spherical certificate: conclusion {cert.conclusion}"
     prime = prime_rank_check(ring, mr)
     for line in prime.lines:
-        click.echo(f"prime-rank: {line}")
+        yield f"prime-rank: {line}"
     if klass == "integral":
         forcing = grading_forcing_check(ring, mr)
         if forcing is not None:
-            click.echo(
+            yield (
                 f"grading forcing: kappa = {forcing.kappa} forces a "
                 f"Z_{forcing.grading_group_order} grading"
             )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -164,6 +165,38 @@ def _irrational_indices(dims) -> list[int]:
     return [j for j, d in enumerate(dims) if not d.is_rational]
 
 
+def _dim_of(row, dims) -> QuadExt:
+    """sum of c * d over the row's coefficients c and the dimensions d."""
+    s = QuadExt(0)
+    for c, d in zip(row, dims):
+        if c:
+            s = s + c * d
+    return s
+
+
+def _integer_field(values) -> Optional[tuple[int, int, list[tuple[int, int]]]]:
+    """`(den, D, pairs)` with `values[k] == (a + b*sqrt(D)) / den` for
+    `(a, b) = pairs[k]`, all over one common denominator; None when the
+    values span two different quadratic fields.
+
+    Integer linear combinations of the values can then be compared as
+    integer pairs, with no `Fraction` arithmetic."""
+    radicands = {v.D for v in values if v.q}
+    if len(radicands) > 1:
+        return None
+    D = radicands.pop() if radicands else 1
+    den = math.lcm(*(x.denominator for v in values for x in (v.p, v.q)))
+    return den, D, [
+        (v.p.numerator * (den // v.p.denominator),
+         v.q.numerator * (den // v.q.denominator))
+        for v in values
+    ]
+
+
+def _dot(row, coeffs) -> int:
+    return sum(map(operator.mul, row, coeffs))
+
+
 def i1_dimension_system(
     ring: FusionRing,
     data: Optional[InductionData] = None,
@@ -196,10 +229,15 @@ def i1_dimension_system(
     n = ring.rank
     bounds = data.H[0]
     irr = _irrational_indices(d)
+    scaled = _integer_field(d + data.i1_dims)
+    if scaled is not None:
+        den, _, pairs = scaled
+        ra = [a for a, _ in pairs[1:n]]
+        rb = [b for _, b in pairs[1:n]]
     lines: list[str] = []
     summands: list[I1Summand] = []
     feasible = True
-    for f, target in zip(data.codegrees, data.i1_dims):
+    for k, (f, target) in enumerate(zip(data.codegrees, data.i1_dims)):
         alg = target.is_algebraic_integer()
         if not alg:
             lines.append(
@@ -239,13 +277,19 @@ def i1_dimension_system(
                     ranges.append((int(forced),))
                 else:
                     ranges.append(tuple(range(bounds[j] + 1)))
-            for vec in itertools.product(*ranges):
-                s = QuadExt(1)
-                for j, c in enumerate(vec):
-                    if c:
-                        s = s + c * d[j + 1]
-                if s == target:
-                    cands.append((1,) + vec)
+            vecs = itertools.product(*ranges)
+            if scaled is None:
+                cands = [
+                    (1,) + vec for vec in vecs
+                    if 1 + _dim_of(vec, d[1:]) == target
+                ]
+            else:
+                # 1 + sum c_j d_j == target, in the scaled integers
+                ta, tb = pairs[n + k]
+                cands = [
+                    (1,) + vec for vec in vecs
+                    if _dot(vec, ra) == ta - den and _dot(vec, rb) == tb
+                ]
             if not cands:
                 lines.append(
                     f"codegree {f}: no nonnegative integer image with "
@@ -315,17 +359,43 @@ class GramResult:
     log: tuple[str, ...]
 
 
-def _row_dim_divides(row, dims, total, cache) -> bool:
-    s = QuadExt(0)
-    for c, d in zip(row, dims):
-        if c:
-            s = s + c * d
-    key = (s.p, s.q, s.D)
-    hit = cache.get(key)
-    if hit is None:
-        hit = (total * s.inverse()).is_algebraic_integer()
-        cache[key] = hit
-    return hit
+def _dimension_screen(dims: tuple[QuadExt, ...]):
+    """Predicate on rows: does the dimension of the row's image divide the
+    global dimension?
+
+    When the dimensions share one field Q(sqrt(D)) the test runs in
+    integers: with dims scaled to (a + b*sqrt(D)) / den, the quotient of
+    the global dimension by the row's dimension is (P + Q*sqrt(D)) / M,
+    and it is an algebraic integer iff its trace and norm are integers.
+    Otherwise each row dimension is a `QuadExt`, and the verdict is cached
+    per dimension."""
+    scaled = _integer_field(dims)
+    if scaled is None:
+        total = functools.reduce(lambda a, b: a + b, (d * d for d in dims))
+        cache: dict = {}
+
+        def divides(row) -> bool:
+            s = _dim_of(row, dims)
+            if s not in cache:
+                cache[s] = (total * s.inverse()).is_algebraic_integer()
+            return cache[s]
+
+        return divides
+    den, D, pairs = scaled
+    ra = [a for a, _ in pairs]
+    rb = [b for _, b in pairs]
+    # the global dimension, sum of d^2, is (ga + gb*sqrt(D)) / den^2
+    ga = sum(a * a + b * b * D for a, b in pairs)
+    gb = 2 * sum(a * b for a, b in pairs)
+
+    def divides(row) -> bool:
+        A, B = _dot(row, ra), _dot(row, rb)
+        P = ga * A - gb * B * D
+        Q = gb * A - ga * B
+        M = den * (A * A - B * B * D)
+        return 2 * P % M == 0 and (P * P - Q * Q * D) % (M * M) == 0
+
+    return divides
 
 
 def gram_search(
@@ -341,75 +411,115 @@ def gram_search(
     whose dimension divides the global dimension (the dimension of any
     simple of the center divides the global dimension).  Free rows are
     tried in descending lexicographic order with multiplicities, so the
-    first witness found is deterministic."""
+    first witness found is deterministic.
+
+    H must be symmetric; an asymmetric H is infeasible, since every
+    N^t N is symmetric.  The residual H - sum w w^t is therefore kept as
+    its upper triangle, and each row touches only the entries of its
+    support, the pairs (i, j) with w_i * w_j > 0.
+
+    Two prunings cut subtrees that hold no solution.  A column whose
+    diagonal residual is zero admits no further row, so positive cross
+    terms left in it are unreachable.  The cover rule: the rows still
+    available at position idx are free[idx:], and together their supports
+    cover only some entries; a positive residual entry outside that
+    cover can never be cleared, and since the cover only shrinks as idx
+    grows, the node fails there.  Neither rule reorders the search, so
+    every witness is the one the unpruned search finds first; only the
+    node count drops."""
     n = len(H)
     log: list[str] = []
-    R = [[int(x) for x in row] for row in H]
-    for w in fixed_rows:
-        for i in range(n):
-            for j in range(n):
-                R[i][j] -= w[i] * w[j]
     for i in range(n):
-        for j in range(n):
-            if R[i][j] < 0:
+        for j in range(i + 1, n):
+            if H[i][j] != H[j][i]:
                 log.append(
-                    f"fixed rows overshoot H at ({i},{j}): residual "
-                    f"{R[i][j]}"
+                    f"H is not symmetric at ({i},{j}): "
+                    f"{H[i][j]} != {H[j][i]}"
                 )
                 return GramResult(INFEASIBLE, None, 0, tuple(log))
-    total = dims and functools.reduce(
-        lambda a, b: a + b, (d * d for d in dims)
-    )
-    div_cache: dict = {}
-    caps = [math.isqrt(R[i][i]) for i in range(n)]
+    # the upper triangle, row by row: entry (i, j), i <= j, at pos[i][j]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        pos[i][j] = pos[j][i] = p
+    R = [int(H[i][j]) - sum(w[i] * w[j] for w in fixed_rows) for i, j in pairs]
+    for p, (i, j) in enumerate(pairs):
+        if R[p] < 0:
+            log.append(
+                f"fixed rows overshoot H at ({i},{j}): residual {R[p]}"
+            )
+            return GramResult(INFEASIBLE, None, 0, tuple(log))
+    divides = None if dims is None else _dimension_screen(dims)
+    # admissible rows in descending lexicographic order: w_i * w_j <= R_ij
+    # for every pair, so each entry is bounded by those before it
     free: list[tuple[int, ...]] = []
-    for w in itertools.product(*[range(c, -1, -1) for c in caps]):
-        if not any(w):
-            continue
-        if any(w[i] * w[j] > R[i][j] for i in range(n) for j in range(n)):
-            continue
-        if dims is not None and not _row_dim_divides(w, dims, total, div_cache):
-            continue
-        free.append(w)
-    # descending lexicographic order for deterministic witnesses
-    free.sort(reverse=True)
+    prefix = [0] * n
+
+    def admissible(i: int) -> None:
+        if i == n:
+            row = tuple(prefix)
+            if any(row) and (divides is None or divides(row)):
+                free.append(row)
+            return
+        top = math.isqrt(R[pos[i][i]])
+        for j in range(i):
+            if prefix[j]:
+                top = min(top, R[pos[j][i]] // prefix[j])
+        for x in range(top, -1, -1):
+            prefix[i] = x
+            admissible(i + 1)
+        prefix[i] = 0
+
+    admissible(0)
+    # per row: its (entry, w_i * w_j) products and their bitmask
+    prods = [
+        tuple((p, w[i] * w[j]) for p, (i, j) in enumerate(pairs) if w[i] * w[j])
+        for w in free
+    ]
+    masks = [sum(1 << p for p, _ in pr) for pr in prods]
+    # uncovered[idx]: entries that no row of free[idx:] touches
+    uncovered = [~0] * (len(free) + 1)
+    for idx in range(len(free) - 1, -1, -1):
+        uncovered[idx] = uncovered[idx + 1] & ~masks[idx]
+    # per column: its diagonal bit and the bits of its other entries
+    columns = [
+        (1 << pos[i][i], sum(1 << pos[i][j] for j in range(n) if j != i))
+        for i in range(n)
+    ]
     nodes = 0
 
-    def dfs(R, start) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    def dfs(R, live, start) -> Optional[list[tuple[tuple[int, ...], int]]]:
+        # live: bitmask of the positive residual entries
         nonlocal nodes
-        if all(R[i][j] == 0 for i in range(n) for j in range(n)):
+        if not live:
             return []
-        for i in range(n):
-            if R[i][i] == 0 and any(R[i][j] for j in range(n)):
+        for diag, cross in columns:
+            if not live & diag and live & cross:
                 return None  # exhausted column still has cross terms
         for idx in range(start, len(free)):
-            w = free[idx]
-            mmax = 0
-            ok = True
+            if live & uncovered[idx]:
+                return None  # cover rule
+            if masks[idx] & ~live:
+                continue  # the row meets an entry already cleared
             # largest multiplicity keeping the residual nonnegative
-            limit = None
-            for i in range(n):
-                for j in range(n):
-                    if w[i] * w[j]:
-                        m = R[i][j] // (w[i] * w[j])
-                        limit = m if limit is None else min(limit, m)
-            if not limit:
-                continue
+            limit = min(R[p] // c for p, c in prods[idx])
             for m in range(limit, 0, -1):
                 nodes += 1
                 if nodes > node_cap:
                     raise NodeCapExceeded
-                R2 = [
-                    [R[i][j] - m * w[i] * w[j] for j in range(n)]
-                    for i in range(n)
-                ]
-                tail = dfs(R2, idx + 1)
+                R2 = R[:]
+                live2 = live
+                for p, c in prods[idx]:
+                    R2[p] -= m * c
+                    if not R2[p]:
+                        live2 ^= 1 << p
+                tail = dfs(R2, live2, idx + 1)
                 if tail is not None:
-                    return [(w, m)] + tail
+                    return [(free[idx], m)] + tail
         return None
 
     try:
-        found = dfs(R, 0)
+        found = dfs(R, sum(1 << p for p, r in enumerate(R) if r), 0)
     except NodeCapExceeded:
         log.append(f"node cap {node_cap} exceeded")
         return GramResult(INCONCLUSIVE, None, nodes, tuple(log))

@@ -332,6 +332,14 @@ class TestExitCodes:
         result = invoke(*args, str(p))
         assert_exit(result, 2, "error: approximate Frobenius-Perron dimensions")
 
+    def test_failed_report_prints_no_partial_report(self, tmp_path):
+        p = tmp_path / "cubic.json"
+        save_document(ring_to_doc(cubic_ring()), p)
+        result = invoke("report", str(p))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -5,16 +5,21 @@ from fractions import Fraction
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
 
+from mrfw.chartab import fusion_from_table
 from mrfw.corpus import (
+    TABLE_BUILDERS,
     cyclic_ring,
     fibonacci_ring,
     group_ring,
     ising_ring,
+    klein_four_ring,
     rep_s3_ring,
     s3_base_ring,
     trivial_ring,
     z3_base_ring,
 )
+from mrfw import obstruction
+from mrfw.mr import mr_extend
 from mrfw.obstruction import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -42,6 +47,18 @@ def s3_group_ring():
         for p in perms
     ]
     return group_ring(table, [f"g{i}" for i in range(6)])
+
+
+def near_group(n, kappa):
+    return mr_extend(cyclic_ring(n), kappa)
+
+
+def rep_ring(group):
+    return fusion_from_table(TABLE_BUILDERS[group]())
+
+
+def gram_of(rows, n):
+    return [[sum(w[i] * w[j] for w in rows) for j in range(n)] for i in range(n)]
 
 
 class TestCodegrees:
@@ -238,6 +255,14 @@ class TestGramSearch:
         res = gram_search([[1, 1], [1, 0]])
         assert res.status == INFEASIBLE
 
+    def test_asymmetric_h_infeasible_at_zero_nodes(self):
+        # every N^t N is symmetric; the first asymmetric pair is named
+        H = [[2, 1, 0], [1, 2, 3], [0, 1, 2]]
+        res = gram_search(H)
+        assert res.status == INFEASIBLE
+        assert res.nodes == 0
+        assert res.log == ("H is not symmetric at (1,2): 3 != 1",)
+
     def test_node_cap(self):
         H = [[30, 10, 10], [10, 30, 10], [10, 10, 31]]
         res = gram_search(H, node_cap=3)
@@ -247,14 +272,9 @@ class TestGramSearch:
     def test_witness_reverifies(self):
         ring = z3_base_ring(3)
         verdict = obstruct(ring)
-        rows = verdict.witness.all_rows()
-        n = ring.rank
-        H = induction_images(ring)
-        G = [
-            [sum(w[i] * w[j] for w in rows) for j in range(n)]
-            for i in range(n)
-        ]
-        assert G == H
+        assert gram_of(verdict.witness.all_rows(), ring.rank) == (
+            induction_images(ring)
+        )
 
     def test_matches_bruteforce_on_products(self):
         rng = random.Random(5771)
@@ -298,6 +318,135 @@ class TestGramSearch:
             assert (res.status == FEASIBLE) == expected
             checked += 1
         assert checked > 30
+
+
+class TestSoundnessGate:
+    """Rings known to be categorifiable must never be declared infeasible."""
+
+    CASES = (
+        [(f"rep({g})", lambda g=g: rep_ring(g))
+         for g in ("s3", "d8", "q8", "a4", "s4", "z4", "z2xz2")]
+        # Tambara-Yamagami C(A, 0)
+        + [(f"C(Z{n},0)", lambda n=n: near_group(n, 0)) for n in range(1, 7)]
+        + [("C(Z2xZ2,0)", lambda: mr_extend(klein_four_ring(), 0))]
+        # near-groups C(Z_n, n-1) with n + 1 a prime power; n = 1 is C(Z1, 0)
+        + [(f"C(Z{n},{n - 1})", lambda n=n: near_group(n, n - 1))
+           for n in (2, 3, 4, 6, 7)]
+    )
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in CASES], ids=[name for name, _ in CASES]
+    )
+    def test_never_infeasible(self, build):
+        assert obstruct(build()).status != INFEASIBLE
+
+
+class TestNearGroupSurvivors:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_survivors_are_evans_gannon(self, n):
+        # a near-group C(Z_n, kappa) needs kappa = n - 1 or n | kappa
+        # (Evans-Gannon, arXiv:1208.1500); up to kappa = 2n the pipeline
+        # decides every cell and keeps exactly those
+        got = {k: obstruct(near_group(n, k)).status for k in range(2 * n + 1)}
+        assert INCONCLUSIVE not in got.values()
+        survivors = {k for k, s in got.items() if s == FEASIBLE}
+        assert survivors == {k for k in got if k == n - 1 or k % n == 0}
+
+
+class TestWitnessPinning:
+    """The pruned search returns the witness the unpruned search found
+    first.  Rows are written as digit strings; each was recorded from the
+    unpruned search at the default node cap (C(Z5, 5) took 1,990,038
+    nodes there, rep(S4) 305,832)."""
+
+    WITNESSES = {
+        "z3-base k=3": (
+            lambda: z3_base_ring(3),
+            "1000 1001 1011 1101 0111 0101 0100 0011 0010 "
+            "0001 0001 0001 0001 0001 0001 0001 0001 0001",
+        ),
+        "rep-s3 base k=5": (
+            lambda: s3_base_ring(5),
+            "1000 1210 1012 1103 0113 0102 0102 0100 0010 "
+            "0001 0001 0001 0001 0001 0001 0001",
+        ),
+        "C(Z5,0)": (
+            lambda: near_group(5, 0),
+            "100000 100000 100010 100100 101000 110000 011000 010100 "
+            "010010 010000 010000 001100 001010 001000 001000 000110 "
+            "000100 000100 000010 000010 000002 000002 000001 000001",
+        ),
+        "C(Z5,4)": (
+            lambda: near_group(5, 4),
+            "100000 111110 100001 100001 100001 100001 010001 010001 "
+            "010001 010001 010000 001001 001001 001001 001001 001000 "
+            "000101 000101 000101 000101 000100 000011 000011 000011 "
+            "000011 000010 000002 000001 000001",
+        ),
+        "C(Z5,5)": (
+            lambda: near_group(5, 5),
+            "100000 100001 100011 100101 101001 110001 011103 010011 "
+            "010000 010000 010000 001011 001000 001000 001000 000111 "
+            "000100 000100 000100 000011 000010 000003 000001 000001 "
+            "000001 000001 000001 000001 000001 000001",
+        ),
+        "rep(s4)": (
+            lambda: rep_ring("s4"),
+            "10000 10100 10101 10110 11011 01110 01101 01100 01000 "
+            "00111 00111 00100 00022 00011 00010 00010 00001 00001",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(WITNESSES))
+    def test_first_witness_unchanged(self, name):
+        build, rows = self.WITNESSES[name]
+        verdict = obstruct(build())
+        assert verdict.status == FEASIBLE
+        got = ["".join(map(str, w)) for w in verdict.witness.all_rows()]
+        assert got == rows.split()
+
+    @pytest.mark.parametrize("n, kappa", [(5, 4), (5, 5), (5, 10), (6, 6)])
+    def test_decided_under_bench_cap(self, n, kappa):
+        # each hit a 50,000-node cap before the cover rule
+        ring = near_group(n, kappa)
+        verdict = obstruct(ring, node_cap=50_000)
+        assert verdict.status == FEASIBLE
+        assert gram_of(verdict.witness.all_rows(), ring.rank) == hom_matrix(ring)
+
+
+class TestIntegerScreens:
+    """The integer dimension screens agree with plain `QuadExt` arithmetic,
+    which is also the path taken when the values span two fields."""
+
+    RINGS = {
+        "fibonacci": fibonacci_ring,
+        "ising": ising_ring,
+        "z3-base k=3": lambda: z3_base_ring(3),
+        "rep-s3 base k=5": lambda: s3_base_ring(5),
+        "C(Z5,5)": lambda: near_group(5, 5),
+        "rep(s4)": lambda: rep_ring("s4"),
+    }
+
+    @pytest.mark.parametrize("name", list(RINGS))
+    def test_dimension_screen_matches_quadext(self, name):
+        dims = fpdims(self.RINGS[name]()).dims
+        total = sum((d * d for d in dims), QuadExt(0))
+        divides = obstruction._dimension_screen(dims)
+        for row in itertools.product(range(4), repeat=len(dims)):
+            if any(row):
+                s = sum((c * d for c, d in zip(row, dims)), QuadExt(0))
+                assert divides(row) == (total * s.inverse()).is_algebraic_integer()
+
+    @pytest.mark.parametrize("name", list(RINGS))
+    def test_quadext_fallback_agrees(self, name, monkeypatch):
+        ring = self.RINGS[name]()
+        fast = obstruct(ring)
+        monkeypatch.setattr(obstruction, "_integer_field", lambda values: None)
+        slow = obstruct(ring)
+        assert slow.i1 == fast.i1
+        assert (slow.status, slow.steps, slow.witness) == (
+            fast.status, fast.steps, fast.witness
+        )
 
 
 class TestObstruct:
