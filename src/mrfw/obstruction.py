@@ -26,6 +26,7 @@ from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim
 from .scalars import (
     ExactnessError,
     QuadExt,
+    _integer_field,
     charpoly,
     factor_linear_quadratic,
     quad_compare,
@@ -61,13 +62,17 @@ def codegree_matrix(ring: FusionRing) -> list[list[int]]:
 def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     """Exact codegrees in descending order, with multiplicity.
 
-    Raises ExactnessError when the characteristic polynomial does not
-    factor into linear and one quadratic factor over the integers."""
+    The codegrees are the formal codegrees of the ring (Ostrik,
+    arXiv:0810.3242): the eigenvalues of the codegree matrix, which is
+    symmetric with nonnegative integer entries, so they are real and at
+    most its largest row sum.  Raises ExactnessError when the
+    characteristic polynomial does not split into linear and quadratic
+    factors over the integers."""
     return _codegrees_of(codegree_matrix(ring))
 
 
 def _codegrees_of(M: list[list[int]]) -> tuple[QuadExt, ...]:
-    fact = factor_linear_quadratic(charpoly(M))
+    fact = factor_linear_quadratic(charpoly(M), max(map(sum, M)))
     if fact.residual.degree > 0:
         raise ExactnessError(
             f"codegree polynomial has an unresolved factor of degree "
@@ -172,25 +177,6 @@ def _dim_of(row, dims) -> QuadExt:
         if c:
             s = s + c * d
     return s
-
-
-def _integer_field(values) -> Optional[tuple[int, int, list[tuple[int, int]]]]:
-    """`(den, D, pairs)` with `values[k] == (a + b*sqrt(D)) / den` for
-    `(a, b) = pairs[k]`, all over one common denominator; None when the
-    values span two different quadratic fields.
-
-    Integer linear combinations of the values can then be compared as
-    integer pairs, with no `Fraction` arithmetic."""
-    radicands = {v.D for v in values if v.q}
-    if len(radicands) > 1:
-        return None
-    D = radicands.pop() if radicands else 1
-    den = math.lcm(*(x.denominator for v in values for x in (v.p, v.q)))
-    return den, D, [
-        (v.p.numerator * (den // v.p.denominator),
-         v.q.numerator * (den // v.q.denominator))
-        for v in values
-    ]
 
 
 def _dot(row, coeffs) -> int:

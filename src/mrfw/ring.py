@@ -12,7 +12,10 @@ from typing import Optional, Sequence
 
 from .scalars import (
     ExactnessError,
+    Factorization,
+    IntPoly,
     QuadExt,
+    _integer_field,
     charpoly,
     count_real_roots,
     factor_linear_quadratic,
@@ -224,10 +227,6 @@ class MRData:
     dims: tuple[int, ...]  # integer FP dims of the base basis, in base order
     a: int  # sum of squared base dims = FPdim of the subring
 
-    def extra_dim(self) -> QuadExt:
-        disc = self.kappa * self.kappa + 4 * self.a
-        return (QuadExt(self.kappa) + QuadExt.sqrt(disc)) * Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class GradingData:
@@ -254,29 +253,87 @@ def fpdims(ring: FusionRing) -> FPDims:
 
 
 def _perron_dims(ring: FusionRing) -> FPDims:
-    dims: list[QuadExt] = []
-    exact: list[bool] = []
-    bounds: list[Optional[tuple[Fraction, Fraction]]] = []
-    for i in range(ring.rank):
-        poly = charpoly(ring.left_matrix(i))
-        fact = factor_linear_quadratic(poly)
-        residual_real_roots = 0
-        if fact.residual.degree > 0:
-            bound = Fraction(1 + max(abs(c) for c in fact.residual.coeffs))
-            residual_real_roots = count_real_roots(fact.residual, -bound, bound)
-        if residual_real_roots == 0:
-            # any residual factor is a complex pair; the Perron root is
-            # among the extracted roots
-            real_roots = fact.all_roots()
-            dims.append(quad_max(real_roots))
-            exact.append(True)
-            bounds.append(None)
-        else:
-            lo, hi = largest_real_root_bounds(poly, Fraction(1, 10**10))
-            dims.append(QuadExt((lo + hi) / 2))
-            exact.append(False)
-            bounds.append((lo, hi))
+    """FP dimensions, certified at once as the positive character.
+
+    FPdim is the unique character of a fusion ring that is positive on the
+    basis (Etingof-Nikshych-Ostrik, arXiv:math/0203060, section 8; EGNO,
+    Tensor Categories, section 3.3): a positive d with
+    d_i d_j = sum_k N_ij^k d_k is a positive eigenvector of every
+    left-multiplication matrix, with eigenvalue d_i, and a nonnegative
+    matrix has a positive eigenvector only for its Perron root.
+
+    So each invertible element (X (x) X^* = 1) gets dimension 1, with no
+    characteristic polynomial, and every other element its largest
+    extracted real root, exact in a quadratic field.  The vector is
+    accepted if `_is_positive_character` holds.  Otherwise (a Perron root
+    left in an unfactored residual, or dimensions in two different
+    quadratic fields) the non-invertible elements fall back to
+    `_elementwise_dim`, one Perron root at a time."""
+    n, N = ring.rank, ring.N
+    unit = tuple(int(k == 0) for k in range(n))
+    spectra = {
+        i: _left_spectrum(ring, i) for i in range(n) if N[i][ring.dual[i]] != unit
+    }
+    dims = [QuadExt(1)] * n
+    for i, (_, fact) in spectra.items():
+        roots = fact.all_roots()
+        dims[i] = quad_max(roots) if roots else QuadExt(0)
+    if _is_positive_character(ring, dims):
+        return FPDims(tuple(dims), (True,) * n, (None,) * n)
+    exact = [True] * n
+    bounds: list[Optional[tuple[Fraction, Fraction]]] = [None] * n
+    for i, spectrum in spectra.items():
+        dims[i], exact[i], bounds[i] = _elementwise_dim(*spectrum)
     return FPDims(tuple(dims), tuple(exact), tuple(bounds))
+
+
+def _left_spectrum(ring: FusionRing, i: int) -> tuple[IntPoly, Factorization]:
+    """Characteristic polynomial of X_i's left-multiplication matrix and its
+    factorization, with roots bounded by the largest row sum."""
+    M = ring.left_matrix(i)
+    poly = charpoly(M)
+    return poly, factor_linear_quadratic(poly, max(map(sum, M)))
+
+
+def _elementwise_dim(
+    poly: IntPoly, fact: Factorization
+) -> tuple[QuadExt, bool, Optional[tuple[Fraction, Fraction]]]:
+    """One Perron root on its own: exact when the unfactored residual has
+    no real root, so that the largest real root was extracted; otherwise a
+    certified Sturm enclosure of the largest real root of `poly`."""
+    if fact.residual.degree > 0:
+        bound = Fraction(1 + max(abs(c) for c in fact.residual.coeffs))
+        if count_real_roots(fact.residual, -bound, bound):
+            lo, hi = largest_real_root_bounds(poly, Fraction(1, 10**10))
+            return QuadExt((lo + hi) / 2), False, (lo, hi)
+    return quad_max(fact.all_roots()), True, None
+
+
+def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:
+    """d_0 = 1, every d_i > 0, and d_i d_j = sum_k N_ij^k d_k for every
+    ordered pair (i, j); a commutative ring needs only i <= j.
+
+    Runs in integers: with d_k = (a_k + b_k sqrt(D)) / den over the common
+    field, both sides are compared as integer pairs scaled by den^2.
+    Dimensions from two different quadratic fields are not certified."""
+    scaled = _integer_field(dims)
+    if scaled is None or dims[0] != 1 or any(d <= 0 for d in dims):
+        return False
+    den, D, pairs = scaled
+    n, N = ring.rank, ring.N
+    commutative = ring.is_commutative
+    for i, (ai, bi) in enumerate(pairs):
+        for j in range(i if commutative else 0, n):
+            aj, bj = pairs[j]
+            row = N[i][j]
+            sa = sb = 0
+            for k, c in enumerate(row):
+                if c:
+                    sa += c * pairs[k][0]
+                    sb += c * pairs[k][1]
+            if ai * aj + bi * bj * D != den * sa or ai * bj + bi * aj != den * sb:
+                return False
+    return True
 
 
 def global_fpdim(ring: FusionRing) -> QuadExt:
@@ -302,21 +359,6 @@ def subrings(ring: FusionRing) -> list[frozenset[int]]:
                     found.add(bigger)
                     todo.append(bigger)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def subrings_bruteforce(ring: FusionRing) -> list[frozenset[int]]:
-    """2^n test oracle: check closure axioms on every subset."""
-    ring.require_valid()
-    out = []
-    nonunit = [i for i in range(ring.rank) if i != 0]
-    for r in range(len(nonunit) + 1):
-        for extra in itertools.combinations(nonunit, r):
-            s = frozenset((0,) + extra)
-            if any(ring.dual[i] not in s for i in s):
-                continue
-            if all(set(ring.support(i, j)) <= s for i in s for j in s):
-                out.append(s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def detect_mr(ring: FusionRing) -> Optional[MRData]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -316,6 +316,25 @@ def quad_max(values: Iterable[QuadExt]) -> QuadExt:
     return best
 
 
+def _integer_field(values) -> Optional[tuple[int, int, list[tuple[int, int]]]]:
+    """`(den, D, pairs)` with `values[k] == (a + b*sqrt(D)) / den` for
+    `(a, b) = pairs[k]`, all over one common denominator; None when the
+    values span two different quadratic fields.
+
+    Integer polynomial expressions in the values can then be compared as
+    integer pairs, with no `Fraction` arithmetic."""
+    radicands = {v.D for v in values if v.q}
+    if len(radicands) > 1:
+        return None
+    D = radicands.pop() if radicands else 1
+    den = math.lcm(*(x.denominator for v in values for x in (v.p, v.q)))
+    return den, D, [
+        (v.p.numerator * (den // v.p.denominator),
+         v.q.numerator * (den // v.q.denominator))
+        for v in values
+    ]
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 
@@ -372,23 +391,6 @@ class IntPoly:
                     out[i + j] += ai * bj
         return IntPoly(out)
 
-    def deflate_root(self, r: Fraction) -> "IntPoly":
-        """Divide by (x - r); r must be an exact root."""
-        quotient: list[Fraction] = []
-        rem = Fraction(0)
-        for c in reversed(self.coeffs):
-            rem = rem * r + c
-            quotient.append(rem)
-        if quotient.pop() != 0:
-            raise ValueError(f"{r} is not a root")
-        quotient.reverse()
-        out = []
-        for c in quotient:
-            if c.denominator != 1:
-                raise ValueError("non-integer deflation")
-            out.append(c.numerator)
-        return IntPoly(out)
-
     def divexact(self, other: "IntPoly") -> "IntPoly":
         """Exact division by a monic divisor."""
         if not other.is_monic:
@@ -405,21 +407,6 @@ class IntPoly:
         if any(rem):
             raise ValueError("division is not exact")
         return IntPoly(out)
-
-    def mat_eval(self, M: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Evaluate at a square integer matrix (for Cayley-Hamilton checks)."""
-        n = len(M)
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        out = [[0] * n for _ in range(n)]
-        power = ident
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                power = _mat_mul(power, M)
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j] += c * power[i][j]
-        return out
 
     def __str__(self):
         terms = []
@@ -499,66 +486,129 @@ class Factorization:
         return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.update((d, n // d))
-    return sorted(out)
+def _divide_linear(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
+    """Synthetic division of an integer polynomial (lowest degree first) by
+    x - r: the quotient's coefficients and the remainder, which is the
+    value at r.  Integer throughout."""
+    quotient = [0] * (len(coeffs) - 1)
+    acc = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * r + coeffs[k]
+        quotient[k - 1] = acc
+    return quotient, acc * r + coeffs[0]
 
 
-def factor_linear_quadratic(p: IntPoly) -> Factorization:
-    """Split off rational roots and quadratic factors of a monic integer
-    polynomial.  Anything of degree > 2 that resists is returned as the
-    residual, untouched."""
+def _integer_roots(p: IntPoly, bound: int) -> tuple[list[int], IntPoly]:
+    """Integer roots r with |r| <= bound of a monic p with p(0) != 0, with
+    multiplicity, and the quotient of p by them.
+
+    A root divides the constant term c, so only the divisors d <= bound of
+    c are tested; trial division runs to min(bound, sqrt|c|), never past
+    the square root that a full divisor listing needs.  Each divisor is
+    tested once, in ascending order: after a hit the same d is tried again
+    on the deflated polynomial, so repeated roots need no restart."""
+    c = abs(p.coeffs[0])
+    small = [d for d in range(1, min(bound, math.isqrt(c)) + 1) if c % d == 0]
+    candidates = sorted(set(small).union(c // d for d in small if c // d <= bound))
+    coeffs = list(p.coeffs)
+    roots: list[int] = []
+    for d in candidates:
+        for r in (d, -d):
+            # deflation keeps the constant term nonzero, and every root of
+            # the quotient still divides it
+            while len(coeffs) > 1 and coeffs[0] % r == 0:
+                quotient, value = _divide_linear(coeffs, r)
+                if value:
+                    break
+                roots.append(r)
+                coeffs = quotient
+    return roots, IntPoly(coeffs)
+
+
+def _real_quadratic_factors(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
+    """Split off every monic integer quadratic factor of p with two real
+    roots, repeated ones included; p must have no rational root.
+
+    The distinct real roots are isolated by Sturm bisection, narrow enough
+    that the enclosures of the sum and the product of two roots each hold
+    at most one integer.  Every pair whose enclosures hold integers s and
+    t proposes x^2 - s*x + t, which is kept only if it divides p exactly.
+    A degree-3 polynomial with a quadratic factor has a rational root, so
+    only degree 4 and up is searched."""
+    quadratics: list[IntPoly] = []
+    if p.degree < 4:
+        return quadratics, p
+    bound = Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
+    # |r| <= bound, so sum and product enclosures are narrower than 1
+    roots = _real_root_enclosures(p, -bound, bound, 1 / (4 * bound + 4))
+    for i, (alo, ahi) in enumerate(roots):
+        for blo, bhi in roots[i + 1:]:
+            s = math.ceil(alo + blo)
+            ends = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            t = math.ceil(min(ends))
+            if s > ahi + bhi or t > max(ends):
+                continue
+            quad = IntPoly([t, -s, 1])
+            while p.degree >= 2:
+                try:
+                    p = p.divexact(quad)
+                except ValueError:
+                    break
+                quadratics.append(quad)
+    return quadratics, p
+
+
+def factor_linear_quadratic(
+    p: IntPoly, root_bound: Optional[int] = None
+) -> Factorization:
+    """Split off the integer roots and the real quadratic factors of a
+    monic integer polynomial.  A residual of degree 2 is kept as a
+    quadratic even when its roots are complex; anything else that resists
+    is returned as the residual, untouched.
+
+    `root_bound` bounds the absolute value of every root; it defaults to
+    the Cauchy bound.  Both callers factor the characteristic polynomial
+    of a nonnegative integer matrix, whose eigenvalues are bounded by its
+    largest row sum; for the codegree matrix, symmetric with nonnegative
+    entries, every root is a formal codegree (Ostrik, arXiv:0810.3242), so
+    it is real."""
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    roots: list[Fraction] = []
-    work = p
-    # strip x^k
-    while work.degree > 0 and work.coeffs[0] == 0:
-        roots.append(Fraction(0))
-        work = IntPoly(work.coeffs[1:])
-    # integer roots of a monic polynomial divide the constant term
-    changed = True
-    while changed and work.degree > 0:
-        changed = False
-        const = work.coeffs[0]
-        for d in _divisors(const):
-            for cand in (d, -d):
-                if work(cand) == 0:
-                    roots.append(Fraction(cand))
-                    work = work.deflate_root(Fraction(cand))
-                    changed = True
-                    break
-            if changed:
-                break
-        if work.degree > 0 and work.coeffs[0] == 0:
-            roots.append(Fraction(0))
-            work = IntPoly(work.coeffs[1:])
-            changed = True
-    quadratics: list[IntPoly] = []
+    zeros = next((k for k, c in enumerate(p.coeffs) if c), 0)
+    work = IntPoly(p.coeffs[zeros:])
+    if root_bound is None:
+        root_bound = 1 + max((abs(c) for c in work.coeffs[:-1]), default=0)
+    found, work = _integer_roots(work, root_bound)
+    roots = sorted([Fraction(0)] * zeros + [Fraction(r) for r in found])
+    quadratics, work = _real_quadratic_factors(work)
     if work.degree == 2:
         quadratics.append(work)
         work = IntPoly([1])
-    roots.sort()
     return Factorization(tuple(roots), tuple(quadratics), work)
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences (certified enclosures for the occasional inexact path)
+# Sturm sequences (real-root counts and certified enclosures)
 
 
-def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in p.coeffs]
-    p1 = [Fraction(k * c) for k, c in enumerate(p.coeffs)][1:]
-    chain = [p0, p1]
+def _euclid_chain(p0: list[Fraction]) -> list[list[Fraction]]:
+    chain = [p0, [k * c for k, c in enumerate(p0)][1:]]
     while chain[-1]:
         rem = _frac_poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
+    return chain
+
+
+def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
+    """Sturm chain of the squarefree part p / gcd(p, p').  A chain built on
+    p itself vanishes identically at a repeated root, so its sign count
+    there is wrong; the squarefree part has the same distinct roots."""
+    chain = _euclid_chain([Fraction(c) for c in p.coeffs])
+    gcd = chain[-1]
+    if len(gcd) > 1:
+        chain = _euclid_chain(_frac_poly_divmod(chain[0], gcd)[0])
     return chain
 
 
@@ -577,6 +627,27 @@ def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]."""
     chain = _sturm_chain(p)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def _real_root_enclosures(
+    p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint enclosures (l, h], h - l <= width, one for each distinct
+    real root of p in (lo, hi], in ascending order."""
+    chain = _sturm_chain(p)
+    out = []
+    todo = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+    while todo:
+        l, h, vl, vh = todo.pop()
+        if vl == vh:
+            continue
+        if vl - vh == 1 and h - l <= width:
+            out.append((l, h))
+            continue
+        mid = (l + h) / 2
+        vm = _sign_changes(chain, mid)
+        todo.extend(((mid, h, vm, vh), (l, mid, vl, vm)))
+    return out
 
 
 def largest_real_root_bounds(

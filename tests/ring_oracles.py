@@ -1,0 +1,49 @@
+"""Test-side helpers shared by several test modules: the exhaustive subring
+oracle that `subrings` is compared against, a ring whose FP dimensions lie
+outside every quadratic field, and the Deligne product of two rings."""
+
+import itertools
+
+from mrfw.ring import FusionRing
+
+
+def subrings_bruteforce(ring):
+    """2^n oracle: check the closure axioms on every basis subset."""
+    ring.require_valid()
+    out = []
+    nonunit = [i for i in range(ring.rank) if i != 0]
+    for r in range(len(nonunit) + 1):
+        for extra in itertools.combinations(nonunit, r):
+            s = frozenset((0,) + extra)
+            if any(ring.dual[i] not in s for i in s):
+                continue
+            if all(set(ring.support(i, j)) <= s for i in s for j in s):
+                out.append(s)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def cubic_ring():
+    """Basis 1, X, Y with XX = 1 + Y, XY = X + Y, YY = 1 + X + Y: a valid
+    ring whose FP dimensions are roots of an irreducible cubic."""
+    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        N[0][i][i] = N[i][0][i] = 1
+    for i, j, ks in ((1, 1, (0, 2)), (1, 2, (1, 2)), (2, 2, (0, 1, 2))):
+        for k in ks:
+            N[i][j][k] = N[j][i][k] = 1
+    return FusionRing(["1", "X", "Y"], N)
+
+
+def deligne_product(R, S):
+    """R x S, basis X_i x Y_j at index i * S.rank + j, with structure
+    constants N_R * N_S."""
+    m = S.rank
+    labels = [f"{a}*{b}" for a in R.labels for b in S.labels]
+    N = [
+        [
+            [R.N[i][k][p] * S.N[j][l][q] for p in range(R.rank) for q in range(m)]
+            for k in range(R.rank) for l in range(m)
+        ]
+        for i in range(R.rank) for j in range(m)
+    ]
+    return FusionRing(labels, N)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
+from ring_oracles import subrings_bruteforce
 
 from mrfw.chartab import fusion_from_table, theorem57_check
 from mrfw.corpus import (
@@ -45,7 +46,7 @@ from mrfw.premodular import (
     premodular_data,
     tannakian_row_obstruction,
 )
-from mrfw.ring import detect_mr, fpdims, subrings, subrings_bruteforce
+from mrfw.ring import detect_mr, fpdims, subrings
 from mrfw.scalars import CycNumber, QuadExt
 
 

@@ -7,11 +7,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ring_oracles import cubic_ring
 
 from mrfw.cli import corpus_dir, main, resolve_document
 from mrfw.corpus import cyclic_ring, fibonacci_ring, s3_table, write_corpus
 from mrfw.mr import mr_extend
-from mrfw.ring import FusionRing
 from mrfw.serialize import (
     load_document,
     premodular_to_doc,
@@ -306,18 +306,6 @@ class TestExtend:
         p.write_text(result.output)
         check = invoke("check", str(p))
         assert check.exit_code == 0
-
-
-def cubic_ring():
-    """Basis 1, X, Y with XX = 1 + Y, XY = X + Y, YY = 1 + X + Y: a valid
-    ring whose FP dimensions are roots of an irreducible cubic."""
-    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        N[0][i][i] = N[i][0][i] = 1
-    for i, j, ks in ((1, 1, (0, 2)), (1, 2, (1, 2)), (2, 2, (0, 1, 2))):
-        for k in ks:
-            N[i][j][k] = N[j][i][k] = 1
-    return FusionRing(["1", "X", "Y"], N)
 
 
 class TestExitCodes:

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
+from ring_oracles import deligne_product
 
 from mrfw.chartab import fusion_from_table
 from mrfw.corpus import (
@@ -35,7 +37,7 @@ from mrfw.obstruction import (
     obstruct,
 )
 from mrfw.ring import fpdims, global_fpdim
-from mrfw.scalars import IntPoly, QuadExt, charpoly
+from mrfw.scalars import IntPoly, QuadExt, charpoly, quad_compare
 
 
 def s3_group_ring():
@@ -55,6 +57,17 @@ def near_group(n, kappa):
 
 def rep_ring(group):
     return fusion_from_table(TABLE_BUILDERS[group]())
+
+
+# integral corpus bases: the group rings and representation rings
+MR_CORPUS_BASES = {
+    **{f"z{n}": functools.partial(cyclic_ring, n) for n in (1, 2, 3, 4)},
+    "z2xz2": klein_four_ring,
+    **{
+        f"rep-{g}": functools.partial(rep_ring, g)
+        for g in ("s3", "d8", "q8", "a4", "s4")
+    },
+}
 
 
 def gram_of(rows, n):
@@ -100,6 +113,32 @@ class TestCodegrees:
     )
     def test_largest_codegree_is_global_dim(self, ring):
         assert codegrees(ring)[0] == global_fpdim(ring)
+
+    def test_two_quadratic_pairs(self):
+        # (x^2 - 20x + 80)^2 (x^2 - 10x + 20): codegrees of Fibonacci
+        # times those of Ising
+        got = codegrees(deligne_product(fibonacci_ring(), ising_ring()))
+        r5 = QuadExt.sqrt(5)
+        big, small = 10 + 2 * r5, 10 - 2 * r5
+        assert got == (big, big, 5 + r5, small, small, 5 - r5)
+
+    @pytest.mark.parametrize(
+        "name", sorted(MR_CORPUS_BASES), ids=sorted(MR_CORPUS_BASES)
+    )
+    def test_mr_closed_form(self, name):
+        # the codegrees of C(D, kappa) are those of D with one copy of
+        # a = FPdim(D) replaced by a + l^2 for both roots l of
+        # x^2 - kappa x - a; the other characters vanish on the extra object
+        base = MR_CORPUS_BASES[name]()
+        a = global_fpdim(base)
+        rest = list(codegrees(base))
+        rest.remove(a)
+        by_value = functools.cmp_to_key(quad_compare)
+        for kappa in range(13):
+            disc = QuadExt.sqrt(kappa * kappa + 4 * a.as_fraction())
+            extra = [a + ((kappa + s * disc) * Fraction(1, 2)) ** 2 for s in (1, -1)]
+            want = sorted(rest + extra, key=by_value, reverse=True)
+            assert codegrees(mr_extend(base, kappa)) == tuple(want)
 
     def test_transpose_form_vs_squares_on_selfdual_basis(self):
         # with every basis element self-dual the two candidate codegree

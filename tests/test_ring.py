@@ -1,7 +1,9 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from ring_oracles import cubic_ring, deligne_product, subrings_bruteforce
 
 from mrfw.corpus import (
     RING_BUILDERS,
@@ -14,6 +16,7 @@ from mrfw.corpus import (
     trivial_ring,
     z3_base_ring,
 )
+from mrfw import ring as ring_module
 from mrfw.mr import mr_extend
 from mrfw.ring import (
     FusionRing,
@@ -26,7 +29,9 @@ from mrfw.ring import (
     global_fpdim,
     invertibles,
     subrings,
-    subrings_bruteforce,
+    _elementwise_dim,
+    _is_positive_character,
+    _left_spectrum,
 )
 from mrfw.scalars import QuadExt
 
@@ -49,6 +54,39 @@ PHI = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
 
 # C(Z_a, kappa) for a <= 8, as (a, kappa) pairs
 SMALL_NEAR_GROUPS = [(a, k) for a in range(1, 9) for k in sorted({0, 1, a})]
+
+
+def haagerup_izumi_ring():
+    """Z_3 = {g^a} and g^a rho, a in Z_3, at indices a and 3 + a:
+    rho g = g^-1 rho and rho rho = 1 + sum_h g^h rho.  Noncommutative, and
+    each g^a rho has dimension (3 + sqrt(13)) / 2."""
+    N = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for a in range(3):
+        for b in range(3):
+            N[a][b][(a + b) % 3] = 1
+            N[a][3 + b][3 + (a + b) % 3] = 1
+            N[3 + a][b][3 + (a - b) % 3] = 1
+            N[3 + a][3 + b][(a - b) % 3] = 1
+            for h in range(3):
+                N[3 + a][3 + b][3 + h] = 1
+    return FusionRing([f"g{a}" for a in range(3)] + [f"g{a}rho" for a in range(3)], N)
+
+
+# rings on which the certified FP dimensions are compared with the
+# element-by-element Perron roots
+FPDIM_RINGS = {
+    **RING_BUILDERS,
+    **{f"z3-base-k{k}": functools.partial(z3_base_ring, k) for k in range(13)},
+    **{f"s3-base-k{k}": functools.partial(s3_base_ring, k) for k in range(13)},
+    **{
+        f"C(Z{a},{k})": functools.partial(mr_extend, cyclic_ring(a), k)
+        for a in range(1, 21)
+        for k in sorted({0, 1, a})
+    },
+    "haagerup-izumi-z3": haagerup_izumi_ring,
+    "fibonacci*ising": lambda: deligne_product(fibonacci_ring(), ising_ring()),
+    "cubic": cubic_ring,
+}
 
 
 def dense_associativity(ring):
@@ -174,6 +212,75 @@ class TestFPDims:
                 for k in range(n):
                     lhs = lhs + ring.N[i][j][k] * d[k]
                 assert lhs == d[i] * d[j]
+
+    @pytest.mark.parametrize("name", sorted(FPDIM_RINGS))
+    def test_matches_elementwise_perron_roots(self, name):
+        ring = FPDIM_RINGS[name]()
+        ref = [_elementwise_dim(*_left_spectrum(ring, i)) for i in range(ring.rank)]
+        got = fpdims(ring)
+        assert list(zip(got.dims, got.exact, got.bounds)) == ref
+
+    def test_invertibles_need_no_charpoly(self, monkeypatch):
+        seen = []
+        real = ring_module._left_spectrum
+        monkeypatch.setattr(
+            ring_module, "_left_spectrum", lambda r, i: seen.append(i) or real(r, i)
+        )
+        fpdims(mr_extend(cyclic_ring(5), 3))
+        assert seen == [5]
+
+    def test_cubic_ring_takes_the_fallback(self, monkeypatch):
+        calls = []
+        real = ring_module._elementwise_dim
+        monkeypatch.setattr(
+            ring_module, "_elementwise_dim", lambda *s: calls.append(s) or real(*s)
+        )
+        dims = fpdims(cubic_ring())
+        assert len(calls) == 2
+        assert dims.exact == (True, False, False)
+        # d_X is the largest root of x^3 - x^2 - 2x + 1, d_Y = d_X^2 - 1
+        for (lo, hi), p in zip(
+            dims.bounds[1:],
+            (lambda x: x**3 - x**2 - 2 * x + 1, lambda y: y**3 - 2 * y**2 - y + 1),
+        ):
+            assert p(lo) < 0 <= p(hi) and hi - lo <= Fraction(1, 10**10)
+
+    def test_product_with_repeated_roots(self):
+        # 1 x sigma has x^2 (x^2 - 2)^2, where a Sturm chain on the
+        # polynomial itself miscounts, and tau x 1 has (x^2 - x - 1)^3
+        ring = deligne_product(fibonacci_ring(), ising_ring())
+        dims = fpdims(ring)
+        assert dims.exact == (True,) * 5 + (False,)
+        assert dims.dims[:5] == (1, 1, QuadExt.sqrt(2), PHI, PHI)
+        # tau x sigma: phi sqrt(2), with (phi sqrt(2))^2 = 3 + sqrt(5)
+        lo, hi = dims.bounds[5]
+        assert 0 < lo and QuadExt(lo * lo) < 3 + QuadExt.sqrt(5) <= QuadExt(hi * hi)
+
+    def test_noncommutative_irrational(self):
+        ring = haagerup_izumi_ring()
+        assert ring.is_valid and not ring.is_commutative
+        rho = (3 + QuadExt.sqrt(13)) * Fraction(1, 2)
+        dims = fpdims(ring)
+        assert dims.all_exact and dims.dims == (1, 1, 1, rho, rho, rho)
+
+    @pytest.mark.parametrize("yx,certified", [((0, 0, 1), True), ((0, 1, 1), False)])
+    def test_character_check_takes_ordered_pairs(self, yx, certified):
+        # X X = 1, X Y = Y, Y Y = 2 + Y: d = (1, 1, 2) meets every relation
+        # with i <= j; only Y X decides.  Y X = Y makes the structure
+        # commutative and d a character, Y X = X + Y does neither
+        N = [[[int(i == k) for k in range(3)] for i in range(3)]]
+        N.append([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        N.append([[0, 0, 1], list(yx), [2, 0, 1]])
+        ring = FusionRing(["1", "X", "Y"], N)
+        assert ring.is_commutative is certified
+        dims = [QuadExt(1), QuadExt(1), QuadExt(2)]
+        assert _is_positive_character(ring, dims) is certified
+
+    def test_character_check_requires_positivity(self):
+        # the Galois conjugate of FPdim is a character, but not positive
+        ring = fibonacci_ring()
+        assert _is_positive_character(ring, [QuadExt(1), PHI])
+        assert not _is_positive_character(ring, [QuadExt(1), PHI.conjugate()])
 
     def test_computed_once(self):
         ring = z3_base_ring(2)

@@ -153,6 +153,19 @@ def test_equal_values_hash_equal(values):
                 assert hash(a) == hash(b), (a, b)
 
 
+def mat_eval(p, M):
+    """p(M) for a square integer matrix M, by Horner's rule."""
+    n = len(M)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        out = [
+            [sum(out[i][k] * M[k][j] for k in range(n)) + c * (i == j)
+             for j in range(n)]
+            for i in range(n)
+        ]
+    return out
+
+
 class TestCharpoly:
     def test_identity(self):
         assert charpoly([[1, 0], [0, 1]]) == IntPoly([1, -2, 1])
@@ -175,8 +188,7 @@ class TestCharpoly:
                     min_size=4, max_size=4))
     @settings(max_examples=40)
     def test_cayley_hamilton(self, M):
-        p = charpoly(M)
-        assert p.mat_eval(M) == [[0] * 4 for _ in range(4)]
+        assert mat_eval(charpoly(M), M) == [[0] * 4 for _ in range(4)]
 
 
 class TestFactorLinearQuadratic:
@@ -202,6 +214,44 @@ class TestFactorLinearQuadratic:
         assert f.roots == (1,) and not f.quadratics
         assert f.residual == IntPoly([1])
 
+    def test_every_real_quadratic_factor_repeated_ones_included(self):
+        # codegree polynomial of Fibonacci x Ising
+        q1, q2 = IntPoly([80, -20, 1]), IntPoly([20, -10, 1])
+        f = factor_linear_quadratic(q1 * q1 * q2)
+        assert sorted(f.quadratics, key=lambda q: q.coeffs) == [q2, q1, q1]
+        assert not f.roots and f.residual == IntPoly([1])
+
+    def test_complex_pair_stays_in_the_residual(self):
+        # x^2 + 1 has no real roots to pair; x^2 - 3 is split off
+        complex_pair, real_pair = IntPoly([1, 0, 1]), IntPoly([-3, 0, 1])
+        f = factor_linear_quadratic(complex_pair * complex_pair * real_pair)
+        assert f.quadratics == (real_pair,)
+        assert f.residual == complex_pair * complex_pair
+
+    @given(
+        st.lists(st.integers(-6, 6), max_size=6),
+        st.lists(
+            st.sampled_from([(-2, 0), (-5, -1), (-1, -1), (1, 0), (7, 3)]),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_roots_within_a_bound(self, roots, quads):
+        p = IntPoly([1])
+        for r in roots:
+            p = p * IntPoly([-r, 1])
+        for c, b in quads:
+            p = p * IntPoly([c, b, 1])
+        bound = max((abs(r) for r in roots), default=0)
+        for f in (factor_linear_quadratic(p), factor_linear_quadratic(p, bound)):
+            assert list(f.roots) == sorted(roots)
+            rebuilt = f.residual
+            for r in f.roots:
+                rebuilt = rebuilt * IntPoly([-int(r), 1])
+            for q in f.quadratics:
+                rebuilt = rebuilt * q
+            assert rebuilt == p
+
     def test_degree_gt_2_residual_untouched(self):
         # x^3 - 2 is irreducible over any quadratic tower
         f = factor_linear_quadratic(IntPoly([-2, 0, 0, 1]))
@@ -214,6 +264,14 @@ class TestSturm:
         p = IntPoly([-3, 0, 1])  # x^2 - 3
         assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
         assert count_real_roots(p, Fraction(-2), Fraction(2)) == 2
+
+    def test_repeated_roots(self):
+        # x^2 (x^2 - 2)^2: a chain on p itself vanishes at 0
+        p = IntPoly([0, 0, 4, 0, -4, 0, 1])
+        assert count_real_roots(p, Fraction(0), Fraction(3)) == 1
+        assert count_real_roots(p, Fraction(-3), Fraction(3)) == 3
+        lo, hi = largest_real_root_bounds(p, Fraction(1, 10**10))
+        assert 0 < lo and lo * lo < 2 <= hi * hi
 
     def test_largest_root_bounds(self):
         p = IntPoly([-3, 0, 1])
