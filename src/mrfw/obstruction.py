@@ -1,11 +1,11 @@
 """Categorification obstructions from codegrees and induction-functor
 feasibility.
 
-The pipeline computes, purely from the fusion ring: the codegree matrix and
-its exact eigenvalues, the images of the induction to the Drinfeld center
-under the forgetful functor, the dimension system for the summands of the
-induced unit, and finally a nonnegative-integer Gram factorization search
-for the full Hom matrix of the induced objects.  Every verdict carries a
+The pipeline computes, purely from the fusion ring: the codegree matrix,
+which is also the Hom matrix of the objects induced to the Drinfeld center,
+and its exact eigenvalues; the dimension system for the summands of the
+induced unit; and finally a nonnegative-integer Gram factorization search
+for that Hom matrix.  Every verdict carries a
 machine-checkable certificate.
 
 "Feasible" always means "passes these necessary conditions"; it never
@@ -14,7 +14,6 @@ asserts that a categorification exists.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -26,10 +25,10 @@ from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim
 from .scalars import (
     ExactnessError,
     QuadExt,
+    UnsupportedFieldError,
     _integer_field,
     charpoly,
     factor_linear_quadratic,
-    quad_compare,
 )
 
 INFEASIBLE = "infeasible"
@@ -46,17 +45,16 @@ FEASIBLE_MEANING = (
 
 def codegree_matrix(ring: FusionRing) -> list[list[int]]:
     """M = sum over basis elements T of M_T * transpose(M_T), the matrix of
-    left multiplication by sum T (x) T*.  Symmetric with nonnegative
-    entries; its eigenvalues are the codegrees."""
+    left multiplication by sum T (x) T*:
+    M[i][j] = sum over T and k of N_Ti^k N_Tj^k.  Symmetric with
+    nonnegative entries; its eigenvalues are the formal codegrees (Ostrik,
+    arXiv:0810.3242, arXiv:1309.4822)."""
     ring.require_valid()
-    n = ring.rank
-    M = [[0] * n for _ in range(n)]
-    for T in range(n):
-        MT = ring.left_matrix(T)
-        for i in range(n):
-            for j in range(n):
-                M[i][j] += sum(MT[i][k] * MT[j][k] for k in range(n))
-    return M
+    n, N = ring.rank, ring.N
+    return [
+        [sum(_dot(plane[i], plane[j]) for plane in N) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
@@ -78,71 +76,43 @@ def _codegrees_of(M: list[list[int]]) -> tuple[QuadExt, ...]:
             f"codegree polynomial has an unresolved factor of degree "
             f"{fact.residual.degree}"
         )
-    roots = fact.all_roots()
-    roots.sort(key=functools.cmp_to_key(quad_compare), reverse=True)
-    return tuple(roots)
-
-
-def induction_images(ring: FusionRing) -> list[list[int]]:
-    """FI[V][W]: multiplicity of X_W in the image of the induced object of
-    X_V under the forgetful functor, computed as the triple product
-    sum over Y of Y (x) X_V (x) Y*."""
-    ring.require_valid()
-    n = ring.rank
-    FI = [[0] * n for _ in range(n)]
-    for V in range(n):
-        for Y in range(n):
-            Ys = ring.dual[Y]
-            for k in range(n):
-                c = ring.N[Y][V][k]
-                if c:
-                    for W in range(n):
-                        FI[V][W] += c * ring.N[k][Ys][W]
-    return FI
-
-
-def hom_matrix(ring: FusionRing) -> list[list[int]]:
-    """H[U][V] = dim Hom of the induced objects of X_U and X_V, equal to
-    the multiplicity of X_V in the forgetful image of the induction of X_U.
-    Symmetry is verified, not assumed."""
-    H = induction_images(ring)
-    n = len(H)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if H[i][j] != H[j][i]:
-                raise ValueError(
-                    f"Hom matrix asymmetry at ({i},{j}): "
-                    f"{H[i][j]} != {H[j][i]}"
-                )
-    return H
+    return tuple(sorted(fact.all_roots(), reverse=True))
 
 
 @dataclass(frozen=True)
 class InductionData:
     """Everything the obstruction pipeline derives before searching."""
 
-    M: tuple[tuple[int, ...], ...]
     codegrees: tuple[QuadExt, ...]
     i1_dims: tuple[QuadExt, ...]  # candidate dims f_1/f_i of I(1) summands
     H: tuple[tuple[int, ...], ...]
 
 
 def induction_data(ring: FusionRing) -> InductionData:
-    M = codegree_matrix(ring)
-    cod = _codegrees_of(M)
+    """Codegrees, induced-unit summand dimensions and the Hom matrix H of
+    the objects induced to the Drinfeld center, from one matrix.
+
+    On a commutative ring the forgetful image of I(X_V) is
+    sum over Y of Y (x) X_V (x) Y* = (sum Y (x) Y*) (x) X_V, so
+    H[V][W] = sum over Y and k of N_YV^k N_{k Y*}^W, and reciprocity
+    (N_{k Y*}^W = N_WY^k) with commutativity makes it the codegree matrix,
+    whose eigenvalues are the formal codegrees (Ostrik, arXiv:0810.3242,
+    arXiv:1309.4822).  Raises ValueError on a noncommutative ring."""
+    ring.require_valid()
+    if not ring.is_commutative:
+        raise ValueError(
+            "induction data needs a commutative ring: the Hom matrix of "
+            "the induced objects is the codegree matrix only then"
+        )
+    H = codegree_matrix(ring)
+    cod = _codegrees_of(H)
     total = global_fpdim(ring)
     if cod[0] != total:
         raise ExactnessError(
             "largest codegree does not equal the global FP dimension"
         )
-    H = hom_matrix(ring)
     dims = tuple(total * f.inverse() for f in cod)
-    return InductionData(
-        tuple(tuple(r) for r in M),
-        cod,
-        dims,
-        tuple(tuple(r) for r in H),
-    )
+    return InductionData(cod, dims, tuple(map(tuple, H)))
 
 
 @dataclass(frozen=True)
@@ -168,15 +138,6 @@ class I1Result:
 
 def _irrational_indices(dims) -> list[int]:
     return [j for j, d in enumerate(dims) if not d.is_rational]
-
-
-def _dim_of(row, dims) -> QuadExt:
-    """sum of c * d over the row's coefficients c and the dimensions d."""
-    s = QuadExt(0)
-    for c, d in zip(row, dims):
-        if c:
-            s = s + c * d
-    return s
 
 
 def _dot(row, coeffs) -> int:
@@ -215,11 +176,11 @@ def i1_dimension_system(
     n = ring.rank
     bounds = data.H[0]
     irr = _irrational_indices(d)
-    scaled = _integer_field(d + data.i1_dims)
-    if scaled is not None:
-        den, _, pairs = scaled
-        ra = [a for a, _ in pairs[1:n]]
-        rb = [b for _, b in pairs[1:n]]
+    # 1 + sum c_j d_j == target, one scaled integer coordinate at a time:
+    # per coordinate, the dims' entries and the targets' entries less 1
+    den, coords = _integer_field(d + data.i1_dims)
+    coords[1] = coords[1][:n] + [t - den for t in coords[1][n:]]
+    eqs = [(c[1:n], c[n:]) for c in coords.values()]
     lines: list[str] = []
     summands: list[I1Summand] = []
     feasible = True
@@ -263,19 +224,11 @@ def i1_dimension_system(
                     ranges.append((int(forced),))
                 else:
                     ranges.append(tuple(range(bounds[j] + 1)))
-            vecs = itertools.product(*ranges)
-            if scaled is None:
-                cands = [
-                    (1,) + vec for vec in vecs
-                    if 1 + _dim_of(vec, d[1:]) == target
-                ]
-            else:
-                # 1 + sum c_j d_j == target, in the scaled integers
-                ta, tb = pairs[n + k]
-                cands = [
-                    (1,) + vec for vec in vecs
-                    if _dot(vec, ra) == ta - den and _dot(vec, rb) == tb
-                ]
+            checks = [(r, t[k]) for r, t in eqs]
+            cands = [
+                (1,) + vec for vec in itertools.product(*ranges)
+                if all(_dot(vec, r) == t for r, t in checks)
+            ]
             if not cands:
                 lines.append(
                     f"codegree {f}: no nonnegative integer image with "
@@ -349,33 +302,39 @@ def _dimension_screen(dims: tuple[QuadExt, ...]):
     """Predicate on rows: does the dimension of the row's image divide the
     global dimension?
 
-    When the dimensions share one field Q(sqrt(D)) the test runs in
-    integers: with dims scaled to (a + b*sqrt(D)) / den, the quotient of
-    the global dimension by the row's dimension is (P + Q*sqrt(D)) / M,
-    and it is an algebraic integer iff its trace and norm are integers.
-    Otherwise each row dimension is a `QuadExt`, and the verdict is cached
-    per dimension."""
-    scaled = _integer_field(dims)
-    if scaled is None:
-        total = functools.reduce(lambda a, b: a + b, (d * d for d in dims))
-        cache: dict = {}
-
-        def divides(row) -> bool:
-            s = _dim_of(row, dims)
-            if s not in cache:
-                cache[s] = (total * s.inverse()).is_algebraic_integer()
-            return cache[s]
-
-        return divides
-    den, D, pairs = scaled
-    ra = [a for a, _ in pairs]
-    rb = [b for _, b in pairs]
-    # the global dimension, sum of d^2, is (ga + gb*sqrt(D)) / den^2
-    ga = sum(a * a + b * b * D for a, b in pairs)
-    gb = 2 * sum(a * b for a, b in pairs)
+    The test runs in integers.  With dims scaled to integer coordinates
+    over den, each d^2 stays in the field of d, so the global dimension is
+    (ga + gb*sqrt(D)) / den^2 and a row's dimension is (A + B*sqrt(D)) / den.
+    Their quotient is (P + Q*sqrt(D)) / M, an algebraic integer iff its
+    trace and norm are integers.  Raises UnsupportedFieldError when the
+    global dimension, or a row's dimension together with it, spans two
+    quadratic fields."""
+    den, coords = _integer_field(dims)
+    ra = coords.pop(1)
+    irr = list(coords.items())
+    ga = sum(a * a for a in ra) + sum(D * _dot(b, b) for D, b in irr)
+    gfield = [(D, 2 * _dot(ra, b)) for D, b in irr]
+    gfield = [(D, g) for D, g in gfield if g]
+    if len(gfield) > 1:
+        raise UnsupportedFieldError(
+            "global dimension spans " + " and ".join(
+                f"sqrt({D})" for D, _ in gfield
+            )
+        )
+    gD, gb = gfield[0] if gfield else (1, 0)
 
     def divides(row) -> bool:
-        A, B = _dot(row, ra), _dot(row, rb)
+        A = _dot(row, ra)
+        D, B = gD, 0
+        for E, b in irr:
+            x = _dot(row, b)
+            if x:
+                if B or (gb and E != gD):
+                    raise UnsupportedFieldError(
+                        f"the dimension of row {row} and the global "
+                        f"dimension span two quadratic fields"
+                    )
+                D, B = E, x
         P = ga * A - gb * B * D
         Q = gb * A - ga * B
         M = den * (A * A - B * B * D)

@@ -36,7 +36,7 @@ PROPERLY_DEGENERATE = "properly-degenerate"
 ScalarLike = "CycNumber | QuadExt | RationalLike"
 
 
-def _to_cyc(x, order_hint: int = 1) -> CycNumber:
+def _to_cyc(x) -> CycNumber:
     if isinstance(x, CycNumber):
         return x
     if isinstance(x, QuadExt):
@@ -47,7 +47,7 @@ def _to_cyc(x, order_hint: int = 1) -> CycNumber:
         raise UnsupportedFieldError(
             f"cannot mix sqrt({x.D}) values into a cyclotomic S-matrix"
         )
-    return CycNumber.from_rational(x, order_hint)
+    return CycNumber.from_rational(x)
 
 
 def _is_root_of_unity(x: CycNumber) -> bool:

@@ -20,7 +20,6 @@ from .scalars import (
     count_real_roots,
     factor_linear_quadratic,
     largest_real_root_bounds,
-    quad_max,
 )
 
 
@@ -178,18 +177,25 @@ class FusionRing:
 
     def closure(self, seed: Sequence[int]) -> frozenset[int]:
         """Smallest basis subset containing the seed that is unital, closed
-        under duals and under tensor supports."""
-        cur = set(seed) | {0}
-        cur.update(self.dual[i] for i in seed)
-        while True:
-            new = set(cur)
-            for i in cur:
-                for j in cur:
-                    new.update(self.support(i, j))
-            new.update(self.dual[i] for i in new)
-            if new == cur:
-                return frozenset(cur)
-            cur = new
+        under duals and under tensor supports.
+
+        A worklist: each element, once taken from it, is multiplied on both
+        sides by itself and by every element taken before it, so each pair
+        is expanded once."""
+        N, dual = self.N, self.dual
+        cur = {0, *seed, *(dual[i] for i in seed)}
+        todo, done = list(cur), []
+        while todo:
+            i = todo.pop()
+            done.append(i)
+            for j in done:
+                for row in (N[i][j], N[j][i]):
+                    for k, c in enumerate(row):
+                        if c and k not in cur:
+                            new = {k, dual[k]} - cur
+                            cur |= new
+                            todo += new
+        return frozenset(cur)
 
 
 @dataclass(frozen=True)
@@ -277,7 +283,7 @@ def _perron_dims(ring: FusionRing) -> FPDims:
     dims = [QuadExt(1)] * n
     for i, (_, fact) in spectra.items():
         roots = fact.all_roots()
-        dims[i] = quad_max(roots) if roots else QuadExt(0)
+        dims[i] = max(roots, default=QuadExt(0))
     if _is_positive_character(ring, dims):
         return FPDims(tuple(dims), (True,) * n, (None,) * n)
     exact = [True] * n
@@ -306,7 +312,7 @@ def _elementwise_dim(
         if count_real_roots(fact.residual, -bound, bound):
             lo, hi = largest_real_root_bounds(poly, Fraction(1, 10**10))
             return QuadExt((lo + hi) / 2), False, (lo, hi)
-    return quad_max(fact.all_roots()), True, None
+    return max(fact.all_roots()), True, None
 
 
 def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:
@@ -316,10 +322,11 @@ def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:
     Runs in integers: with d_k = (a_k + b_k sqrt(D)) / den over the common
     field, both sides are compared as integer pairs scaled by den^2.
     Dimensions from two different quadratic fields are not certified."""
-    scaled = _integer_field(dims)
-    if scaled is None or dims[0] != 1 or any(d <= 0 for d in dims):
+    den, coords = _integer_field(dims)
+    if len(coords) > 2 or dims[0] != 1 or any(d <= 0 for d in dims):
         return False
-    den, D, pairs = scaled
+    D = max(coords)
+    pairs = list(zip(coords[1], coords[D] if D > 1 else [0] * len(dims)))
     n, N = ring.rank, ring.N
     commutative = ring.is_commutative
     for i, (ai, bi) in enumerate(pairs):

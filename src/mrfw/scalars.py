@@ -246,23 +246,42 @@ class QuadExt:
             return hash(self.p)
         return hash((self.p, self.q, self.D))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def _compare(self, other):
+        """Sign of self - other, exact across fields: within one field (or
+        against a rational) it is a sign computation; two irrationals from
+        distinct squarefree radicands never coincide, so separating their
+        certified rational enclosures always terminates."""
+        if isinstance(other, (int, Fraction)):
+            other = QuadExt(other)
+        elif not isinstance(other, QuadExt):
             return NotImplemented
-        return (self - o)._sign() < 0
+        if self.q == 0 or other.q == 0 or self.D == other.D:
+            return (self - other)._sign()
+        scale = 16
+        while True:
+            alo, ahi = self.enclosure(scale)
+            blo, bhi = other.enclosure(scale)
+            if ahi < blo:
+                return -1
+            if bhi < alo:
+                return 1
+            scale *= 2
+
+    def __lt__(self, other):
+        c = self._compare(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() <= 0
+        c = self._compare(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        return not self <= other
+        c = self._compare(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        return not self < other
+        c = self._compare(other)
+        return c if c is NotImplemented else c >= 0
 
     def enclosure(self, scale: int = 32) -> tuple[Fraction, Fraction]:
         """Rational bounds lo <= self <= hi with hi - lo <= |q| / 2^scale."""
@@ -286,53 +305,22 @@ class QuadExt:
         return f"{self.p} + {self.q}*sqrt({self.D})"
 
 
-def quad_compare(a: QuadExt, b: QuadExt) -> int:
-    """Total order on real quadratic numbers, even across different fields.
+def _integer_field(values) -> tuple[int, dict[int, list[int]]]:
+    """`(den, coords)` over one common denominator: `coords[1][k]` is the
+    rational part of `values[k]` times den, and `coords[D][k]` its sqrt(D)
+    coefficient times den, for each radicand D that occurs.  A value lies
+    in one field, so at most one `coords[D][k]` with D > 1 is nonzero.
 
-    Same-field (or rational) comparisons are exact sign computations; the
-    cross-field case separates certified rational enclosures, which always
-    terminates because two irrationals from distinct squarefree radicands
-    can only coincide when both are rational.
-    """
-    if a.q == 0 or b.q == 0 or a.D == b.D:
-        return (a - b)._sign()
-    scale = 16
-    while True:
-        alo, ahi = a.enclosure(scale)
-        blo, bhi = b.enclosure(scale)
-        if ahi < blo:
-            return -1
-        if bhi < alo:
-            return 1
-        scale *= 2
-
-
-def quad_max(values: Iterable[QuadExt]) -> QuadExt:
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if quad_compare(v, best) > 0:
-            best = v
-    return best
-
-
-def _integer_field(values) -> Optional[tuple[int, int, list[tuple[int, int]]]]:
-    """`(den, D, pairs)` with `values[k] == (a + b*sqrt(D)) / den` for
-    `(a, b) = pairs[k]`, all over one common denominator; None when the
-    values span two different quadratic fields.
-
-    Integer polynomial expressions in the values can then be compared as
-    integer pairs, with no `Fraction` arithmetic."""
-    radicands = {v.D for v in values if v.q}
-    if len(radicands) > 1:
-        return None
-    D = radicands.pop() if radicands else 1
+    Integer linear expressions in the values can then be compared one
+    coordinate at a time, with no `Fraction` arithmetic."""
     den = math.lcm(*(x.denominator for v in values for x in (v.p, v.q)))
-    return den, D, [
-        (v.p.numerator * (den // v.p.denominator),
-         v.q.numerator * (den // v.q.denominator))
-        for v in values
-    ]
+    coords = {1: [v.p.numerator * (den // v.p.denominator) for v in values]}
+    for k, v in enumerate(values):
+        if v.q:
+            coords.setdefault(v.D, [0] * len(values))[k] = (
+                v.q.numerator * (den // v.q.denominator)
+            )
+    return den, coords
 
 
 # ---------------------------------------------------------------------------

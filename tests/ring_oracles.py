@@ -1,6 +1,8 @@
 """Test-side helpers shared by several test modules: the exhaustive subring
-oracle that `subrings` is compared against, a ring whose FP dimensions lie
-outside every quadratic field, and the Deligne product of two rings."""
+oracle that `subrings` is compared against, the forgetful images of the
+induced objects that `codegree_matrix` is compared against, a ring whose FP
+dimensions lie outside every quadratic field, and the Deligne product of
+two rings."""
 
 import itertools
 
@@ -20,6 +22,24 @@ def subrings_bruteforce(ring):
             if all(set(ring.support(i, j)) <= s for i in s for j in s):
                 out.append(s)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def induction_images(ring):
+    """FI[V][W]: multiplicity of X_W in the forgetful image of the object
+    induced from X_V to the Drinfeld center, computed as the triple product
+    sum over Y of Y (x) X_V (x) Y*."""
+    ring.require_valid()
+    n, N = ring.rank, ring.N
+    FI = [[0] * n for _ in range(n)]
+    for V in range(n):
+        for Y in range(n):
+            Ys = ring.dual[Y]
+            for k in range(n):
+                c = N[Y][V][k]
+                if c:
+                    for W in range(n):
+                        FI[V][W] += c * N[k][Ys][W]
+    return FI
 
 
 def cubic_ring():

@@ -33,10 +33,10 @@ from mrfw.obstruction import (
     FEASIBLE,
     INFEASIBLE,
     classify_rank4_mr,
+    codegree_matrix,
     codegrees,
     gram_search,
     i1_dimension_system,
-    induction_images,
     obstruct,
 )
 from mrfw.premodular import (
@@ -61,7 +61,7 @@ def test_criterion_1_s3_base_sweep():
     elapsed = time.monotonic() - t0
 
     # intermediate values of the kappa = 5 certificate
-    FI = induction_images(s3_base_ring(5))
+    FI = codegree_matrix(s3_base_ring(5))
     assert FI[1] == [3, 9, 3, 10]
     assert FI[2] == [2, 3, 4, 5]
     assert FI[3] == [5, 10, 5, 37]

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
-from ring_oracles import deligne_product
+from ring_oracles import cubic_ring, deligne_product, induction_images
 
 from mrfw.chartab import fusion_from_table
 from mrfw.corpus import (
+    RING_BUILDERS,
     TABLE_BUILDERS,
     cyclic_ring,
     fibonacci_ring,
@@ -30,14 +31,12 @@ from mrfw.obstruction import (
     codegree_matrix,
     codegrees,
     gram_search,
-    hom_matrix,
     i1_dimension_system,
     induction_data,
-    induction_images,
     obstruct,
 )
 from mrfw.ring import fpdims, global_fpdim
-from mrfw.scalars import IntPoly, QuadExt, charpoly, quad_compare
+from mrfw.scalars import QuadExt, UnsupportedFieldError, charpoly
 
 
 def s3_group_ring():
@@ -133,11 +132,10 @@ class TestCodegrees:
         a = global_fpdim(base)
         rest = list(codegrees(base))
         rest.remove(a)
-        by_value = functools.cmp_to_key(quad_compare)
         for kappa in range(13):
             disc = QuadExt.sqrt(kappa * kappa + 4 * a.as_fraction())
             extra = [a + ((kappa + s * disc) * Fraction(1, 2)) ** 2 for s in (1, -1)]
-            want = sorted(rest + extra, key=by_value, reverse=True)
+            want = sorted(rest + extra, reverse=True)
             assert codegrees(mr_extend(base, kappa)) == tuple(want)
 
     def test_transpose_form_vs_squares_on_selfdual_basis(self):
@@ -174,17 +172,53 @@ class TestCodegrees:
         assert all(f._sign() > 0 for f in codegrees(ring))
 
 
+def commutative_rings():
+    """The corpus, the rank-4 rings for kappa <= 12, C(Z_n, kappa) for
+    n <= 11 and kappa <= 2n, the representation rings, Fibonacci x Ising
+    and the cubic ring."""
+    yield from RING_BUILDERS.items()
+    for kappa in range(13):
+        yield f"z3-base k={kappa}", lambda k=kappa: z3_base_ring(k)
+        yield f"rep-s3 base k={kappa}", lambda k=kappa: s3_base_ring(k)
+    for n in range(1, 12):
+        for kappa in range(2 * n + 1):
+            yield f"C(Z{n},{kappa})", lambda n=n, k=kappa: near_group(n, k)
+    for g in TABLE_BUILDERS:
+        yield f"rep({g})", lambda g=g: rep_ring(g)
+    yield "fibonacci x ising", lambda: deligne_product(
+        fibonacci_ring(), ising_ring()
+    )
+    yield "cubic", cubic_ring
+
+
 class TestInductionImages:
+    """On a commutative ring the Hom matrix of the induced objects, read
+    off their forgetful images sum over Y of Y (x) X (x) Y*, is the
+    codegree matrix."""
+
+    def test_codegree_matrix_is_hom_matrix(self):
+        count = 0
+        for name, build in commutative_rings():
+            ring = build()
+            assert ring.is_commutative, name
+            assert codegree_matrix(ring) == induction_images(ring), name
+            count += 1
+        assert count == 190
+
+    def test_noncommutative_induction_data_raises(self):
+        with pytest.raises(ValueError, match="commutative"):
+            induction_data(s3_group_ring())
+
     def test_trivial(self):
-        assert induction_images(trivial_ring()) == [[1]]
+        assert codegree_matrix(trivial_ring()) == [[1]]
 
     def test_s3_base_unit_row(self):
         for kappa in (0, 2, 5, 9):
-            FI = induction_images(s3_base_ring(kappa))
+            FI = codegree_matrix(s3_base_ring(kappa))
             assert FI[0] == [4, 3, 2, kappa]
 
     def test_s3_base_kappa5_full(self):
-        FI = induction_images(s3_base_ring(5))
+        FI = codegree_matrix(s3_base_ring(5))
         assert FI == [
             [4, 3, 2, 5],
             [3, 9, 3, 10],
@@ -193,7 +227,7 @@ class TestInductionImages:
         ]
 
     def test_z3_base_unit_row(self):
-        FI = induction_images(z3_base_ring(3))
+        FI = codegree_matrix(z3_base_ring(3))
         assert FI[0] == [4, 1, 1, 3]
 
     @pytest.mark.parametrize(
@@ -208,14 +242,14 @@ class TestInductionImages:
         ],
     )
     def test_hom_matrix_symmetric(self, ring):
-        H = hom_matrix(ring)
+        H = codegree_matrix(ring)
         assert H == [list(col) for col in zip(*H)]
 
     def test_fi_column_eigen_identity(self):
         # summing the forgetful images against FP dimensions recovers
         # dim * global dim in every column
         ring = s3_base_ring(4)
-        FI = induction_images(ring)
+        FI = codegree_matrix(ring)
         d = fpdims(ring).dims
         total = global_fpdim(ring)
         for U in range(ring.rank):
@@ -312,7 +346,7 @@ class TestGramSearch:
         ring = z3_base_ring(3)
         verdict = obstruct(ring)
         assert gram_of(verdict.witness.all_rows(), ring.rank) == (
-            induction_images(ring)
+            codegree_matrix(ring)
         )
 
     def test_matches_bruteforce_on_products(self):
@@ -450,12 +484,25 @@ class TestWitnessPinning:
         ring = near_group(n, kappa)
         verdict = obstruct(ring, node_cap=50_000)
         assert verdict.status == FEASIBLE
-        assert gram_of(verdict.witness.all_rows(), ring.rank) == hom_matrix(ring)
+        assert gram_of(verdict.witness.all_rows(), ring.rank) == codegree_matrix(ring)
+
+
+def quadext_screen(dims):
+    """The dimension screen in plain `QuadExt` arithmetic: the row's
+    dimension is summed term by term, which raises UnsupportedFieldError
+    as soon as two quadratic fields meet."""
+    total = sum((d * d for d in dims), QuadExt(0))
+
+    def divides(row):
+        s = sum((c * d for c, d in zip(row, dims) if c), QuadExt(0))
+        return (total * s.inverse()).is_algebraic_integer()
+
+    return divides
 
 
 class TestIntegerScreens:
     """The integer dimension screens agree with plain `QuadExt` arithmetic,
-    which is also the path taken when the values span two fields."""
+    on dimensions from one quadratic field and from several."""
 
     RINGS = {
         "fibonacci": fibonacci_ring,
@@ -469,23 +516,92 @@ class TestIntegerScreens:
     @pytest.mark.parametrize("name", list(RINGS))
     def test_dimension_screen_matches_quadext(self, name):
         dims = fpdims(self.RINGS[name]()).dims
-        total = sum((d * d for d in dims), QuadExt(0))
         divides = obstruction._dimension_screen(dims)
+        oracle = quadext_screen(dims)
         for row in itertools.product(range(4), repeat=len(dims)):
             if any(row):
-                s = sum((c * d for c, d in zip(row, dims)), QuadExt(0))
-                assert divides(row) == (total * s.inverse()).is_algebraic_integer()
+                assert divides(row) == oracle(row)
 
     @pytest.mark.parametrize("name", list(RINGS))
     def test_quadext_fallback_agrees(self, name, monkeypatch):
+        # the whole pipeline gives the same verdict when the Gram search
+        # screens its rows with `quadext_screen` instead
         ring = self.RINGS[name]()
         fast = obstruct(ring)
-        monkeypatch.setattr(obstruction, "_integer_field", lambda values: None)
+        monkeypatch.setattr(obstruction, "_dimension_screen", quadext_screen)
         slow = obstruct(ring)
         assert slow.i1 == fast.i1
         assert (slow.status, slow.steps, slow.witness) == (
             fast.status, fast.steps, fast.witness
         )
+
+    def test_two_field_rows_match_per_field_oracle(self):
+        # dimensions 1, sqrt(2), sqrt(3) and sqrt(6): a row whose
+        # dimension mixes fields makes both raise
+        dims = fpdims(deligne_product(ising_ring(), near_group(3, 0))).dims
+        assert {d.D for d in dims} == {1, 2, 3, 6}
+        divides = obstruction._dimension_screen(dims)
+        oracle = quadext_screen(dims)
+        rng = random.Random(3217)
+        outcomes = set()
+        for _ in range(3000):
+            row = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in dims)
+            if not any(row):
+                continue
+            try:
+                want = oracle(row)
+            except UnsupportedFieldError:
+                with pytest.raises(UnsupportedFieldError):
+                    divides(row)
+                outcomes.add("raise")
+            else:
+                assert divides(row) == want
+                outcomes.add(want)
+        assert outcomes == {True, False, "raise"}
+
+    def test_global_dimension_in_two_fields_raises(self):
+        # (1 + sqrt(2))^2 and (1 + sqrt(3))^2 leave sqrt(2) and sqrt(3)
+        # in the sum of squares
+        dims = (QuadExt(1), 1 + QuadExt.sqrt(2), 1 + QuadExt.sqrt(3))
+        with pytest.raises(UnsupportedFieldError):
+            obstruction._dimension_screen(dims)
+
+    # verdict recorded before the screens ran in integers over several
+    # fields, when two-field dimensions took a `QuadExt` path
+    TWO_FIELD_STEPS = (
+        "codegrees: 24, 24, 24, 24, 12, 12, 12, 12, 12, 12, 6, 6",
+        "induced-unit system: 194 exact solution(s)",
+        "exhausted 109 admissible rows in 34 nodes without completing H",
+        "fixed rows overshoot H at (1,2): residual -1",
+        "fixed rows overshoot H at (2,4): residual -1",
+        "gram factorization found after 27 nodes",
+    )
+    TWO_FIELD_WITNESS = (
+        "100000000000 100000000000 100000000000 100000000000 100000100000 "
+        "100001000000 100010000000 100010000000 100010000000 101000000000 "
+        "111010000000 121000000000 020002000000 010000100000 010000000000 "
+        "010000000000 002000200000 002000000000 001001000000 000400000000 "
+        "000100030000 000100030000 000021100000 000011100000 000010000000 "
+        "000010000000 000010000000 000001100000 000001000000 000001000000 "
+        "000001000000 000000100000 000000100000 000000100000 000000004110 "
+        "000000000310 000000000200 000000000100 000000000100 000000000030 "
+        "000000000020 000000000010 000000000004 000000000002 000000000002"
+    )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: deligne_product(ising_ring(), near_group(3, 0)),
+            lambda: deligne_product(near_group(2, 0), near_group(3, 0)),
+        ],
+        ids=["ising x C(Z3,0)", "C(Z2,0) x C(Z3,0)"],
+    )
+    def test_two_field_verdict_pinned(self, build):
+        verdict = obstruct(build())
+        assert verdict.status == FEASIBLE
+        assert verdict.steps == self.TWO_FIELD_STEPS
+        got = ["".join(map(str, w)) for w in verdict.witness.all_rows()]
+        assert got == self.TWO_FIELD_WITNESS.split()
 
 
 class TestObstruct:

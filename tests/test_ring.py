@@ -320,6 +320,21 @@ class TestSubrings:
             pytest.skip("oracle reserved for rank <= 5")
         assert subrings(ring) == subrings_bruteforce(ring)
 
+    @pytest.mark.parametrize("name", sorted(CORPUS) + ["haagerup-izumi"])
+    def test_closure_is_smallest_closed_superset(self, name):
+        # the closed subsets are sorted by size, so the first one holding
+        # the seed is the smallest; closed subsets meet in closed subsets,
+        # so it is unique
+        ring = CORPUS.get(name) or haagerup_izumi_ring()
+        closed = subrings_bruteforce(ring)
+        seeds = itertools.chain(
+            itertools.combinations(range(ring.rank), 1),
+            itertools.combinations(range(ring.rank), 2),
+        )
+        for seed in seeds:
+            want = next(s for s in closed if set(seed) <= s)
+            assert ring.closure(seed) == want, seed
+
     def test_no_rank_limit(self):
         # rank 13: subgroups of Z12 (one per divisor) plus the whole ring
         got = subrings(mr_extend(cyclic_ring(12), 2))

@@ -64,6 +64,19 @@ class TestQuadExt:
         assert QuadExt.sqrt(2) > QuadExt(Fraction(7, 5))
         assert -QuadExt.sqrt(3) < QuadExt(0)
 
+    def test_ordering_across_fields(self):
+        r2, r3, r5 = QuadExt.sqrt(2), QuadExt.sqrt(3), QuadExt.sqrt(5)
+        assert r2 < r3 and r3 > r2 and r2 <= r3 and r3 >= r2
+        assert not r3 < r2
+        phi = (1 + r5) * Fraction(1, 2)  # 1.618...
+        # 1.7320..., 2, 1.7639..., 1.6180..., 1.4142... and 1.6
+        values = [r3, 2, 4 - r5, phi, r2, QuadExt(Fraction(8, 5))]
+        want = [2, 4 - r5, r3, phi, QuadExt(Fraction(8, 5)), r2]
+        assert sorted(values, reverse=True) == want
+        assert max(values) == 2
+        assert max(v for v in values if v != 2) == 4 - r5
+        assert min(values) == r2
+
     def test_mixed_radicand_rejected(self):
         with pytest.raises(UnsupportedFieldError):
             QuadExt.sqrt(2) + QuadExt.sqrt(3)
