@@ -111,7 +111,7 @@ def induction_data(ring: FusionRing) -> InductionData:
         raise ExactnessError(
             "largest codegree does not equal the global FP dimension"
         )
-    dims = tuple(total * f.inverse() for f in cod)
+    dims = tuple(total / f for f in cod)
     return InductionData(cod, dims, tuple(map(tuple, H)))
 
 

@@ -74,6 +74,11 @@ class FusionRing:
     def __setattr__(self, *args):
         raise AttributeError("FusionRing is immutable")
 
+    def __setstate__(self, state):
+        # pickle and copy restore the slots, cached facts included, here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
             return NotImplemented
@@ -177,14 +182,20 @@ class FusionRing:
 
     def closure(self, seed: Sequence[int]) -> frozenset[int]:
         """Smallest basis subset containing the seed that is unital, closed
-        under duals and under tensor supports.
+        under duals and under tensor supports."""
+        return self._close(frozenset(), {0, *seed, *(self.dual[i] for i in seed)})
+
+    def _close(self, closed: frozenset[int], seed: set[int]) -> frozenset[int]:
+        """Closure of closed | seed, where `closed` is empty or a subring and
+        `seed` is closed under duals.
 
         A worklist: each element, once taken from it, is multiplied on both
         sides by itself and by every element taken before it, so each pair
-        is expanded once."""
+        is expanded once.  The elements of `closed` count as taken already:
+        their products stay inside it, so no pair within it is expanded."""
         N, dual = self.N, self.dual
-        cur = {0, *seed, *(dual[i] for i in seed)}
-        todo, done = list(cur), []
+        cur = {*closed, *seed}
+        todo, done = list(seed - closed), list(closed)
         while todo:
             i = todo.pop()
             done.append(i)
@@ -217,10 +228,7 @@ class FPDims:
 
     def total(self) -> QuadExt:
         self.require_exact()
-        out = QuadExt(0)
-        for d in self.dims:
-            out = out + d * d
-        return out
+        return sum(d * d for d in self.dims)
 
 
 @dataclass(frozen=True)
@@ -353,7 +361,8 @@ def subrings(ring: FusionRing) -> list[frozenset[int]]:
     lattice: start from the trivial subring and close each subring found
     together with each element it lacks.  Every subring is reached along a
     chain of such one-element joins, so nothing is missed, and the work is
-    (number of subrings) x rank closures, with no rank limit."""
+    (number of subrings) x rank closures, with no rank limit; each closure
+    extends the closed subring, expanding only pairs with a new element."""
     ring.require_valid()
     found = {ring.closure(())}
     todo = list(found)
@@ -361,7 +370,7 @@ def subrings(ring: FusionRing) -> list[frozenset[int]]:
         sub = todo.pop()
         for x in range(ring.rank):
             if x not in sub:
-                bigger = ring.closure(sub | {x})
+                bigger = ring._close(sub, {x, ring.dual[x]})
                 if bigger not in found:
                     found.add(bigger)
                     todo.append(bigger)

@@ -69,135 +69,173 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
+def _parts(x) -> Optional[tuple[int, int, int, int]]:
+    """(a, b, c, D) of a QuadExt, an int or a Fraction; None otherwise."""
+    if isinstance(x, QuadExt):
+        return x._a, x._b, x._c, x.D
+    if isinstance(x, int):
+        return x, 0, 1, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, 1
+    return None
+
+
+def _quad(a: int, b: int, c: int, D: int) -> "QuadExt":
+    """Internal constructor of (a + b*sqrt(D)) / c from integers, c != 0
+    and D squarefree: divides out gcd(a, b, c) and makes c positive."""
+    g = math.gcd(a, b, c)
+    if c < 0:
+        g = -g
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    x = object.__new__(QuadExt)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_D(x, D if b else 1)
+    return x
+
+
+def _ordering(test):
+    """A QuadExt rich comparison from a test of the sign of self - other."""
+    def op(self, other):
+        c = self._compare(other)
+        return c if c is NotImplemented else test(c)
+    return op
+
+
 class QuadExt:
-    """An element p + q*sqrt(D) of a real quadratic field.
+    """An element (a + b*sqrt(D)) / c of a real quadratic field, held as
+    four integers kept normalized: c > 0, gcd(a, b, c) = 1, D squarefree,
+    and b = 0 exactly when D = 1, so equality is structural.  Arithmetic
+    runs in plain ints through `_quad`.  `p` = a/c and `q` = b/c give the
+    value as p + q*sqrt(D) with Fraction parts."""
 
-    D is kept squarefree; purely rational values are normalized to D = 1,
-    q = 0 so equality is structural.
-    """
-
-    __slots__ = ("p", "q", "D")
+    __slots__ = ("_a", "_b", "_c", "D")
 
     def __init__(self, p: RationalLike, q: RationalLike = 0, D: int = 1):
-        p = _as_fraction(p)
-        q = _as_fraction(q)
+        p, q = _as_fraction(p), _as_fraction(q)
         if D < 1:
             raise ValueError("radicand must be positive")
-        if q == 0 or D == 1:
-            # sqrt(1) = 1 folds into the rational part
-            if D == 1:
-                p, q = p + q, Fraction(0)
-            q = Fraction(0) if q == 0 else q
-            if q == 0:
-                D = 1
-        else:
-            c, d = squarefree_decompose(D)
-            if d == 1:
-                p, q, D = p + q * c, Fraction(0), 1
-            else:
-                q, D = q * c, d
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "D", D)
+        # sqrt(D) = s*sqrt(d) with d squarefree; sqrt(1) = 1 folds into p
+        s, D = squarefree_decompose(D) if q else (0, 1)
+        p, q = (p + q * s, Fraction(0)) if D == 1 else (p, q * s)
+        # over c = lcm of the reduced denominators, gcd(a, b, c) = 1
+        c = math.lcm(p.denominator, q.denominator)
+        _set_a(self, p.numerator * (c // p.denominator))
+        _set_b(self, q.numerator * (c // q.denominator))
+        _set_c(self, c)
+        _set_D(self, D)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self):
+        return _quad, (self._a, self._b, self._c, self.D)
+
     # -- constructors
 
     @classmethod
-    def sqrt(cls, n: int) -> "QuadExt":
-        """Exact square root of a nonnegative integer."""
-        c, d = squarefree_decompose(n)
-        if d == 1:
-            return cls(c)
-        return cls(0, c, d)
+    def sqrt(cls, n: RationalLike) -> "QuadExt":
+        """Exact square root of a nonnegative int or integral Fraction."""
+        n = _as_fraction(n)
+        if n.denominator != 1:
+            raise ValueError(f"not an integer: {n}")
+        s, d = squarefree_decompose(n.numerator)
+        return _quad(0, s, 1, d) if d > 1 else _quad(s, 0, 1, 1)
 
     # -- predicates
 
     @property
+    def p(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    @property
     def is_rational(self) -> bool:
-        return self.q == 0
+        return not self._b
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self._b:
             raise UnsupportedFieldError(f"{self} is irrational")
-        return self.p
+        return Fraction(self._a, self._c)
 
     def is_algebraic_integer(self) -> bool:
-        if self.q == 0:
-            return self.p.denominator == 1
-        tr = 2 * self.p
-        nrm = self.p * self.p - self.q * self.q * self.D
-        return tr.denominator == 1 and nrm.denominator == 1
+        """Trace 2a/c and norm (a^2 - b^2 D)/c^2 are integers."""
+        a, c = self._a, self._c
+        return 2 * a % c == 0 and (a * a - self._b ** 2 * self.D) % (c * c) == 0
 
     # -- field structure
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.p, -self.q, self.D)
+        return _quad(self._a, -self._b, self._c, self.D)
 
     def norm(self) -> Fraction:
-        return self.p * self.p - self.q * self.q * self.D
+        return Fraction(self._a ** 2 - self._b ** 2 * self.D, self._c ** 2)
 
     def trace(self) -> Fraction:
-        return 2 * self.p
+        return Fraction(2 * self._a, self._c)
 
-    def _coerce(self, other) -> "QuadExt | None":
-        if isinstance(other, QuadExt):
-            if self.q != 0 and other.q != 0 and self.D != other.D:
-                raise UnsupportedFieldError(
-                    f"mixed radicands sqrt({self.D}) and sqrt({other.D})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
-        return None
+    def _coerce(self, other) -> Optional[tuple[int, int, int, int]]:
+        o = _parts(other)
+        if o and o[1] and self._b and o[3] != self.D:
+            raise UnsupportedFieldError(
+                f"mixed radicands sqrt({self.D}) and sqrt({o[3]})"
+            )
+        return o
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = self.D if self.q != 0 else o.D
-        return QuadExt(self.p + o.p, self.q + o.q, D)
+        a, b, c, D = o
+        a1, b1, c1 = self._a, self._b, self._c
+        if b1:
+            D = self.D
+        if c == c1:
+            return _quad(a1 + sign * a, b1 + sign * b, c, D)
+        return _quad(a1 * c + sign * a * c1, b1 * c + sign * b * c1, c1 * c, D)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.p, -self.q, self.D)
+        return _quad(-self._a, -self._b, self._c, self.D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = self.D if self.q != 0 else o.D
-        return QuadExt(
-            self.p * o.p + self.q * o.q * D,
-            self.p * o.q + self.q * o.p,
-            D,
-        )
+        a, b, c, D = o
+        a1, b1 = self._a, self._b
+        if b1:
+            D = self.D
+        return _quad(a1 * a + b1 * b * D, a1 * b + b1 * a, self._c * c, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
+        """c (a - b sqrt(D)) / (a^2 - b^2 D)."""
+        a, b, c, D = self._a, self._b, self._c, self.D
+        n = a * a - b * b * D
+        if not n:
             raise ZeroDivisionError("zero or degenerate quadratic element")
-        return QuadExt(self.p / n, -self.q / n, self.D)
+        return _quad(a * c, -b * c, n, D)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * _quad(*o).inverse()
 
     def __rtruediv__(self, other):
         return QuadExt(other) * self.inverse()
@@ -205,7 +243,7 @@ class QuadExt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1)
+        out = _quad(1, 0, 1, 1)
         base = self
         while n:
             if n & 1:
@@ -217,92 +255,79 @@ class QuadExt:
     # -- ordering (real embedding with sqrt(D) > 0)
 
     def _sign(self) -> int:
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # mixed signs: compare p^2 and q^2 D
-        lhs, rhs = p * p, q * q * self.D
-        if lhs == rhs:
-            return 0
-        big_is_rational = lhs > rhs
-        return (1 if p > 0 else -1) if big_is_rational else (1 if q > 0 else -1)
+        return self._compare(0)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
-        if not isinstance(other, QuadExt):
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self.p == other.p and self.q == other.q and self.D == other.D
+        return (self._a, self._b, self._c, self.D) == o
 
     def __hash__(self):
         # rational values hash as the Fraction (and int) they equal
-        if self.q == 0:
-            return hash(self.p)
+        if not self._b:
+            return hash(Fraction(self._a, self._c))
         return hash((self.p, self.q, self.D))
 
     def _compare(self, other):
         """Sign of self - other, exact across fields: within one field (or
-        against a rational) it is a sign computation; two irrationals from
-        distinct squarefree radicands never coincide, so separating their
-        certified rational enclosures always terminates."""
-        if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
-        elif not isinstance(other, QuadExt):
+        against a rational) it is the sign of an integer a + b*sqrt(D);
+        two irrationals from distinct squarefree radicands never coincide,
+        so separating their certified rational enclosures terminates."""
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        if self.q == 0 or other.q == 0 or self.D == other.D:
-            return (self - other)._sign()
-        scale = 16
-        while True:
-            alo, ahi = self.enclosure(scale)
-            blo, bhi = other.enclosure(scale)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            scale *= 2
+        a, b, c, D = o
+        if b and self._b and D != self.D:
+            scale = 16
+            while True:
+                alo, ahi = self.enclosure(scale)
+                blo, bhi = other.enclosure(scale)
+                if ahi < blo:
+                    return -1
+                if bhi < alo:
+                    return 1
+                scale *= 2
+        # self - other = (x + y*sqrt(D)) / (c c1), and c c1 > 0; when x and
+        # y differ in sign, the larger of x^2 and y^2 D decides
+        c1 = self._c
+        x, y = self._a * c - a * c1, self._b * c - b * c1
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if sx == sy or not sy:
+            return sx
+        if not sx:
+            return sy
+        return sx if x * x > y * y * (self.D if self._b else D) else sy
 
-    def __lt__(self, other):
-        c = self._compare(other)
-        return c if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._compare(other)
-        return c if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._compare(other)
-        return c if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._compare(other)
-        return c if c is NotImplemented else c >= 0
+    __lt__ = _ordering(lambda c: c < 0)
+    __le__ = _ordering(lambda c: c <= 0)
+    __gt__ = _ordering(lambda c: c > 0)
+    __ge__ = _ordering(lambda c: c >= 0)
 
     def enclosure(self, scale: int = 32) -> tuple[Fraction, Fraction]:
         """Rational bounds lo <= self <= hi with hi - lo <= |q| / 2^scale."""
-        if self.q == 0:
+        if not self._b:
             return self.p, self.p
+        # s <= 2^scale sqrt(D) < s + 1, so both ends are over k = c 2^scale
+        a, b, k = self._a << scale, self._b, self._c << scale
         s = math.isqrt(self.D << (2 * scale))
-        lo_rt = Fraction(s, 1 << scale)
-        hi_rt = Fraction(s + 1, 1 << scale)
-        if self.q > 0:
-            return self.p + self.q * lo_rt, self.p + self.q * hi_rt
-        return self.p + self.q * hi_rt, self.p + self.q * lo_rt
+        lo, hi = sorted((a + b * s, a + b * (s + 1)))
+        return Fraction(lo, k), Fraction(hi, k)
 
     def __repr__(self):
-        if self.q == 0:
-            return f"QuadExt({self.p})"
-        return f"QuadExt({self.p} + {self.q}*sqrt({self.D}))"
+        return f"QuadExt({self})"
 
     def __str__(self):
-        if self.q == 0:
+        if not self._b:
             return str(self.p)
         return f"{self.p} + {self.q}*sqrt({self.D})"
+
+
+# slot setters for _quad and QuadExt.__init__; __setattr__ refuses them all
+_set_a = QuadExt._a.__set__
+_set_b = QuadExt._b.__set__
+_set_c = QuadExt._c.__set__
+_set_D = QuadExt.D.__set__
 
 
 def _integer_field(values) -> tuple[int, dict[int, list[int]]]:
@@ -310,16 +335,15 @@ def _integer_field(values) -> tuple[int, dict[int, list[int]]]:
     rational part of `values[k]` times den, and `coords[D][k]` its sqrt(D)
     coefficient times den, for each radicand D that occurs.  A value lies
     in one field, so at most one `coords[D][k]` with D > 1 is nonzero.
+    Each value's c is the lcm of the denominators of its p and q.
 
     Integer linear expressions in the values can then be compared one
     coordinate at a time, with no `Fraction` arithmetic."""
-    den = math.lcm(*(x.denominator for v in values for x in (v.p, v.q)))
-    coords = {1: [v.p.numerator * (den // v.p.denominator) for v in values]}
+    den = math.lcm(*(v._c for v in values))
+    coords = {1: [v._a * (den // v._c) for v in values]}
     for k, v in enumerate(values):
-        if v.q:
-            coords.setdefault(v.D, [0] * len(values))[k] = (
-                v.q.numerator * (den // v.q.denominator)
-            )
+        if v._b:
+            coords.setdefault(v.D, [0] * len(values))[k] = v._b * (den // v._c)
     return den, coords
 
 
@@ -357,19 +381,6 @@ class IntPoly:
             out = out * x + c
         return out
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
@@ -395,19 +406,6 @@ class IntPoly:
         if any(rem):
             raise ValueError("division is not exact")
         return IntPoly(out)
-
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0 and self.degree >= 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        return " + ".join(terms) if terms else "0"
 
 
 def _mat_mul(A, B):
@@ -462,15 +460,14 @@ class Factorization:
 
     def all_roots(self) -> list[QuadExt]:
         """Roots of the fully-factored part, as exact quadratic numbers."""
-        out: list[QuadExt] = [QuadExt(r) for r in self.roots]
+        out = [_quad(r.numerator, 0, r.denominator, 1) for r in self.roots]
         for quad in self.quadratics:
             c, b, _ = quad.coeffs
             disc = b * b - 4 * c
-            if disc < 0:
-                continue  # complex pair; no real embedding
-            root = QuadExt.sqrt(disc)
-            out.append((QuadExt(-b) + root) * Fraction(1, 2))
-            out.append((QuadExt(-b) - root) * Fraction(1, 2))
+            if disc >= 0:  # a complex pair has no real embedding
+                root = QuadExt.sqrt(disc)  # s*sqrt(D), or s when D = 1
+                out.append(_quad(root._a - b, root._b, 2, root.D))
+                out.append(_quad(-root._a - b, -root._b, 2, root.D))
         return out
 
 
@@ -783,6 +780,9 @@ class CycNumber:
 
     def __setattr__(self, *args):
         raise AttributeError("CycNumber is immutable")
+
+    def __reduce__(self):
+        return _cyc, (self.order, self._num, self._den)
 
     # -- constructors
 

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -286,6 +288,16 @@ class TestFPDims:
         ring = z3_base_ring(2)
         assert fpdims(ring) is fpdims(ring)
 
+    @pytest.mark.parametrize("build", [fibonacci_ring, lambda: z3_base_ring(1), rep_s3_ring])
+    def test_pickle_and_deepcopy_keep_cached_dims(self, build):
+        ring = build()
+        dims = fpdims(ring)
+        for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert copied == ring and hash(copied) == hash(ring)
+            assert copied.dual == ring.dual and copied.is_valid
+            assert copied._fpdims == dims and fpdims(copied) is copied._fpdims
+            assert [hash(d) for d in copied._fpdims.dims] == [hash(d) for d in dims.dims]
+
     def test_global_fpdim(self):
         assert global_fpdim(fibonacci_ring()) == (5 + QuadExt.sqrt(5)) * Fraction(1, 2)
         assert global_fpdim(cyclic_ring(2)).as_fraction() == 2
@@ -334,6 +346,16 @@ class TestSubrings:
         for seed in seeds:
             want = next(s for s in closed if set(seed) <= s)
             assert ring.closure(seed) == want, seed
+
+    @pytest.mark.parametrize("name", sorted(CORPUS) + ["haagerup-izumi"])
+    def test_extending_a_subring_matches_closure(self, name):
+        # subrings() extends a closed subring by one element and its dual,
+        # skipping the pairs inside it; that is the closure from scratch
+        ring = CORPUS.get(name) or haagerup_izumi_ring()
+        for sub in subrings_bruteforce(ring):
+            for x in set(range(ring.rank)) - sub:
+                got = ring._close(sub, {x, ring.dual[x]})
+                assert got == ring.closure(sub | {x}), (sub, x)
 
     def test_no_rank_limit(self):
         # rank 13: subgroups of Z12 (one per divisor) plus the whole ring

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from mrfw.scalars import (
     IntPoly,
     QuadExt,
     UnsupportedFieldError,
+    _integer_field,
     charpoly,
     count_real_roots,
     cyclotomic_polynomial,
@@ -164,6 +168,170 @@ def test_equal_values_hash_equal(values):
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# QuadExt against a plain (Fraction, Fraction, D) reference
+
+ORACLE_RADICANDS = (1, 2, 3, 5, 6, 8, 12, 45)
+
+
+def ref_quad(p, q, D):
+    """(p, q, D) of p + q*sqrt(D) with D squarefree, and (p, 0, 1) when the
+    value is rational: the normal form the public constructor promises."""
+    s = max(k for k in range(1, math.isqrt(D) + 1) if D % (k * k) == 0)
+    p, q, D = Fraction(p), Fraction(q) * s, D // (s * s)
+    if D == 1 or q == 0:
+        return p + q, Fraction(0), 1
+    return p, q, D
+
+
+def ref_add(x, y):
+    return ref_quad(x[0] + y[0], x[1] + y[1], max(x[2], y[2]))
+
+
+def ref_mul(x, y):
+    D = max(x[2], y[2])
+    return ref_quad(x[0] * y[0] + x[1] * y[1] * D, x[0] * y[1] + x[1] * y[0], D)
+
+
+def ref_norm(x):
+    return x[0] * x[0] - x[1] * x[1] * x[2]
+
+
+def ref_inverse(x):
+    n = ref_norm(x)
+    return ref_quad(x[0] / n, -x[1] / n, x[2])
+
+
+def ref_decimal(x):
+    """p + q*sqrt(D) to 60 digits: a nonzero difference of two values with
+    these small coordinates is far above that precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x[0].numerator) / x[0].denominator
+                + Decimal(x[1].numerator) / x[1].denominator * Decimal(x[2]).sqrt())
+
+
+def ref_sign(x):
+    v = ref_decimal(x)
+    return (v > 0) - (v < 0)
+
+
+def assert_matches(x, want):
+    """x is normalized and equals the reference value in every reader:
+    p, q, D, the hash and the printed text."""
+    assert x._c > 0 and math.gcd(x._a, x._b, x._c) == 1
+    assert (x._b == 0) == (x.D == 1)
+    assert all(x.D % (k * k) for k in range(2, math.isqrt(x.D) + 1))
+    p, q, D = want
+    assert (x.p, x.q, x.D) == want
+    assert type(x.p) is Fraction and type(x.q) is Fraction
+    assert hash(x) == (hash(p) if q == 0 else hash((p, q, D)))
+    assert str(x) == (str(p) if q == 0 else f"{p} + {q}*sqrt({D})")
+
+
+oracle_parts = st.fractions(Fraction(-40), Fraction(40), max_denominator=12)
+
+
+@st.composite
+def same_field_pairs(draw):
+    """Two reference values in one field; either may be rational."""
+    D = draw(st.sampled_from(ORACLE_RADICANDS))
+    xs = [(draw(oracle_parts), draw(st.sampled_from([0, 1, 1])) * draw(oracle_parts))
+          for _ in range(2)]
+    return [(QuadExt(p, q, D), ref_quad(p, q, D)) for p, q in xs]
+
+
+@given(same_field_pairs(), st.integers(-3, 4))
+@settings(max_examples=300)
+def test_quadext_matches_fraction_oracle(pair, k):
+    (x, rx), (y, ry) = pair
+    assert_matches(x, rx)
+    assert_matches(y, ry)
+    assert_matches(x + y, ref_add(rx, ry))
+    assert_matches(x - y, ref_add(rx, ref_quad(-ry[0], -ry[1], ry[2])))
+    assert_matches(-x, ref_quad(-rx[0], -rx[1], rx[2]))
+    assert_matches(x * y, ref_mul(rx, ry))
+    assert_matches(x.conjugate(), ref_quad(rx[0], -rx[1], rx[2]))
+    assert x.norm() == ref_norm(rx) and type(x.norm()) is Fraction
+    assert x.trace() == 2 * rx[0] and type(x.trace()) is Fraction
+    assert x.is_algebraic_integer() == (
+        (2 * rx[0]).denominator == 1 and ref_norm(rx).denominator == 1
+    )
+    assert x._sign() == ref_sign(rx)
+    d = ref_sign(ref_add(rx, ref_quad(-ry[0], -ry[1], ry[2])))
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (d < 0, d <= 0, d > 0, d >= 0, d == 0)
+    # rational operands on either side, never built into a QuadExt
+    for r in (ry[0], int(ry[0])):
+        assert_matches(x + r, ref_add(rx, ref_quad(r, 0, 1)))
+        assert_matches(r - x, ref_add(ref_quad(r, 0, 1), ref_quad(-rx[0], -rx[1], rx[2])))
+        assert_matches(r * x, ref_mul(rx, ref_quad(r, 0, 1)))
+        assert (x == r) == (rx == ref_quad(r, 0, 1))
+        assert (x < r) == (ref_sign(ref_add(rx, ref_quad(-r, 0, 1))) < 0)
+    if ref_norm(ry):
+        assert_matches(y.inverse(), ref_inverse(ry))
+        assert_matches(x / y, ref_mul(rx, ref_inverse(ry)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if k >= 0 or ref_norm(rx):
+        want = ref_quad(1, 0, 1)
+        for _ in range(abs(k)):
+            want = ref_mul(want, rx if k > 0 else ref_inverse(rx))
+        assert_matches(x ** k, want)
+
+
+@given(st.lists(st.tuples(oracle_parts, oracle_parts, st.sampled_from(ORACLE_RADICANDS)),
+                min_size=1, max_size=4))
+def test_quadext_compares_across_fields(triples):
+    values = [(QuadExt(*t), ref_quad(*t)) for t in triples]
+    for x, rx in values:
+        for y, ry in values:
+            if rx[1] and ry[1] and rx[2] != ry[2]:
+                # distinct radicands: the oracle compares decimal values
+                vx, vy = ref_decimal(rx), ref_decimal(ry)
+                d = (vx > vy) - (vx < vy)
+            else:
+                d = ref_sign(ref_add(rx, ref_quad(-ry[0], -ry[1], ry[2])))
+            assert (x < y, x > y, x <= y, x >= y) == (d < 0, d > 0, d <= 0, d >= 0)
+
+
+@given(st.lists(st.tuples(oracle_parts, oracle_parts, st.sampled_from(ORACLE_RADICANDS)),
+                min_size=1, max_size=6))
+def test_integer_field_matches_fraction_formula(triples):
+    values = [QuadExt(*t) for t in triples]
+    refs = [ref_quad(*t) for t in triples]
+    den = math.lcm(*(x.denominator for p, q, _ in refs for x in (p, q)))
+    coords = {1: [int(p * den) for p, _, _ in refs]}
+    for k, (_, q, D) in enumerate(refs):
+        if q:
+            coords.setdefault(D, [0] * len(refs))[k] = int(q * den)
+    assert _integer_field(values) == (den, coords)
+
+
+def test_sqrt_accepts_integral_fractions():
+    assert QuadExt.sqrt(Fraction(12)) == QuadExt.sqrt(12) == QuadExt(0, 2, 3)
+    assert QuadExt.sqrt(Fraction(49)) == 7
+    with pytest.raises(ValueError):
+        QuadExt.sqrt(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("value", [
+    QuadExt(1, 2, 5),
+    QuadExt(Fraction(-3, 4), Fraction(5, 6), 12),
+    QuadExt(Fraction(7, 3)),
+    CycNumber.root_of_unity(5),
+    CycNumber(12, [Fraction(1, 2), 0, Fraction(-3, 4)]),
+    CycNumber.from_rational(Fraction(2, 3), 7),
+])
+def test_scalars_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
 
 
 def mat_eval(p, M):
