@@ -4,15 +4,19 @@ Every document is an envelope {"schema", "kind", "payload"} with kind one
 of "ring", "chartable", "premodular", or "report".  Exact scalars are
 serialized structurally: rationals as integers or "p/q" strings, quadratic
 values as {"p", "q", "D"}, cyclotomic values as {"order", "coeffs"}.
-Decimal strings never appear.  Canonical form is sorted-key, two-space
-indented UTF-8 with a trailing newline; load then save is the identity on
-canonical files.
+Decimal strings never appear.  Canonical form is byte for byte the text of
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
+newline, saved as UTF-8; load then save is the identity on canonical files.
+mrfw writes that text without the stdlib's pure-Python indent encoder (see
+`canonical_dumps`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -265,7 +269,7 @@ def parse_document(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     _require_keys(doc, {"schema", "kind", "payload"}, set(), "document")
-    if doc["schema"] != SCHEMA_VERSION:
+    if _require_int(doc["schema"], "schema version") != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema version: {doc['schema']!r}")
     if doc["kind"] not in KINDS:
         raise DocumentError(f"unknown document kind: {doc['kind']!r}")
@@ -288,7 +292,64 @@ def load_document(path: str | Path) -> dict:
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of `doc`: byte for byte
+    ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``.
+
+    Keys must be ``str``; any other key raises TypeError, where json.dumps
+    would convert it."""
+    return _write(doc, "\n") + "\n"
+
+
+# json.dumps drops its C encoder whenever `indent` is set; this one keeps it
+# for leaves and for the compact text of int-only lists and matrices
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _write(value: Any, nl: str) -> str:
+    """`value` as json.dumps with indent=2 writes it, where `nl` is a
+    newline followed by the indentation of the line `value` starts on."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        for key, _ in items:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = ("," + inner).join(
+            [encode_basestring(k) + ": " + _write(v, inner) for k, v in items]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # exact ints (no bools) in a flat list, or in nonempty list or tuple
+        # rows, compact-encode as digits, "-", "[", "]" and ", " alone, so
+        # the replacements below re-indent them exactly
+        if type(value) in (list, tuple):
+            types = set(map(type, value))
+            if types == {int}:
+                body = _encode(value)[1:-1].replace(", ", "," + inner)
+                return "[" + inner + body + nl + "]"
+            if (
+                types <= {list, tuple}
+                and all(value)
+                and set(map(type, chain.from_iterable(value))) == {int}
+            ):
+                row = inner + "  "
+                body = (
+                    _encode(value)[2:-2]
+                    .replace("], [", inner + "]," + inner + "[" + row)
+                    .replace(", ", "," + row)
+                )
+                return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
+        body = ("," + inner).join([_write(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    return _encode(value)
 
 
 def save_document(doc: dict, path: str | Path) -> None:

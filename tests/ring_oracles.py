@@ -1,10 +1,11 @@
 """Test-side helpers shared by several test modules: the exhaustive subring
 oracle that `subrings` is compared against, the forgetful images of the
 induced objects that `codegree_matrix` is compared against, a ring whose FP
-dimensions lie outside every quadratic field, and the Deligne product of
-two rings."""
+dimensions lie outside every quadratic field, the Deligne product of two
+rings, and the stdlib text that `canonical_dumps` is compared against."""
 
 import itertools
+import json
 
 from mrfw.ring import FusionRing
 
@@ -67,3 +68,8 @@ def deligne_product(R, S):
         for i in range(R.rank) for j in range(m)
     ]
     return FusionRing(labels, N)
+
+
+def stdlib_dumps(doc) -> str:
+    """The documented canonical form, written by the json module alone."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

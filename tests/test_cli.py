@@ -7,14 +7,24 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ring_oracles import cubic_ring
+from ring_oracles import cubic_ring, stdlib_dumps
 
-from mrfw.cli import corpus_dir, main, resolve_document
-from mrfw.corpus import cyclic_ring, fibonacci_ring, s3_table, write_corpus
+from mrfw.cli import _verdict_payload, corpus_dir, main, resolve_document
+from mrfw.corpus import (
+    cyclic_ring,
+    fibonacci_ring,
+    s3_base_ring,
+    s3_table,
+    write_corpus,
+    z3_base_ring,
+)
 from mrfw.mr import mr_extend
+from mrfw.obstruction import DEFAULT_NODE_CAP, obstruct
 from mrfw.serialize import (
     load_document,
     premodular_to_doc,
+    report_doc,
+    ring_from_payload,
     ring_to_doc,
     save_document,
     table_to_doc,
@@ -351,6 +361,15 @@ class TestExitCodes:
         save_document({"schema": 1, "kind": "report", "payload": payload}, p)
         assert_exit(invoke("obstruct", "--replay", str(p)), 1, "INVALID: unit-law")
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_certificate_schema_not_integer_one(self, tmp_path, schema):
+        # both compare equal to 1, yet neither is schema version 1
+        doc = json.loads(invoke("obstruct", "z3-base-k3").output)
+        doc["schema"] = schema
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(doc))
+        assert_exit(invoke("obstruct", "--replay", str(p)), 2, "error: ")
+
     def test_certificate_extra_fields_ignored(self, tmp_path):
         doc = json.loads(invoke("obstruct", "z3-base-k3").output)
         doc["payload"]["stats"] = {"wall_s": 0.1}
@@ -382,6 +401,47 @@ CORPUS_DOCUMENTS = {
     p.stem: json.loads(p.read_text(encoding="utf-8"))
     for p in sorted(corpus_dir().glob("*.json"))
 }
+CORPUS_RINGS = [name for name, doc in CORPUS_DOCUMENTS.items() if doc["kind"] == "ring"]
+
+
+class TestCanonicalOutput:
+    """Every JSON document the CLI prints is the stdlib's indent=2 text."""
+
+    @pytest.mark.parametrize("build", [z3_base_ring, s3_base_ring],
+                             ids=["z3-pointed", "rep-s3"])
+    def test_rank4_certificates(self, tmp_path, build):
+        p = tmp_path / "ring.json"
+        for kappa in range(61):
+            ring = build(kappa)
+            save_document(ring_to_doc(ring), p)
+            result = invoke("obstruct", str(p))
+            assert result.exit_code == 0, result.output
+            payload = _verdict_payload(ring, obstruct(ring), DEFAULT_NODE_CAP)
+            assert result.output == stdlib_dumps(report_doc(payload)), kappa
+
+    @pytest.mark.parametrize("name", CORPUS_RINGS)
+    def test_corpus_rings(self, name):
+        result = invoke("obstruct", name)
+        assert result.exit_code == 0, result.output
+        assert result.output == stdlib_dumps(json.loads(result.output))
+        extended = invoke("extend", name, "--kappa", "3")
+        if extended.exit_code == 0:
+            base = ring_from_payload(CORPUS_DOCUMENTS[name]["payload"])
+            assert extended.output == stdlib_dumps(ring_to_doc(mr_extend(base, 3)))
+
+    @pytest.mark.parametrize(
+        "args",
+        [["obstruct", "--sweep", "--kappa-max", "6"],
+         ["smatrix", "premodular-fibonacci"],
+         ["smatrix", "premodular-z2-modular"]],
+        ids=["sweep", "smatrix-fibonacci", "smatrix-z2"],
+    )
+    def test_reports(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 0, result.output
+        assert result.output == stdlib_dumps(json.loads(result.output))
+
+
 DOCUMENT_COMMANDS = [
     ["check"],
     ["report"],

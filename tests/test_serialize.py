@@ -2,6 +2,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from ring_oracles import stdlib_dumps
 
 from mrfw.corpus import (
     PREMODULAR_BUILDERS,
@@ -83,6 +86,12 @@ class TestEnvelope:
         with pytest.raises(DocumentError, match="schema"):
             parse_document('{"schema": 99, "kind": "report", "payload": {}}')
 
+    @pytest.mark.parametrize("schema", ["true", "1.0"])
+    def test_schema_version_is_integer(self, schema):
+        # both compare equal to 1 in Python, yet neither is version 1
+        with pytest.raises(DocumentError, match="schema version must be an integer"):
+            parse_document(f'{{"schema": {schema}, "kind": "report", "payload": {{}}}}')
+
     def test_not_json(self):
         with pytest.raises(DocumentError, match="JSON"):
             parse_document("{nope")
@@ -130,6 +139,66 @@ class TestRoundTrip:
         text = canonical_dumps(table_to_doc(s3_table()))
         assert text.endswith("\n")
         assert text.index('"kind"') < text.index('"payload"')
+
+
+# quotes, backslashes, control and non-ASCII characters, and the ", [ ]"
+# that the int-matrix re-indentation replaces
+TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028é日𝄞 a0,[]:{}'), max_size=6)
+INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    INTS,
+    st.floats(),
+    st.sampled_from([-0.0, 1e300]),
+    TEXT,
+)
+
+
+def short_lists(elements):
+    return st.lists(elements, max_size=4)
+
+
+# the shapes the int-matrix fast path must accept or refuse: ragged rows,
+# empty rows, ints mixed with rows, bools among ints, tuple rows
+INT_SHAPES = st.one_of(
+    short_lists(INTS),
+    short_lists(short_lists(INTS)),
+    short_lists(short_lists(INTS).map(tuple)).map(tuple),
+    short_lists(st.one_of(INTS, short_lists(INTS))),
+    short_lists(short_lists(st.one_of(INTS, st.booleans(), st.floats()))),
+    short_lists(short_lists(short_lists(INTS))),
+)
+VALUES = st.recursive(
+    st.one_of(LEAVES, INT_SHAPES),
+    lambda children: st.one_of(
+        short_lists(children),
+        short_lists(children).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=8,
+)
+
+
+class TestCanonicalText:
+    """canonical_dumps is the stdlib's indent=2 text, written without it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.dictionaries(TEXT, VALUES, max_size=3))
+    @example(doc={})
+    @example(doc={"a": [], "b": {}, "c": [[]], "d": [[], []], "e": [[1], []]})
+    @example(doc={"N": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], "w": [[-1, 2**70]]})
+    @example(doc={"x": [1, True], "y": [[1], [False]], "z": [[1], 2], "t": (1, (2,))})
+    def test_matches_stdlib(self, doc):
+        assert canonical_dumps(doc) == stdlib_dumps(doc)
+
+    def test_non_str_key_raises(self):
+        # json.dumps would write the key as "1"; canonical text has no
+        # such coercion
+        doc = {"payload": {1: "one"}}
+        assert '"1": "one"' in stdlib_dumps(doc)
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_dumps(doc)
 
 
 class TestBundledCorpus:
