@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ring import FusionRing, detect_mr
-from .scalars import CycNumber, RationalLike
+from .scalars import CycNumber, RationalLike, _cyc_dot, _cyclotomic_field
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -75,6 +75,22 @@ class CharacterTable:
         return tuple(int(row[0].as_fraction()) for row in self.characters)
 
 
+def _lift(t: CharacterTable) -> tuple[int, int, list, list]:
+    """`(n, den, rows, conj)`: the table's values in one coordinate system
+    (`_cyclotomic_field`), where `rows[i][c]` and `conj[i][c]` are the
+    integer coordinates over Q(zeta_n), times den, of chi_i at class c and
+    of its conjugate."""
+    n, den, nums, conjs = _cyclotomic_field(
+        v for row in t.characters for v in row
+    )
+    rows, conj, at = [], [], 0
+    for row in t.characters:
+        rows.append(nums[at:at + len(row)])
+        conj.append(conjs[at:at + len(row)])
+        at += len(row)
+    return n, den, rows, conj
+
+
 def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     """Permutation sending each class to the class of inverse elements.
 
@@ -85,20 +101,33 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     if t.inverse_perm is not None:
         return t.inverse_perm
     k = t.k
+    _, _, rows, conj = _lift(t)
+    columns: dict[tuple, list[int]] = {}
+    for m in range(k):
+        columns.setdefault(tuple(rows[i][m] for i in range(k)), []).append(m)
     perm: list[int] = []
     for j in range(k):
-        target = [t.characters[i][j].conjugate() for i in range(k)]
-        matches = [
-            m
-            for m in range(k)
-            if all(t.characters[i][m] == target[i] for i in range(k))
-        ]
+        matches = columns.get(tuple(conj[i][j] for i in range(k)), [])
         if len(matches) != 1:
             raise ValueError(
                 f"class {j} has {len(matches)} inverse-class candidates"
             )
         perm.append(matches[0])
     return tuple(perm)
+
+
+def _sized(t: CharacterTable, conj: list) -> list[list[tuple[int, ...]]]:
+    """Each conjugate's coordinates times the size of its class, so that a
+    class-weighted inner product is a plain `_cyc_dot`."""
+    return [
+        [tuple(s * x for x in v) for s, v in zip(t.class_sizes, row)]
+        for row in conj
+    ]
+
+
+def _is_integer(acc: list[int], value: int) -> bool:
+    """Whether reduced coordinates `acc` are those of the integer `value`."""
+    return acc[0] == value and not any(acc[1:])
 
 
 def validate_table(t: CharacterTable) -> list[str]:
@@ -108,6 +137,10 @@ def validate_table(t: CharacterTable) -> list[str]:
     consistent.  Each message names the first pair of rows or columns
     witnessing the failure of that identity.
     """
+    return _validate(t, _lift(t))
+
+
+def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
     problems: list[str] = []
     k = t.k
     if sum(t.class_sizes) != t.order:
@@ -136,36 +169,32 @@ def validate_table(t: CharacterTable) -> list[str]:
         degs.append(v.as_fraction())
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
-    conj = _conjugates(t)
+    n, den, rows, conj = lifted
+    # every coordinate carries den, so a product of two values carries den^2
+    den2 = den * den
+    sized = _sized(t, conj)
     for i in range(k):
         for j in range(i, k):
-            acc = CycNumber.from_rational(0)
-            for c in range(k):
-                acc = acc + t.class_sizes[c] * (t.characters[i][c] * conj[j][c])
             want = t.order if i == j else 0
-            if acc != want:
+            acc = _cyc_dot(n, sized[j], rows[i])
+            if not _is_integer(acc, want * den2):
                 problems.append(
                     f"row orthogonality fails for characters ({i}, {j})"
                 )
     if any(s <= 0 for s in t.class_sizes):
         # reported above; the centralizer orders below divide by the sizes
         return problems
+    columns = list(zip(*rows))
+    conj_columns = list(zip(*conj))
     for c in range(k):
         for d in range(c, k):
-            acc = CycNumber.from_rational(0)
-            for i in range(k):
-                acc = acc + t.characters[i][c] * conj[i][d]
             want = t.order // t.class_sizes[c] if c == d else 0
-            if acc != want:
+            acc = _cyc_dot(n, conj_columns[d], columns[c])
+            if not _is_integer(acc, want * den2):
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
                 )
     return problems
-
-
-def _conjugates(t: CharacterTable) -> list[list[CycNumber]]:
-    """Complex conjugate of every character value, row by row."""
-    return [[v.conjugate() for v in row] for row in t.characters]
 
 
 def fusion_from_table(t: CharacterTable) -> FusionRing:
@@ -176,35 +205,37 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
     weighted sum divided by the group order.  Any non-integer multiplicity
     means the table is inconsistent and raises ValueError.
     """
+    return _fusion(t, _lift(t))
+
+
+def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
     kcount = t.k
-    inv = Fraction(1, t.order)
-    conj = _conjugates(t)
+    n, den, rows, conj = lifted
+    sized = _sized(t, conj)
+    # each term is a class size times three coordinates, each carrying den
+    scale = den ** 3 * t.order
     N = [[[0] * kcount for _ in range(kcount)] for _ in range(kcount)]
     # chi_i chi_j = chi_j chi_i pointwise, so N[i][j] = N[j][i]; pairs and
     # multiplicities are visited in index order, so the first bad entry
     # reported is the same as in a full (i, j, m) scan
     for i in range(kcount):
         for j in range(i, kcount):
-            weighted = [
-                t.class_sizes[c] * (t.characters[i][c] * t.characters[j][c])
-                for c in range(kcount)
+            products = [
+                _cyc_dot(n, (a,), (b,)) for a, b in zip(rows[i], rows[j])
             ]
             for m in range(kcount):
-                acc = CycNumber.from_rational(0)
-                for c in range(kcount):
-                    acc = acc + weighted[c] * conj[m][c]
-                val = acc * inv
-                if not val.is_rational:
+                acc = _cyc_dot(n, sized[m], products)
+                if any(acc[1:]):
                     raise ValueError(
                         f"multiplicity ({i}, {j}, {m}) is irrational"
                     )
-                f = val.as_fraction()
-                if f.denominator != 1 or f < 0:
+                q, r = divmod(acc[0], scale)
+                if r or q < 0:
                     raise ValueError(
-                        f"multiplicity ({i}, {j}, {m}) = {f} is not a "
-                        "nonnegative integer"
+                        f"multiplicity ({i}, {j}, {m}) = "
+                        f"{Fraction(acc[0], scale)} is not a nonnegative integer"
                     )
-                N[i][j][m] = N[j][i][m] = int(f)
+                N[i][j][m] = N[j][i][m] = q
     labels = [f"chi{i + 1}" for i in range(kcount)]
     ring = FusionRing(labels, N)
     report = ring.validate()
@@ -272,11 +303,12 @@ def theorem57_check(t: CharacterTable) -> GagolaReport:
     """
     if t.order <= 2:
         raise ValueError("criterion requires group order > 2")
-    bad = validate_table(t)
+    lifted = _lift(t)
+    bad = _validate(t, lifted)
     if bad:
         raise ValueError(f"invalid table: {bad[0]}")
     witness = gagola_condition(t)
-    ring = fusion_from_table(t)
+    ring = _fusion(t, lifted)
     mr = detect_mr(ring)
     gagola_holds = witness is not None
     mr_holds = mr is not None

@@ -724,6 +724,48 @@ def _reduce_ints(work: list[int], n: int) -> list[int]:
     return work
 
 
+def _cyc_dot(n: int, xs, ys) -> list[int]:
+    """Coordinates of sum_c xs[c] * ys[c], reduced modulo Phi_n, for
+    integer coordinate vectors over Q(zeta_n) such as `_cyclotomic_field`
+    returns.  The polynomial products are accumulated unreduced and the
+    sum is reduced once, so it is rational iff every entry after the
+    first is zero.  Zero coefficients of each xs[c] are skipped, so pass
+    the sparser factors first."""
+    acc = [0] * (2 * _phi_tail(n)[0] - 1)
+    for a, b in zip(xs, ys):
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    acc[j] += ai * bj
+    return _reduce_ints(acc, n)
+
+
+def _cyclotomic_field(values) -> tuple[int, int, list, list]:
+    """`(n, den, nums, conjs)` over one field and one common denominator:
+    n is the lcm of the orders of the `CycNumber` values, den the lcm of
+    their denominators, and `nums[k]` and `conjs[k]` are the phi(n)
+    integer coordinates (powers of zeta_n, reduced modulo Phi_n) of
+    `values[k]` and of its complex conjugate, times den.  Equal values get
+    equal coordinates.
+
+    The cyclotomic analogue of `_integer_field`: sums of products of the
+    values are then sums of `_cyc_dot`, with no `CycNumber` per term."""
+    values = list(values)
+    n = math.lcm(*(v.order for v in values))
+    den = math.lcm(*(v._den for v in values))
+
+    def coords(x: CycNumber) -> tuple[int, ...]:
+        scale = den // x._den
+        return tuple(c * scale for c in x._num)
+
+    nums, conjs = [], []
+    for v in values:
+        x = v.lift(n)
+        nums.append(coords(x))
+        conjs.append(nums[-1] if x.is_rational else coords(x.conjugate()))
+    return n, den, nums, conjs
+
+
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """Divide integer numerators and a nonzero denominator by their common
     content, leaving the denominator positive, so that equal values have
@@ -905,12 +947,7 @@ class CycNumber:
         if self.is_rational:
             return other.lift(n)._scale(self._num[0], self._den)
         a, b = self.lift(n)._num, other.lift(n)._num
-        out = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return _cyc(n, _reduce_ints(out, n), self._den * other._den)
+        return _cyc(n, _cyc_dot(n, (a,), (b,)), self._den * other._den)
 
     __rmul__ = __mul__
 

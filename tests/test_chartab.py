@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfw.chartab import (
     CharacterTable,
@@ -23,7 +26,7 @@ from mrfw.corpus import (
     s4_table,
 )
 from mrfw.obstruction import codegrees
-from mrfw.ring import detect_mr, fpdims, subrings
+from mrfw.ring import FusionRing, detect_mr, fpdims, subrings
 from mrfw.scalars import CycNumber
 
 
@@ -81,6 +84,20 @@ class TestInversePermutation:
     def test_a4_swaps_threecycles(self):
         assert class_inverse_permutation(a4_table()) == (0, 1, 3, 2)
 
+    def test_two_equal_columns_rejected(self):
+        # columns 1 and 2 are equal and real, so each is a candidate for the
+        # inverse class of both
+        t = CharacterTable(3, [1, 1, 1], [[1, 1, 1], [1, -1, -1], [2, 0, 0]])
+        with pytest.raises(ValueError, match="class 1 has 2 inverse-class candidates"):
+            class_inverse_permutation(t)
+
+    def test_no_candidate_rejected(self):
+        # conj(zeta_3) = zeta_3^2 occurs in no column
+        w = CycNumber.root_of_unity(3)
+        t = CharacterTable(3, [1, 1, 1], [[1, 1, 1], [1, w, 2], [1, 1, 3]])
+        with pytest.raises(ValueError, match="class 1 has 0 inverse-class candidates"):
+            class_inverse_permutation(t)
+
     def test_explicit_perm_wins(self):
         t = klein_table()
         t2 = CharacterTable(
@@ -89,8 +106,62 @@ class TestInversePermutation:
         assert class_inverse_permutation(t2) == (0, 1, 2, 3)
 
 
+def naive_validate(t):
+    """validate_table with one CycNumber per term of every orthogonality
+    sum, as the library computed it before the sums moved to integer
+    coordinates."""
+    problems = []
+    k = t.k
+    if sum(t.class_sizes) != t.order:
+        problems.append(
+            f"class sizes sum to {sum(t.class_sizes)}, group order is {t.order}"
+        )
+    for j, s in enumerate(t.class_sizes):
+        if s <= 0 or t.order % s != 0:
+            problems.append(f"class {j} size {s} does not divide order {t.order}")
+    if k == 0:
+        problems.append("table has no conjugacy classes")
+        return problems
+    if len(t.characters) != k or any(len(row) != k for row in t.characters):
+        problems.append("character matrix is not square of size k")
+        return problems
+    if t.class_sizes[0] != 1:
+        problems.append("column 0 must be the identity class of size 1")
+    if any(v != 1 for v in t.characters[0]):
+        problems.append("first row is not the trivial character")
+    degs = []
+    for i, row in enumerate(t.characters):
+        v = row[0]
+        if not v.is_rational or v.as_fraction().denominator != 1 or v.as_fraction() <= 0:
+            problems.append(f"degree of character {i} is not a positive integer")
+            return problems
+        degs.append(v.as_fraction())
+    if sum(d * d for d in degs) != t.order:
+        problems.append("sum of squared degrees does not equal the group order")
+    conj = [[v.conjugate() for v in row] for row in t.characters]
+    for i in range(k):
+        for j in range(i, k):
+            acc = CycNumber.from_rational(0)
+            for c in range(k):
+                acc = acc + t.class_sizes[c] * (t.characters[i][c] * conj[j][c])
+            if acc != (t.order if i == j else 0):
+                problems.append(f"row orthogonality fails for characters ({i}, {j})")
+    if any(s <= 0 for s in t.class_sizes):
+        return problems
+    for c in range(k):
+        for d in range(c, k):
+            acc = CycNumber.from_rational(0)
+            for i in range(k):
+                acc = acc + t.characters[i][c] * conj[i][d]
+            if acc != (t.order // t.class_sizes[c] if c == d else 0):
+                problems.append(f"column orthogonality fails for classes ({c}, {d})")
+    return problems
+
+
 def naive_fusion(t):
-    """N[i][j][m] = <chi_i chi_j, chi_m>, one inner product per triple."""
+    """N[i][j][m] = <chi_i chi_j, chi_m>, one inner product per triple, in
+    a full (i, j, m) scan.  Raises fusion_from_table's ValueError for the
+    first multiplicity that is not a nonnegative integer."""
     k = t.k
     chi = t.characters
     out = []
@@ -104,10 +175,72 @@ def naive_fusion(t):
                     acc = acc + t.class_sizes[c] * (
                         chi[i][c] * chi[j][c] * chi[m][c].conjugate()
                     )
-                row.append(int((acc / t.order).as_fraction()))
+                val = acc / t.order
+                if not val.is_rational:
+                    raise ValueError(f"multiplicity ({i}, {j}, {m}) is irrational")
+                f = val.as_fraction()
+                if f.denominator != 1 or f < 0:
+                    raise ValueError(
+                        f"multiplicity ({i}, {j}, {m}) = {f} is not a "
+                        "nonnegative integer"
+                    )
+                row.append(int(f))
             plane.append(tuple(row))
         out.append(tuple(plane))
     return tuple(out)
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _naive_ring(t):
+    N = naive_fusion(t)
+    report = FusionRing([f"chi{i + 1}" for i in range(t.k)], N).validate()
+    if report:
+        raise ValueError(f"table induces an invalid fusion ring: {report[0]}")
+    return N
+
+
+# every corpus table; Z_5..Z_12, whose conductors include 8, 9 and 12; and
+# a rational table with a non-integer value, so the common denominator of
+# the integer coordinates is 4 rather than 1
+PERTURBATION_BASES = (
+    [TABLE_BUILDERS[name]() for name in sorted(TABLE_BUILDERS)]
+    + [cyclic_table(n) for n in range(5, 13)]
+    + [CharacterTable(5, [1, 4], [[1, 1], [1, Fraction(-1, 4)]])]
+)
+PERTURBATIONS = (
+    0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+    CycNumber.root_of_unity(3), CycNumber.root_of_unity(4),
+    CycNumber.root_of_unity(5, 2), CycNumber.root_of_unity(8, 3),
+    CycNumber.root_of_unity(9), -CycNumber.root_of_unity(12, 5),
+)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A base table with one entry shifted by, or replaced with, a small
+    value that may leave the table's field."""
+    t = draw(st.sampled_from(PERTURBATION_BASES))
+    rows = [list(r) for r in t.characters]
+    i = draw(st.integers(0, t.k - 1))
+    c = draw(st.integers(0, t.k - 1))
+    v = draw(st.sampled_from(PERTURBATIONS))
+    # the table constructor coerces a plain rational replacement
+    rows[i][c] = rows[i][c] + v if draw(st.booleans()) else v
+    return CharacterTable(t.order, t.class_sizes, rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_tables())
+def test_perturbed_tables_match_per_term_sums(t):
+    assert validate_table(t) == naive_validate(t)
+    got = _outcome(lambda t: fusion_from_table(t).N, t)
+    assert got == _outcome(_naive_ring, t)
 
 
 class TestFusionFromTable:
@@ -160,11 +293,12 @@ class TestFusionFromTable:
     @pytest.mark.parametrize(
         "family,ident",
         [("corpus", name) for name in sorted(TABLE_BUILDERS)]
-        + [("cyclic", n) for n in (5, 6, 7)],
+        + [("cyclic", n) for n in range(5, 13)],
     )
     def test_matches_inner_product_oracle(self, family, ident):
         t = TABLE_BUILDERS[ident]() if family == "corpus" else cyclic_table(ident)
         assert fusion_from_table(t).N == naive_fusion(t)
+        assert validate_table(t) == naive_validate(t) == []
 
     def test_irrational_multiplicity_rejected(self):
         t = s3_table()
@@ -172,6 +306,15 @@ class TestFusionFromTable:
         rows[1][1] = CycNumber.root_of_unity(3)
         with pytest.raises(ValueError, match="irrational"):
             fusion_from_table(CharacterTable(t.order, t.class_sizes, rows))
+
+    def test_negative_multiplicity_rejected(self):
+        # the Klein table with its last row negated: chi1 chi2 = -chi3
+        rows = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [-1, 1, 1, -1]]
+        t = CharacterTable(4, [1, 1, 1, 1], rows)
+        msg = "multiplicity (1, 2, 3) = -1 is not a nonnegative integer"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            fusion_from_table(t)
+        assert _outcome(_naive_ring, t) == f"ValueError: {msg}"
 
     def test_inconsistent_table_rejected(self):
         # orthogonal rows but non-group values: multiplicities fractional

@@ -13,6 +13,8 @@ from mrfw.scalars import (
     IntPoly,
     QuadExt,
     UnsupportedFieldError,
+    _cyc_dot,
+    _cyclotomic_field,
     _integer_field,
     charpoly,
     count_real_roots,
@@ -586,6 +588,40 @@ def test_cyc_arithmetic_matches_fraction_oracle(pair, mult):
     else:
         with pytest.raises(ZeroDivisionError):
             x.inverse()
+
+
+# orders whose lcm stays small enough for the recursive _phi oracle
+FIELD_ORDERS = (1, 2, 3, 4, 5, 6, 8, 9, 12)
+
+
+@st.composite
+def cyc_values(draw):
+    n = draw(st.sampled_from(FIELD_ORDERS))
+    deg = len(_phi(n)) - 1
+    return n, tuple(draw(st.lists(cyc_coefficients, min_size=deg, max_size=deg)))
+
+
+@given(st.lists(cyc_values(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_cyclotomic_field_matches_fraction_oracle(drawn):
+    values = [CycNumber(n, xs) for n, xs in drawn]
+    n, den, nums, conjs = _cyclotomic_field(values)
+    assert n == math.lcm(*(order for order, _ in drawn))
+    assert den == math.lcm(*(f.denominator for v in values for f in v.coeffs))
+    lifted, conjugated = [], []
+    for order, xs in drawn:
+        step = n // order
+        lifted.append(_substitute(xs, order, step, n))
+        conjugated.append(_substitute(xs, order, n - step, n))
+    assert [tuple(Fraction(c, den) for c in v) for v in nums] == lifted
+    assert [tuple(Fraction(c, den) for c in v) for v in conjs] == conjugated
+    # sum of |x|^2 over the values, reduced once, against the oracle
+    total = [Fraction(0)] * (2 * len(lifted[0]) - 1)
+    for x, y in zip(lifted, conjugated):
+        for k, c in enumerate(_poly_mul(x, y)):
+            total[k] += c
+    got = _cyc_dot(n, nums, conjs)
+    assert tuple(Fraction(c, den * den) for c in got) == _mod_phi(total, n)
 
 
 def test_cyc_mixed_orders_lift_to_lcm():
