@@ -213,6 +213,17 @@ def _verdict_payload(ring: FusionRing, verdict, node_cap: int) -> dict:
     return payload
 
 
+def _same_witness(recorded, verdict) -> bool:
+    """The recorded rows are the recomputed witness's, as lists of plain
+    integers (a JSON `true` or `1.0` is not the integer 1)."""
+    if verdict.witness is None or not isinstance(recorded, list):
+        return False
+    rows = [list(r) for r in verdict.witness.all_rows()]
+    return recorded == rows and all(
+        type(x) is int for row in recorded for x in row
+    )
+
+
 @main.command(name="obstruct")
 @click.argument("ref", required=False)
 @click.option("--sweep", is_flag=True, help="classify both rank-4 bases per kappa")
@@ -227,7 +238,7 @@ def _verdict_payload(ring: FusionRing, verdict, node_cap: int) -> dict:
     help="worker processes for sweeps",
 )
 @click.option("--replay", type=click.Path(exists=False), default=None,
-              help="re-run a certificate document and compare verdicts")
+              help="re-run a certificate document and compare verdict and witness")
 def obstruct_cmd(
     ref: Optional[str],
     sweep: bool,
@@ -238,9 +249,13 @@ def obstruct_cmd(
 ) -> None:
     """Run the categorification obstruction pipeline."""
     if replay is not None:
-        ring, status, stage, cap = replay_from_payload(_load(replay, "report"))
+        payload = _load(replay, "report")
+        ring, status, stage, cap = replay_from_payload(payload)
         verdict = obstruct(ring, node_cap=cap or node_cap)
         same = verdict.status == status and verdict.stage == stage
+        if "witness" in payload and not _same_witness(payload["witness"], verdict):
+            click.echo("replay: the recorded witness differs from the recomputed one")
+            same = False
         click.echo(
             f"replay: {verdict.status} at stage {verdict.stage} "
             f"({'match' if same else 'MISMATCH'})"

@@ -249,8 +249,9 @@ def report_doc(payload: dict) -> dict:
 
 def replay_from_payload(payload: dict) -> tuple[FusionRing, Any, Any, int | None]:
     """The ring, status, stage and node cap (None when absent) that an
-    obstruction certificate records.  Other fields, such as the witness
-    rows, are not needed to replay it and are ignored."""
+    obstruction certificate records.  Other fields are not needed to
+    replay it; the CLI's replay compares the witness rows, when recorded,
+    with the recomputed ones, and ignores the rest, `steps` included."""
     _require_keys(payload, {"ring", "status", "stage"}, None, "certificate payload")
     node_cap = None
     if "node_cap" in payload:

@@ -370,6 +370,50 @@ class TestExitCodes:
         p.write_text(json.dumps(doc))
         assert_exit(invoke("obstruct", "--replay", str(p)), 2, "error: ")
 
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda w: [[9, 9, 9, 9] for _ in w],
+            lambda w: [[w[0][0] + 1] + w[0][1:]] + w[1:],
+            lambda w: w[:-1],
+            lambda w: [[True if x == 1 else x for x in row] for row in w],
+            lambda w: [[float(x) for x in row] for row in w],
+            lambda w: "x",
+            lambda w: {"rows": w},
+            lambda w: None,
+        ],
+        ids=["all-nines", "one-entry", "row-dropped", "booleans", "floats",
+             "string", "object", "null"],
+    )
+    def test_forged_witness_is_a_mismatch(self, tmp_path, certificate, forge):
+        doc = copy.deepcopy(certificate)
+        doc["payload"]["witness"] = forge(doc["payload"]["witness"])
+        doc["payload"]["steps"] = ["forged"]
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(doc))
+        result = invoke("obstruct", "--replay", str(p))
+        assert_exit(result, 1, "replay: feasible at stage gram (MISMATCH)")
+        assert "recorded witness differs" in result.output
+
+    def test_witness_on_a_verdict_without_one(self, tmp_path):
+        # C(Z_3, 1) is infeasible at i1; a witness recorded on it is forged
+        p = tmp_path / "ring.json"
+        save_document(ring_to_doc(z3_base_ring(1)), p)
+        doc = json.loads(invoke("obstruct", str(p)).output)
+        assert "witness" not in doc["payload"]
+        p.write_text(json.dumps(doc))
+        assert_exit(invoke("obstruct", "--replay", str(p)), 0, "(match)")
+        doc["payload"]["witness"] = []
+        p.write_text(json.dumps(doc))
+        assert_exit(invoke("obstruct", "--replay", str(p)), 1, "(MISMATCH)")
+
+    def test_certificate_steps_not_compared(self, tmp_path, certificate):
+        doc = copy.deepcopy(certificate)
+        doc["payload"]["steps"] = ["forged"]
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(doc))
+        assert_exit(invoke("obstruct", "--replay", str(p)), 0, "(match)")
+
     def test_certificate_extra_fields_ignored(self, tmp_path):
         doc = json.loads(invoke("obstruct", "z3-base-k3").output)
         doc["payload"]["stats"] = {"wall_s": 0.1}
@@ -501,3 +545,7 @@ class TestFuzz:
             repr(result.exception)
         )
         assert "Traceback" not in result.output
+        if command == ["obstruct", "--replay"] and path[:2] == ("payload", "witness"):
+            # a changed witness is never a match; only its removal is
+            removed = path == ("payload", "witness") and value is DELETE
+            assert (result.exit_code == 0) == removed

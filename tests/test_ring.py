@@ -5,6 +5,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from ring_oracles import cubic_ring, deligne_product, subrings_bruteforce
 
 from mrfw.corpus import (
@@ -104,6 +106,89 @@ def dense_associativity(ring):
     return []
 
 
+def dense_validate(ring):
+    """validate() by plain loops: the first violation in index order of each
+    axiom, in reporting order, with associativity from
+    dense_associativity."""
+    n, N, dual = ring.rank, ring.N, ring.dual
+    cube = list(itertools.product(range(n), repeat=3))
+    axioms = [
+        [Violation("nonnegativity", (i, j, k), "negative")
+         for i, j, k in cube if N[i][j][k] < 0],
+        [Violation("unit-law", (0, j, k), "left unit fails")
+         for j in range(n) for k in range(n) if N[0][j][k] != int(j == k)],
+        [Violation("unit-law", (i, 0, k), "right unit fails")
+         for i in range(n) for k in range(n) if N[i][0][k] != int(i == k)],
+    ]
+    for i in range(n):
+        row = [N[i][j][0] for j in range(n)]
+        if row.count(1) != 1 or sum(row) != 1:
+            axioms.append([Violation("duality-normalization", (i,),
+                                     f"unit multiplicities {row}")])
+            break
+    for i in range(n):
+        if dual[dual[i]] != i or dual[0] != 0:
+            axioms.append([Violation("duality-involution", (i,), f"dual map {dual}")])
+            break
+    axioms.append(
+        [Violation("frobenius-reciprocity", (i, j, k),
+                   f"{N[i][j][k]}, {N[dual[i]][k][j]}, {N[k][dual[j]][i]}")
+         for i, j, k in cube
+         if N[i][j][k] != N[dual[i]][k][j] or N[i][j][k] != N[k][dual[j]][i]]
+    )
+    axioms.append(dense_associativity(ring))
+    return [found[0] for found in axioms if found]
+
+
+def frobenius_orbit(ring, i, j, k):
+    """The entries N_ij^k is tied to by Frobenius reciprocity:
+    (i, j, k) ~ (i*, k, j) ~ (k, j*, i)."""
+    dual = ring.dual
+    orbit, todo = set(), [(i, j, k)]
+    while todo:
+        t = todo.pop()
+        if t not in orbit:
+            orbit.add(t)
+            a, b, c = t
+            todo += [(dual[a], c, b), (c, dual[b], a)]
+    return orbit
+
+
+# rings for the comparison with dense_validate: the corpus and C(Z_a,
+# kappa), a <= 12, where the generating set {g, extra} leaves most rows
+# unchecked
+VALIDATE_RINGS = {
+    **{name: build() for name, build in sorted(RING_BUILDERS.items())},
+    **{f"C(Z{a},{k})": mr_extend(cyclic_ring(a), k)
+       for a in range(1, 13) for k in sorted({0, 1, a})},
+}
+
+
+@st.composite
+def ring_mutants(draw):
+    """A ring of VALIDATE_RINGS with one or two entries moved by 1..5 either
+    way, with a whole Frobenius orbit moved (so that only associativity can
+    fail), or with the planes of a non-self-dual X_i and X_i* swapped."""
+    ring = VALIDATE_RINGS[draw(st.sampled_from(sorted(VALIDATE_RINGS)))]
+    n = ring.rank
+    N = [[list(row) for row in plane] for plane in ring.N]
+    index = st.integers(0, n - 1)
+    delta = st.integers(1, 5).flatmap(lambda d: st.sampled_from([d, -d]))
+    pairs = [i for i in range(n) if ring.dual[i] != i]
+    kind = draw(st.sampled_from(["entries", "orbit"] + ["swap"] * bool(pairs)))
+    if kind == "swap":
+        i = draw(st.sampled_from(pairs))
+        N[i], N[ring.dual[i]] = N[ring.dual[i]], N[i]
+    elif kind == "orbit":
+        d = draw(delta)
+        for i, j, k in frobenius_orbit(ring, draw(index), draw(index), draw(index)):
+            N[i][j][k] += d
+    else:
+        for _ in range(draw(st.integers(1, 2))):
+            N[draw(index)][draw(index)][draw(index)] += draw(delta)
+    return FusionRing(ring.labels, N)
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_rings_valid(self, name):
@@ -132,28 +217,101 @@ class TestValidate:
     @pytest.mark.parametrize(
         "name,survivors",
         [
-            # bumping the self-multiplicity of the extra simple turns
-            # C(D, kappa) into the equally valid C(D, kappa + 1)
-            ("fibonacci", {(1, 1, 1)}),
-            ("rep-s3", {(1, 1, 1)}),
-            ("z3-base-k0", {(3, 3, 3)}),
-            ("s3-base-k5", {(3, 3, 3)}),
+            # moving the self-multiplicity of the extra simple by one turns
+            # C(D, kappa) into the equally valid C(D, kappa +- 1); survivors
+            # are given per step
+            ("fibonacci", {1: {(1, 1, 1)}, -1: {(1, 1, 1)}}),
+            ("rep-s3", {1: {(1, 1, 1)}, -1: {(1, 1, 1)}}),
+            ("z3-base-k0", {1: {(3, 3, 3)}, -1: set()}),
+            ("s3-base-k5", {1: {(3, 3, 3)}, -1: {(3, 3, 3)}}),
         ],
     )
     def test_single_mutation_detected(self, name, survivors):
         ring = CORPUS[name]
         n = ring.rank
-        undetected = set()
-        for i, j, k in itertools.product(range(n), repeat=3):
+        undetected = {1: set(), -1: set()}
+        for step, i, j, k in itertools.product(undetected, *[range(n)] * 3):
             N = [[list(row) for row in plane] for plane in ring.N]
-            N[i][j][k] += 1
+            N[i][j][k] += step
             mutant = FusionRing(ring.labels, N)
             report = mutant.validate()
-            assoc = [v for v in report if v.axiom == "associativity"]
-            assert assoc == dense_associativity(mutant)
+            assert report == dense_validate(mutant)
             if report == []:
-                undetected.add((i, j, k))
+                undetected[step].add((i, j, k))
         assert undetected == survivors
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_RINGS))
+    def test_valid_rings_match_dense_oracle(self, name):
+        ring = VALIDATE_RINGS[name]
+        assert ring.validate() == dense_validate(ring) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_mutants())
+    def test_mutants_match_dense_oracle(self, mutant):
+        assert mutant.validate() == dense_validate(mutant)
+
+    @staticmethod
+    def checked_rows(ring, monkeypatch):
+        """The row sets the associativity scan is run on by validate()."""
+        rows = []
+        scan = FusionRing._associativity_violations
+
+        def spy(self, supp, checked):
+            rows.append(tuple(checked))
+            return scan(self, supp, checked)
+
+        monkeypatch.setattr(FusionRing, "_associativity_violations", spy)
+        report = ring.validate()
+        return rows, report
+
+    @staticmethod
+    def nilpotent_ring(yy=0):
+        """Basis 1, x, y, z whose only product of non-units is x x = y + z:
+        associative.  With yy = 1, y y = y and z y = -y, so that (y + z) a
+        is unchanged for every a, yet (y x) x = 0 != y (x x) = y."""
+        N = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        for i in range(4):
+            N[0][i][i] = N[i][0][i] = 1
+        N[1][1][2] = N[1][1][3] = 1
+        N[2][2][2], N[3][2][2] = yy, -yy
+        return FusionRing(["1", "x", "y", "z"], N)
+
+    @pytest.mark.parametrize("a", [2, 5, 12])
+    def test_near_group_checks_two_rows(self, a, monkeypatch):
+        # g generates the pointed part; the extra element needs its own row
+        rows, report = self.checked_rows(mr_extend(cyclic_ring(a), a), monkeypatch)
+        assert (rows, report) == ([(1,), (a,)], [])
+
+    def test_product_with_two_new_terms_waits(self, monkeypatch):
+        # x x = y + z puts y + z in W, not y or z; once the row of y is
+        # checked, z follows from x x without a check of its own
+        rows, report = self.checked_rows(self.nilpotent_ring(), monkeypatch)
+        assert rows == [(1,), (2,)]
+        assert not any(v.axiom == "associativity" for v in report)
+
+    def test_product_with_two_new_terms_adds_neither(self):
+        # the row of x passes and y + z is in W, but y is not
+        ring = self.nilpotent_ring(yy=1)
+        assert ring.validate() == dense_validate(ring)
+        assert ring.validate()[-1] == Violation("associativity", (2, 1, 1, 2), "0 != 1")
+
+    def test_row_of_x0_checked_without_left_unit(self):
+        # e e = e + x, e x = e, x e = x x = 0: the row of x passes, and
+        # only the row of X_0 = e fails
+        ring = FusionRing(["e", "x"], [[[1, 1], [1, 0]], [[0, 0], [0, 0]]])
+        assert ring.validate() == dense_validate(ring)
+        assert ring.validate()[-1] == Violation("associativity", (0, 0, 0, 0), "1 != 2")
+
+    def test_unchecked_row_still_caught(self):
+        # on C(Z_5, 2) only the rows of g and the extra element are
+        # checked; a broken entry in the plane of g^2 must still be found
+        ring = mr_extend(cyclic_ring(5), 2)
+        N = [[list(row) for row in plane] for plane in ring.N]
+        for i, j, k in frobenius_orbit(ring, 2, 2, 4):
+            N[i][j][k] += 1
+        report = FusionRing(ring.labels, N).validate()
+        assert [v.axiom for v in report] == ["associativity"]
+        assert report == dense_validate(FusionRing(ring.labels, N))
 
 
 class TestLeftMatrix:
