@@ -6,7 +6,7 @@ from __future__ import annotations
 from .chartab import CharacterTable
 from .mr import mr_extend
 from .ring import FusionRing
-from .scalars import CycNumber
+from .scalars import CycNumber, QuadExt
 
 
 def trivial_ring() -> FusionRing:
@@ -176,21 +176,23 @@ RING_BUILDERS = {
 
 
 def _premodular_fibonacci():
-    from .scalars import CycNumber
-
     z = CycNumber.root_of_unity(5)
     return fibonacci_ring(), [1, 1 + z + z ** 4], [1, z ** 2]
 
 
 def _premodular_z2_modular():
-    from .scalars import CycNumber
-
     return cyclic_ring(2), [1, 1], [1, CycNumber.root_of_unity(4)]
+
+
+def _premodular_ising():
+    twist = CycNumber.root_of_unity(16)
+    return ising_ring(), [1, 1, QuadExt.sqrt(2)], [1, -1, twist]
 
 
 PREMODULAR_BUILDERS = {
     "premodular-fibonacci": _premodular_fibonacci,
     "premodular-z2-modular": _premodular_z2_modular,
+    "premodular-ising": _premodular_ising,
 }
 
 

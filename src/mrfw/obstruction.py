@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .corpus import cyclic_ring, rep_s3_ring
+from .mr import mr_extend
 from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim
 from .scalars import (
     ExactnessError,
@@ -576,23 +578,11 @@ class ClassificationTable:
         return [k for k, row in self.verdicts if row[c] == FEASIBLE]
 
 
-_RANK4_BASES = ("z3-pointed", "rep-s3")
-
-
-def _rank4_ring(base: str, kappa: int) -> FusionRing:
-    from .corpus import s3_base_ring, z3_base_ring
-
-    if base == "z3-pointed":
-        return z3_base_ring(kappa)
-    if base == "rep-s3":
-        return s3_base_ring(kappa)
-    raise ValueError(f"unknown base {base!r}")
-
-
-def _classify_cell(args: tuple[str, int, int]) -> tuple[str, int, str]:
-    base, kappa, node_cap = args
-    verdict = obstruct(_rank4_ring(base, kappa), node_cap)
-    return base, kappa, verdict.status
+def _classify_cell(
+    args: tuple[str, FusionRing, int, int]
+) -> tuple[str, int, str]:
+    name, base, kappa, node_cap = args
+    return name, kappa, obstruct(mr_extend(base, kappa), node_cap).status
 
 
 def classify_rank4_mr(
@@ -604,24 +594,24 @@ def classify_rank4_mr(
     range and merge the verdicts deterministically."""
     if kappa_max < 0:
         raise ValueError("kappa_max must be nonnegative")
+    bases = {"z3-pointed": cyclic_ring(3), "rep-s3": rep_s3_ring()}
+    for base in bases.values():
+        fpdims(base)  # validated once; the cached facts pickle with the ring
     cells = [
-        (base, k, node_cap)
-        for base in _RANK4_BASES
+        (name, base, k, node_cap)
+        for name, base in bases.items()
         for k in range(kappa_max + 1)
     ]
-    results: dict[tuple[str, int], str] = {}
     if jobs is not None and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for base, k, status in pool.map(_classify_cell, cells):
-                results[(base, k)] = status
+            statuses = list(pool.map(_classify_cell, cells))
     else:
-        for cell in cells:
-            base, k, status = _classify_cell(cell)
-            results[(base, k)] = status
+        statuses = list(map(_classify_cell, cells))
+    results = {(name, k): status for name, k, status in statuses}
     verdicts = tuple(
-        (k, tuple(results[(base, k)] for base in _RANK4_BASES))
+        (k, tuple(results[(name, k)] for name in bases))
         for k in range(kappa_max + 1)
     )
-    return ClassificationTable(kappa_max, _RANK4_BASES, verdicts)
+    return ClassificationTable(kappa_max, tuple(bases), verdicts)

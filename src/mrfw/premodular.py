@@ -24,7 +24,9 @@ from .scalars import (
     CycNumber,
     QuadExt,
     RationalLike,
-    UnsupportedFieldError,
+    _cyc,
+    _cyc_dot,
+    _cyclotomic_field,
     embed_quadratic,
 )
 
@@ -40,13 +42,7 @@ def _to_cyc(x) -> CycNumber:
     if isinstance(x, CycNumber):
         return x
     if isinstance(x, QuadExt):
-        if x.is_rational:
-            return CycNumber.from_rational(x.as_fraction())
-        if x.D == 5:
-            return embed_quadratic(x, 5)
-        raise UnsupportedFieldError(
-            f"cannot mix sqrt({x.D}) values into a cyclotomic S-matrix"
-        )
+        return embed_quadratic(x)
     return CycNumber.from_rational(x)
 
 
@@ -71,49 +67,9 @@ def smatrix(
     dims: Sequence[ScalarLike],
     twists: Sequence[ScalarLike],
 ) -> list[list[CycNumber]]:
-    """S-matrix by the balancing equation, entry-wise and exact.
-
-    Dimensions must be multiplicative against the fusion rules and twists
-    must be roots of unity with a trivial twist on the unit; both are
-    verified.  Quadratic irrational dimensions are supported only for the
-    golden field (sqrt 5); other fields raise UnsupportedFieldError.  The
-    ring must satisfy the fusion axioms (InvalidRingError otherwise).
-    """
-    ring.require_valid()
-    n = ring.rank
-    d = [_to_cyc(x) for x in dims]
-    t = [_to_cyc(x) for x in twists]
-    if len(d) != n or len(t) != n:
-        raise ValueError("dims and twists must have one entry per basis element")
-    if t[0] != 1:
-        raise ValueError("twist of the unit must be 1")
-    if d[0] != 1:
-        raise ValueError("dimension of the unit must be 1")
-    for i, tw in enumerate(t):
-        if not _is_root_of_unity(tw):
-            raise ValueError(f"twist {i} is not a root of unity")
-    for i in range(n):
-        for j in range(n):
-            acc = CycNumber.from_rational(0)
-            for k in range(n):
-                acc = acc + ring.N[i][j][k] * d[k]
-            if acc != d[i] * d[j]:
-                raise ValueError(
-                    f"dimensions are not multiplicative at ({i}, {j})"
-                )
-    t_inv = [tw.inverse() for tw in t]
-    td = [tw * dk for tw, dk in zip(t, d)]
-    S: list[list[CycNumber]] = []
-    for i in range(n):
-        row: list[CycNumber] = []
-        for j in range(n):
-            acc = CycNumber.from_rational(0)
-            for k in range(n):
-                if ring.N[i][j][k]:
-                    acc = acc + ring.N[i][j][k] * td[k]
-            row.append(t_inv[i] * t_inv[j] * acc)
-        S.append(row)
-    return S
+    """S-matrix by the balancing equation, entry-wise and exact: the rows
+    of `premodular_data(ring, dims, twists).S`, which validates the input."""
+    return [list(r) for r in premodular_data(ring, dims, twists).S]
 
 
 def premodular_data(
@@ -121,13 +77,52 @@ def premodular_data(
     dims: Sequence[ScalarLike],
     twists: Sequence[ScalarLike],
 ) -> PremodularData:
-    S = smatrix(ring, dims, twists)
-    return PremodularData(
-        ring,
-        tuple(_to_cyc(x) for x in dims),
-        tuple(_to_cyc(x) for x in twists),
-        tuple(tuple(row) for row in S),
-    )
+    """Dimensions, twists and S-matrix, all over Q(zeta_m) with m the lcm
+    of their orders.  The ring must pass the axiom check (InvalidRingError
+    otherwise); twists must be roots of unity, trivial on the unit, and
+    dims multiplicative against the fusion rules (ValueError otherwise).
+
+    An irrational quadratic dim d_i is screened before it is embedded: it
+    and its conjugate are eigenvalues of the fusion matrix of X_i, so it
+    must be an algebraic integer with both within that matrix's largest
+    row sum.  The sums run in integer coordinates over one denominator;
+    a twist's inverse is its complex conjugate.
+    """
+    ring.require_valid()
+    n = ring.rank
+    if len(dims) != n or len(twists) != n:
+        raise ValueError("dims and twists must have one entry per basis element")
+    if twists[0] != 1:
+        raise ValueError("twist of the unit must be 1")
+    if dims[0] != 1:
+        raise ValueError("dimension of the unit must be 1")
+    for i, x in enumerate(twists):
+        # a real quadratic irrational is never a root of unity
+        irrational = isinstance(x, QuadExt) and not x.is_rational
+        if irrational or not _is_root_of_unity(_to_cyc(x)):
+            raise ValueError(f"twist {i} is not a root of unity")
+    for i, x in enumerate(dims):
+        if isinstance(x, QuadExt) and not x.is_rational:
+            b = max(map(sum, ring.N[i]))
+            if not x.is_algebraic_integer() or max(x * x, x.conjugate() ** 2) > b * b:
+                raise ValueError(f"dimension {i} is not a fusion matrix eigenvalue")
+    d = [_to_cyc(x) for x in dims]
+    t = [_to_cyc(x) for x in twists]
+    m, den, nums, conjs = _cyclotomic_field(d + [a * b for a, b in zip(t, d)] + t)
+    dv, tdv, t_inv = nums[:n], nums[n : 2 * n], conjs[2 * n :]
+    S = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            Nij = ring.N[i][j]
+            lhs = _cyc_dot(m, [(den * c,) for c in Nij], dv)
+            if lhs != _cyc_dot(m, (dv[i],), (dv[j],)):
+                raise ValueError(f"dimensions are not multiplicative at ({i}, {j})")
+            acc = _cyc_dot(m, [(c,) for c in Nij], tdv)
+            inv = _cyc_dot(m, (t_inv[i],), (t_inv[j],))
+            row.append(_cyc(m, _cyc_dot(m, (inv,), (acc,)), den ** 3))
+        S.append(tuple(row))
+    return PremodularData(ring, tuple(d), tuple(t), tuple(S))
 
 
 def centralizer_of(data: PremodularData, subset: Iterable[int]) -> frozenset[int]:

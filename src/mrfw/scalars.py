@@ -1062,19 +1062,32 @@ def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
 # embedding quadratic values into cyclotomic fields
 
 
-def embed_quadratic(x: QuadExt, order: int) -> CycNumber:
-    """Embed p + q*sqrt(D) into Q(zeta_order).
+def embed_quadratic(x: QuadExt) -> CycNumber:
+    """Embed p + q*sqrt(D), with sqrt(D) > 0, into Q(zeta_f) for the
+    conductor f: D when D = 1 mod 4, else 4D (rationals stay at order 1).
 
-    Only the cases actually needed by the workbench are supported: rational
-    values (any order) and D = 5 with 5 | order, where
-    sqrt(5) = 1 + 2*zeta_5 + 2*zeta_5^4.
+    sqrt(D) is the product of sqrt(2) = zeta_8 + zeta_8^-1 if D is even,
+    the Gauss sum g_p = sum_a (a/p) zeta_p^a per odd prime p | D, each one
+    integer vector reduced once, and i^-k for the k of those p = 3 mod 4:
+    g_p = sqrt(p) if p = 1 mod 4, i*sqrt(p) if p = 3 mod 4 (Gauss).
     """
-    if x.q == 0:
-        return CycNumber(order, [x.p])
-    if x.D == 5 and order % 5 == 0:
-        z = CycNumber.root_of_unity(order, order // 5)
-        sqrt5 = 1 + 2 * z + 2 * z ** 4
-        return x.p + x.q * sqrt5
-    raise UnsupportedFieldError(
-        f"cannot embed sqrt({x.D}) into the {order}-th cyclotomic field"
-    )
+    if x.is_rational:
+        return CycNumber.from_rational(x.as_fraction())
+    D = x.D
+    f = D if D % 4 == 1 else 4 * D
+    primes: list[int] = []
+    for p in range(2, D + 1):
+        if D % p == 0 and all(p % r for r in primes):  # D is squarefree
+            primes.append(p)
+    k = sum(p % 4 == 3 for p in primes)
+    # i^-k = (-1)^(k // 2) (-i)^(k % 2); 4 | f when k is odd
+    root = CycNumber.root_of_unity(f, 3 * f // 4 if k % 2 else 0)
+    for p in primes:
+        work = [0] * f
+        if p == 2:
+            work[f // 8] = work[7 * f // 8] = 1
+        else:
+            for a in range(1, p):
+                work[a * (f // p)] = 1 if pow(a, p // 2, p) == 1 else -1
+        root = root * _cyc(f, _reduce_ints(work, f), 1)
+    return x.p + x.q * (-1) ** (k // 2) * root

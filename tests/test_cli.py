@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from mrfw.corpus import (
 )
 from mrfw.mr import mr_extend
 from mrfw.obstruction import DEFAULT_NODE_CAP, obstruct
+from mrfw.scalars import QuadExt
 from mrfw.serialize import (
     load_document,
     premodular_to_doc,
@@ -52,7 +54,9 @@ def swapped_z2_payload():
 
 class TestCheck:
     @pytest.mark.parametrize(
-        "name", ["fibonacci", "s3-base-k5", "ising", "s3-table", "premodular-fibonacci"]
+        "name",
+        ["fibonacci", "s3-base-k5", "ising", "s3-table", "premodular-fibonacci",
+         "premodular-ising"],
     )
     def test_corpus_valid(self, name):
         result = invoke("check", name)
@@ -288,6 +292,26 @@ class TestSmatrix:
         assert doc["payload"]["degeneracy"] == "non-degenerate"
 
 
+    def test_ising(self):
+        result = invoke("smatrix", "premodular-ising")
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)["payload"]
+        assert payload["degeneracy"] == "non-degenerate"
+        assert payload["S"][2][2] == 0
+        assert_exit(invoke("check", "premodular-ising"), 0, "valid premodular")
+
+    @pytest.mark.parametrize("command", ["check", "smatrix"])
+    def test_large_radicand_refused_before_embedding(self, tmp_path, command):
+        # sqrt(10007) would live in Q(zeta_40028); it is no eigenvalue of a
+        # Z_2 fusion matrix, so it is refused before any field is built
+        doc = premodular_to_doc(cyclic_ring(2), [1, QuadExt.sqrt(10007)], [1, 1])
+        p = tmp_path / "sqrt10007.json"
+        save_document(doc, p)
+        start = time.perf_counter()
+        result = invoke(command, str(p))
+        assert time.perf_counter() - start < 2
+        assert_exit(result, 1, "INVALID: dimension 1")
+
     def test_invalid_ring_rejected(self, tmp_path):
         doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
         doc["payload"]["ring"] = swapped_z2_payload()
@@ -477,8 +501,9 @@ class TestCanonicalOutput:
         "args",
         [["obstruct", "--sweep", "--kappa-max", "6"],
          ["smatrix", "premodular-fibonacci"],
-         ["smatrix", "premodular-z2-modular"]],
-        ids=["sweep", "smatrix-fibonacci", "smatrix-z2"],
+         ["smatrix", "premodular-z2-modular"],
+         ["smatrix", "premodular-ising"]],
+        ids=["sweep", "smatrix-fibonacci", "smatrix-z2", "smatrix-ising"],
     )
     def test_reports(self, args):
         result = invoke(*args)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mrfw.corpus import (
 )
 from mrfw.premodular import (
     _det,
+    _to_cyc,
     NON_DEGENERATE,
     PROPERLY_DEGENERATE,
     SYMMETRIC,
@@ -22,7 +24,7 @@ from mrfw.premodular import (
     tannakian_row_obstruction,
 )
 from mrfw.ring import FusionRing, InvalidRingError, detect_mr, fpdims
-from mrfw.scalars import CycNumber, QuadExt, UnsupportedFieldError
+from mrfw.scalars import CycNumber, QuadExt
 
 Z5 = CycNumber.root_of_unity(5)
 PHI = 1 + Z5 + Z5 ** 4
@@ -102,10 +104,128 @@ class TestSMatrix:
         with pytest.raises(InvalidRingError):
             smatrix(ring, [1, 1], [1, 1])
 
-    def test_unsupported_field(self):
-        dims = fpdims(ising_ring()).dims  # contains sqrt(2)
-        with pytest.raises(UnsupportedFieldError):
-            smatrix(ising_ring(), list(dims), [1, 1, 1])
+    def test_ising_every_twist_is_modular(self):
+        # the near-group C(Z_2, 0) with dims (1, 1, sqrt 2) and theta_g = -1:
+        # S S-bar^T is the global dimension 4 times the identity
+        ring = ising_ring()
+        dims = [1, 1, QuadExt.sqrt(2)]
+        z16 = CycNumber.root_of_unity(16)
+        for j in range(8):
+            data = premodular_data(ring, dims, [1, -1, z16 ** (2 * j + 1)])
+            S = data.S
+            for a in range(3):
+                for b in range(3):
+                    acc = sum(
+                        (S[a][k] * S[b][k].conjugate() for k in range(3)),
+                        CycNumber.from_rational(0),
+                    )
+                    assert acc == (4 if a == b else 0), (j, a, b)
+            assert degeneracy_class(data).label == NON_DEGENERATE
+            assert S[2][2] == 0 and S[0][2] * S[0][2] == 2
+
+    def test_galois_conjugate_dims_accepted(self):
+        # (1 - sqrt 5)/2 is the other eigenvalue of X's fusion matrix
+        dims = [1, (1 - QuadExt.sqrt(5)) * Fraction(1, 2)]
+        data = premodular_data(fibonacci_ring(), dims, [1, Z5])
+        assert data.S[1][1] == -1
+        assert degeneracy_class(data).label == NON_DEGENERATE
+
+    @pytest.mark.parametrize(
+        "ring,dim",
+        [
+            (fibonacci_ring(), QuadExt.sqrt(5)),  # beyond the row sum 2
+            (fibonacci_ring(), QuadExt.sqrt(2) * Fraction(1, 2)),  # not integral
+            (cyclic_ring(2), QuadExt.sqrt(10007)),  # would need Q(zeta_40028)
+        ],
+        ids=["sqrt5", "half-sqrt2", "sqrt10007"],
+    )
+    def test_quadratic_dim_screened_before_embedding(self, ring, dim):
+        with pytest.raises(ValueError, match="dimension 1 is not a fusion matrix"):
+            premodular_data(ring, [1, dim], [1, 1])
+
+    def test_irrational_twist_is_not_a_root_of_unity(self):
+        with pytest.raises(ValueError, match="twist 1 is not a root of unity"):
+            premodular_data(cyclic_ring(2), [1, 1], [1, QuadExt.sqrt(10007)])
+
+
+def reference_smatrix(ring, dims, twists):
+    """The balancing equation summed term by term in CycNumber arithmetic,
+    after the per-pair multiplicativity check: the oracle for `smatrix`."""
+    n = ring.rank
+    d = [_to_cyc(x) for x in dims]
+    t = [_to_cyc(x) for x in twists]
+    for i in range(n):
+        for j in range(n):
+            acc = CycNumber.from_rational(0)
+            for k in range(n):
+                acc = acc + ring.N[i][j][k] * d[k]
+            if acc != d[i] * d[j]:
+                raise ValueError(
+                    f"dimensions are not multiplicative at ({i}, {j})"
+                )
+    t_inv = [tw.inverse() for tw in t]
+    td = [tw * dk for tw, dk in zip(t, d)]
+    S = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = CycNumber.from_rational(0)
+            for k in range(n):
+                if ring.N[i][j][k]:
+                    acc = acc + ring.N[i][j][k] * td[k]
+            row.append(t_inv[i] * t_inv[j] * acc)
+        S.append(row)
+    return S
+
+
+def reference_cases():
+    for n in range(1, 9):
+        for order in (n, 2 * n):
+            z = CycNumber.root_of_unity(order)
+            twists = [z ** (k * k) for k in range(n)]
+            yield f"z{n}-zeta{order}", cyclic_ring(n), [1] * n, twists
+    phi_q = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
+    for name, phi in (("cyc", PHI), ("quad", phi_q)):
+        for power in (2, 3):
+            yield f"fibonacci-{name}-{power}", fibonacci_ring(), [1, phi], [1, Z5 ** power]
+    yield "rep-s3", rep_s3_ring(), [1, 2, 1], [1, 1, 1]
+    yield "z3-base", z3_base_ring(2), [1, 1, 1, 3], [1, 1, 1, 1]
+    yield "z4-partial", cyclic_ring(4), [1, 1, 1, 1], [1, I4, 1, I4]
+
+
+REFERENCE_CASES = {name: rest for name, *rest in reference_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_smatrix_matches_per_term_reference(name):
+    ring, dims, twists = REFERENCE_CASES[name]
+    want = reference_smatrix(ring, dims, twists)
+    assert smatrix(ring, dims, twists) == want
+    data = premodular_data(ring, dims, twists)
+    assert data.S == tuple(tuple(row) for row in want)
+    assert data.dims == tuple(_to_cyc(x) for x in dims)
+    assert data.twists == tuple(_to_cyc(x) for x in twists)
+    # one field for every entry: the lcm of the input orders
+    m = math.lcm(*(x.order for x in data.dims + data.twists))
+    assert {x.order for row in data.S for x in row} == {m}
+
+
+@pytest.mark.parametrize(
+    "ring,dims",
+    [
+        (rep_s3_ring(), [1, 2, -1]),
+        (rep_s3_ring(), [1, 1, 1]),
+        (z3_base_ring(2), [1, 1, 1, 2]),
+        (cyclic_ring(3), [1, 1, -1]),
+    ],
+)
+def test_multiplicativity_message_matches_reference(ring, dims):
+    twists = [1] * ring.rank
+    with pytest.raises(ValueError) as want:
+        reference_smatrix(ring, dims, twists)
+    with pytest.raises(ValueError) as got:
+        smatrix(ring, dims, twists)
+    assert str(got.value) == str(want.value)
 
 
 class TestCentralizer:

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import pickle
@@ -496,14 +497,57 @@ class TestCyclotomic:
         assert i ** 2 == -1
 
     def test_embed_sqrt5(self):
-        s5 = embed_quadratic(QuadExt.sqrt(5), 5)
-        assert s5 * s5 == 5
-        phi = embed_quadratic((1 + QuadExt.sqrt(5)) * Fraction(1, 2), 5)
+        s5 = embed_quadratic(QuadExt.sqrt(5))
+        assert s5.order == 5 and s5 * s5 == 5
+        phi = embed_quadratic((1 + QuadExt.sqrt(5)) * Fraction(1, 2))
         assert phi * phi == phi + 1
+        z = CycNumber.root_of_unity(5)
+        assert phi == 1 + z + z ** 4
 
-    def test_embed_unsupported(self):
-        with pytest.raises(UnsupportedFieldError):
-            embed_quadratic(QuadExt.sqrt(2), 5)
+
+def conductor(D: int) -> int:
+    """Conductor of Q(sqrt(D)) for squarefree D > 0 (1 for D = 1)."""
+    if D == 1:
+        return 1
+    return D if D % 4 == 1 else 4 * D
+
+
+def complex_value(x: CycNumber) -> complex:
+    """x at zeta_n = exp(2 pi i / n), in floating point."""
+    return sum(
+        float(c) * cmath.exp(2j * math.pi * k / x.order)
+        for k, c in enumerate(x.coeffs)
+    )
+
+
+SQUAREFREE_UP_TO_100 = [D for D in range(1, 101) if squarefree_decompose(D) == (1, D)]
+
+
+@pytest.mark.parametrize("D", SQUAREFREE_UP_TO_100)
+def test_embed_sqrt_is_the_positive_root_at_the_conductor(D):
+    root = embed_quadratic(QuadExt.sqrt(D))
+    assert root * root == D
+    assert root.conjugate() == root
+    assert root.order == conductor(D)
+    # positive, and the real square root, at the standard complex embedding
+    assert abs(complex_value(root) - math.sqrt(D)) < 1e-9
+
+
+EMBED_RADICANDS = (2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35)
+
+
+@given(
+    st.lists(st.tuples(oracle_parts, oracle_parts), min_size=2, max_size=2),
+    st.sampled_from(EMBED_RADICANDS),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_embedding_is_a_ring_homomorphism(parts, D, rational):
+    (p1, q1), (p2, q2) = parts
+    x, y = QuadExt(p1, q1, D), QuadExt(p2, 0 if rational else q2, D)
+    ex, ey = embed_quadratic(x), embed_quadratic(y)
+    assert embed_quadratic(x + y) == ex + ey
+    assert embed_quadratic(x * y) == ex * ey
 
 
 # ---------------------------------------------------------------------------
