@@ -23,13 +23,12 @@ from typing import Optional
 
 from .corpus import cyclic_ring, rep_s3_ring
 from .mr import mr_extend
-from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim
+from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim, left_charpoly
 from .scalars import (
     ExactnessError,
     QuadExt,
     UnsupportedFieldError,
     _integer_field,
-    charpoly,
     factor_linear_quadratic,
 )
 
@@ -46,17 +45,19 @@ FEASIBLE_MEANING = (
 
 
 def codegree_matrix(ring: FusionRing) -> list[list[int]]:
-    """M = sum over basis elements T of M_T * transpose(M_T), the matrix of
-    left multiplication by sum T (x) T*:
+    """M = sum over basis elements T of M_T * transpose(M_T):
     M[i][j] = sum over T and k of N_Ti^k N_Tj^k.  Symmetric with
     nonnegative entries; its eigenvalues are the formal codegrees (Ostrik,
-    arXiv:0810.3242, arXiv:1309.4822)."""
+    arXiv:0810.3242, arXiv:1309.4822).
+
+    Reciprocity gives transpose(M_T) = M_T*, so M is the matrix of left
+    multiplication by the one ring element C = sum T (x) T*, also on a
+    noncommutative ring, and is built as `element_matrix(C)`."""
     ring.require_valid()
-    n, N = ring.rank, ring.N
-    return [
-        [sum(_dot(plane[i], plane[j]) for plane in N) for j in range(n)]
-        for i in range(n)
-    ]
+    n, N, dual = ring.rank, ring.N, ring.dual
+    return ring.element_matrix(
+        [sum(N[t][dual[t]][m] for t in range(n)) for m in range(n)]
+    )
 
 
 def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
@@ -68,11 +69,12 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     most its largest row sum.  Raises ExactnessError when the
     characteristic polynomial does not split into linear and quadratic
     factors over the integers."""
-    return _codegrees_of(codegree_matrix(ring))
+    return _codegrees_of(ring, codegree_matrix(ring))
 
 
-def _codegrees_of(M: list[list[int]]) -> tuple[QuadExt, ...]:
-    fact = factor_linear_quadratic(charpoly(M), max(map(sum, M)))
+def _codegrees_of(ring: FusionRing, M: list[list[int]]) -> tuple[QuadExt, ...]:
+    """Codegrees from the codegree matrix M of `ring`."""
+    fact = factor_linear_quadratic(left_charpoly(ring, M), max(map(sum, M)))
     if fact.residual.degree > 0:
         raise ExactnessError(
             f"codegree polynomial has an unresolved factor of degree "
@@ -107,7 +109,7 @@ def induction_data(ring: FusionRing) -> InductionData:
             "the induced objects is the codegree matrix only then"
         )
     H = codegree_matrix(ring)
-    cod = _codegrees_of(H)
+    cod = _codegrees_of(ring, H)
     total = global_fpdim(ring)
     if cod[0] != total:
         raise ExactnessError(

@@ -6,6 +6,7 @@ detection of maximal-rank subring structure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,7 +17,6 @@ from .scalars import (
     IntPoly,
     QuadExt,
     _integer_field,
-    charpoly,
     count_real_roots,
     factor_linear_quadratic,
     largest_real_root_bounds,
@@ -232,10 +232,19 @@ class FusionRing:
 
     # -- basic constructions
 
+    def element_matrix(self, y: Sequence[int]) -> list[list[int]]:
+        """Matrix of left multiplication by y = sum_i y_i X_i: row j lists
+        y (x) X_j in the basis.  Row 0 is y itself."""
+        support = [i for i, c in enumerate(y) if c] or [0]
+        coeffs = [y[i] for i in support]
+        # item j of rows holds row j of the plane of each support element
+        rows = zip(*(self.N[i] for i in support))
+        return [[sum(map(operator.mul, coeffs, col)) for col in zip(*r)] for r in rows]
+
     def left_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of left multiplication by X_i: row j lists X_i (x) X_j in
-        the basis."""
-        return [list(self.N[i][j]) for j in range(self.rank)]
+        """Matrix of left multiplication by X_i: `element_matrix` of the
+        basis vector e_i."""
+        return self.element_matrix([int(k == i) for k in range(self.rank)])
 
     def support(self, i: int, j: int) -> list[int]:
         return [k for k in range(self.rank) if self.N[i][j][k] > 0]
@@ -365,8 +374,35 @@ def _left_spectrum(ring: FusionRing, i: int) -> tuple[IntPoly, Factorization]:
     """Characteristic polynomial of X_i's left-multiplication matrix and its
     factorization, with roots bounded by the largest row sum."""
     M = ring.left_matrix(i)
-    poly = charpoly(M)
+    poly = left_charpoly(ring, M)
     return poly, factor_linear_quadratic(poly, max(map(sum, M)))
+
+
+def left_charpoly(ring: FusionRing, M: Sequence[Sequence[int]]) -> IntPoly:
+    """Characteristic polynomial det(xI - M) of M = ring.element_matrix(y).
+
+    Precondition: `ring` is valid and M is one of its element matrices;
+    other input gives a wrong polynomial or ArithmeticError.  Left
+    multiplication is a representation of the associative ring, so
+    M^k = element_matrix(y^k), and the trace of element_matrix(z) is
+    tau . z with tau_i = sum_j N_ij^j.  The power y^k = e_0 M^k is one
+    vector-matrix product away from y^(k-1), so the power sums
+    p_k = tr M^k cost n vector products, not n matrix products, and
+    Newton's identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+    give the integer coefficients with exact divisions."""
+    n = ring.rank
+    tau = [sum(plane[j][j] for j in range(n)) for plane in ring.N]
+    cols = list(zip(*M))
+    power = [int(k == 0) for k in range(n)]
+    sums, cs = [], [1]  # sums[k - 1] = p_k, cs[k] = coeff of x^(n-k)
+    for k in range(1, n + 1):
+        power = [sum(map(operator.mul, power, col)) for col in cols]
+        sums.append(sum(map(operator.mul, tau, power)))
+        q, r = divmod(-sum(map(operator.mul, cs, reversed(sums))), k)
+        if r:
+            raise ArithmeticError("charpoly produced a non-integer coefficient")
+        cs.append(q)
+    return IntPoly(cs[::-1])
 
 
 def _elementwise_dim(

@@ -424,8 +424,9 @@ def _mat_mul(A, B):
 
 
 def charpoly(M: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial det(xI - M) via the Faddeev-LeVerrier
-    recurrence, exact over the rationals."""
+    """Characteristic polynomial det(xI - M) of a generic square matrix by
+    the Faddeev-LeVerrier recurrence: the reference for bare matrices.
+    Ring spectra use `ring.left_charpoly`."""
     n = len(M)
     for row in M:
         if len(row) != n:

@@ -1,8 +1,9 @@
 """Test-side helpers shared by several test modules: the exhaustive subring
 oracle that `subrings` is compared against, the forgetful images of the
 induced objects that `codegree_matrix` is compared against, a ring whose FP
-dimensions lie outside every quadratic field, the Deligne product of two
-rings, and the stdlib text that `canonical_dumps` is compared against."""
+dimensions lie outside every quadratic field, a noncommutative ring with
+irrational dimensions, the Deligne product of two rings, and the stdlib
+text that `canonical_dumps` is compared against."""
 
 import itertools
 import json
@@ -53,6 +54,22 @@ def cubic_ring():
         for k in ks:
             N[i][j][k] = N[j][i][k] = 1
     return FusionRing(["1", "X", "Y"], N)
+
+
+def haagerup_izumi_ring():
+    """Z_3 = {g^a} and g^a rho, a in Z_3, at indices a and 3 + a:
+    rho g = g^-1 rho and rho rho = 1 + sum_h g^h rho.  Noncommutative, and
+    each g^a rho has dimension (3 + sqrt(13)) / 2."""
+    N = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for a in range(3):
+        for b in range(3):
+            N[a][b][(a + b) % 3] = 1
+            N[a][3 + b][3 + (a + b) % 3] = 1
+            N[3 + a][b][3 + (a - b) % 3] = 1
+            N[3 + a][3 + b][(a - b) % 3] = 1
+            for h in range(3):
+                N[3 + a][3 + b][3 + h] = 1
+    return FusionRing([f"g{a}" for a in range(3)] + [f"g{a}rho" for a in range(3)], N)
 
 
 def deligne_product(R, S):

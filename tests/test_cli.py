@@ -312,6 +312,19 @@ class TestSmatrix:
         assert time.perf_counter() - start < 2
         assert_exit(result, 1, "INVALID: dimension 1")
 
+    @pytest.mark.parametrize("command", ["check", "smatrix"])
+    def test_huge_cyclotomic_order_refused(self, tmp_path, command):
+        # building Q(zeta_40028) would stall the command for tens of
+        # seconds; the order is refused while the document is read
+        doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
+        doc["payload"]["twists"][1] = {"order": 40028, "coeffs": [0, 1]}
+        p = tmp_path / "order40028.json"
+        save_document(doc, p)
+        start = time.perf_counter()
+        result = invoke(command, str(p))
+        assert time.perf_counter() - start < 2
+        assert_exit(result, 1, "INVALID: cyclotomic order 40028")
+
     def test_invalid_ring_rejected(self, tmp_path):
         doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
         doc["payload"]["ring"] = swapped_z2_payload()

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
-from ring_oracles import cubic_ring, deligne_product, induction_images
+from ring_oracles import (
+    cubic_ring,
+    deligne_product,
+    haagerup_izumi_ring,
+    induction_images,
+)
 
 from mrfw.chartab import fusion_from_table
 from mrfw.corpus import (
@@ -35,7 +40,7 @@ from mrfw.obstruction import (
     induction_data,
     obstruct,
 )
-from mrfw.ring import fpdims, global_fpdim
+from mrfw.ring import fpdims, global_fpdim, left_charpoly
 from mrfw.scalars import QuadExt, UnsupportedFieldError, charpoly
 
 
@@ -108,7 +113,14 @@ class TestCodegrees:
 
     @pytest.mark.parametrize(
         "ring",
-        [fibonacci_ring(), ising_ring(), z3_base_ring(4), s3_base_ring(3)],
+        [
+            fibonacci_ring(),
+            ising_ring(),
+            z3_base_ring(4),
+            s3_base_ring(3),
+            s3_group_ring(),
+            haagerup_izumi_ring(),
+        ],
     )
     def test_largest_codegree_is_global_dim(self, ring):
         assert codegrees(ring)[0] == global_fpdim(ring)
@@ -189,6 +201,46 @@ def commutative_rings():
         fibonacci_ring(), ising_ring()
     )
     yield "cubic", cubic_ring
+
+
+def noncommutative_rings():
+    yield "S3", s3_group_ring
+    yield "haagerup-izumi", haagerup_izumi_ring
+
+
+class TestRegularRepresentation:
+    """Ring spectra in the regular representation: `left_charpoly` against
+    the generic Faddeev-LeVerrier `charpoly`, and the codegree matrix, one
+    element matrix, against its definition."""
+
+    def test_left_charpoly_matches_charpoly(self):
+        count = 0
+        for name, build in [*commutative_rings(), *noncommutative_rings()]:
+            ring = build()
+            n = ring.rank
+            for i in range(n):
+                M = ring.element_matrix([int(k == i) for k in range(n)])
+                assert M == [list(row) for row in ring.N[i]] == ring.left_matrix(i)
+                assert left_charpoly(ring, M) == charpoly(M), (name, i)
+            H = codegree_matrix(ring)
+            assert left_charpoly(ring, H) == charpoly(H), name
+            count += 1
+        assert count == 192
+
+    @pytest.mark.parametrize("name, build", list(noncommutative_rings()))
+    def test_codegree_matrix_definition(self, name, build):
+        # sum over T of M_T M_T^T, from the structure constants alone; the
+        # element-matrix construction needs M_T^T = M_T*, which holds on
+        # noncommutative rings too
+        ring = build()
+        assert not ring.is_commutative
+        n, N = ring.rank, ring.N
+        naive = [
+            [sum(N[T][i][k] * N[T][j][k] for T in range(n) for k in range(n))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        assert codegree_matrix(ring) == naive
 
 
 class TestInductionImages:

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ring_oracles import cubic_ring, deligne_product, subrings_bruteforce
+from ring_oracles import (
+    cubic_ring,
+    deligne_product,
+    haagerup_izumi_ring,
+    subrings_bruteforce,
+)
 
 from mrfw.corpus import (
     RING_BUILDERS,
@@ -58,22 +63,6 @@ PHI = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
 
 # C(Z_a, kappa) for a <= 8, as (a, kappa) pairs
 SMALL_NEAR_GROUPS = [(a, k) for a in range(1, 9) for k in sorted({0, 1, a})]
-
-
-def haagerup_izumi_ring():
-    """Z_3 = {g^a} and g^a rho, a in Z_3, at indices a and 3 + a:
-    rho g = g^-1 rho and rho rho = 1 + sum_h g^h rho.  Noncommutative, and
-    each g^a rho has dimension (3 + sqrt(13)) / 2."""
-    N = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-    for a in range(3):
-        for b in range(3):
-            N[a][b][(a + b) % 3] = 1
-            N[a][3 + b][3 + (a + b) % 3] = 1
-            N[3 + a][b][3 + (a - b) % 3] = 1
-            N[3 + a][3 + b][(a - b) % 3] = 1
-            for h in range(3):
-                N[3 + a][3 + b][3 + h] = 1
-    return FusionRing([f"g{a}" for a in range(3)] + [f"g{a}rho" for a in range(3)], N)
 
 
 # rings on which the certified FP dimensions are compared with the

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from mrfw.corpus import (
 )
 from mrfw.scalars import CycNumber, QuadExt
 from mrfw.serialize import (
+    MAX_CYCLOTOMIC_ORDER,
     DocumentError,
     canonical_dumps,
     load_document,
@@ -61,6 +63,18 @@ class TestScalars:
 
     def test_rational_quadext_collapses(self):
         assert scalar_to_json(QuadExt(7)) == 7
+
+    def test_cyclotomic_order_bound(self):
+        x = scalar_from_json({"order": MAX_CYCLOTOMIC_ORDER, "coeffs": [0, 1]})
+        assert x == CycNumber.root_of_unity(MAX_CYCLOTOMIC_ORDER)
+        # Q(zeta_40028) takes tens of seconds to build; refused at once,
+        # as out-of-range input rather than as a malformed document
+        start = time.perf_counter()
+        for order in (MAX_CYCLOTOMIC_ORDER + 1, 40028):
+            with pytest.raises(ValueError, match="above the supported maximum") as exc:
+                scalar_from_json({"order": order, "coeffs": [0, 1]})
+            assert not isinstance(exc.value, DocumentError)
+        assert time.perf_counter() - start < 1
 
     def test_rejects_garbage(self):
         with pytest.raises(DocumentError):
@@ -203,6 +217,17 @@ class TestCanonicalText:
             canonical_dumps(doc)
 
 
+def cyclotomic_orders(v):
+    """The order of every cyclotomic scalar in a decoded JSON value."""
+    if isinstance(v, dict):
+        if set(v) == {"order", "coeffs"}:
+            return [v["order"]]
+        v = list(v.values())
+    if isinstance(v, list):
+        return [m for x in v for m in cyclotomic_orders(x)]
+    return []
+
+
 class TestBundledCorpus:
     def test_files_match_builders(self, tmp_path):
         # the shipped corpus is exactly what write_corpus regenerates
@@ -212,6 +237,10 @@ class TestBundledCorpus:
             assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes()
 
     def test_all_load(self):
+        orders = []
         for p in CORPUS.glob("*.json"):
             doc = load_document(p)
             assert doc["kind"] in ("ring", "chartable", "premodular")
+            orders += cyclotomic_orders(doc["payload"])
+        # every cyclotomic scalar of the corpus is within the order bound
+        assert max(orders) == 16 <= MAX_CYCLOTOMIC_ORDER
