@@ -14,10 +14,9 @@ asserts that a categorification exists.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -132,11 +131,119 @@ class I1Summand:
     candidates: tuple[tuple[int, ...], ...]
 
 
+class Tilings:
+    """The tilings of the induced unit: one candidate row per summand, with
+    column sums equal to `bounds`.
+
+    They come in the order of a depth-first walk: summands in order, each
+    summand's candidates in ascending order.  Summands that share a
+    codegree are interchangeable, so each such summand (`tied`) takes a
+    candidate no smaller than its predecessor's.  `len()` counts the
+    tilings with a memo on (summand, column sums still needed, least
+    candidate index); iteration enters only branches whose count is
+    positive, so it costs per tiling, not per branch.
+
+    Both prune with a column interval, `_interval`: what the summands from
+    i on can still add to each column lies between the sums of their
+    per-column minima and maxima, so a column needing less or more closes
+    the branch.  Summand i and the rest of its run of equal codegrees
+    draw only from its candidates from the least index on, which closes a
+    column that only earlier candidates reach."""
+
+    __slots__ = ("rows", "tied", "bounds", "_run", "_intervals", "_memo")
+
+    def __init__(
+        self,
+        rows: tuple[tuple[tuple[int, ...], ...], ...],  # candidates per summand
+        tied: tuple[bool, ...],  # summand i shares its codegree with i - 1
+        bounds: tuple[int, ...],
+    ):
+        self.rows, self.tied, self.bounds = rows, tied, bounds
+        # run[i]: summand i and the summands after it tied to it
+        run = [1] * len(rows)
+        for i in range(len(rows) - 2, -1, -1):
+            if tied[i + 1]:
+                run[i] += run[i + 1]
+        self._run = run
+        lo = hi = (0,) * len(bounds)
+        boxes = [(lo, hi)]
+        for cands in reversed(rows):
+            cols = tuple(zip(*cands))
+            lo = tuple(map(operator.add, lo, map(min, cols)))
+            hi = tuple(map(operator.add, hi, map(max, cols)))
+            boxes.append((lo, hi))
+        # (i, 0): the interval of summands i..; `_interval` adds the others
+        self._intervals = {(len(rows) - i, 0): box for i, box in enumerate(boxes)}
+        self._memo: dict[tuple, int] = {}
+
+    def _interval(self, i: int, least: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-column least and greatest sums that summands i.. can add when
+        summand i takes a candidate from index `least` on."""
+        box = self._intervals.get((i, least))
+        if box is None:
+            run = self._run[i]
+            lo, hi = self._intervals[i + run, 0]
+            cols = tuple(zip(*self.rows[i][least:]))
+            box = (
+                tuple(map(operator.add, lo, map(run.__mul__, map(min, cols)))),
+                tuple(map(operator.add, hi, map(run.__mul__, map(max, cols)))),
+            )
+            self._intervals[i, least] = box
+        return box
+
+    def __eq__(self, other):
+        if not isinstance(other, Tilings):
+            return NotImplemented
+        return (self.rows, self.tied, self.bounds) == (other.rows, other.tied, other.bounds)
+
+    def __hash__(self):
+        return hash((self.rows, self.tied, self.bounds))
+
+    def _children(self, i: int, need: tuple[int, ...], least: int):
+        """(candidate, need after it, least index for summand i + 1) for
+        each candidate of summand i from index `least` on."""
+        tie = i + 1 < len(self.rows) and self.tied[i + 1]
+        cands = self.rows[i]
+        for idx in range(least, len(cands)):
+            yield cands[idx], tuple(map(operator.sub, need, cands[idx])), idx if tie else 0
+
+    def _count(self, i: int, need: tuple[int, ...], least: int) -> int:
+        key = (i, need, least)
+        total = self._memo.get(key)
+        if total is None:
+            lo, hi = self._interval(i, least)
+            if not (all(map(operator.le, lo, need)) and all(map(operator.le, need, hi))):
+                total = 0
+            elif i == len(self.rows):
+                total = 1  # past the last summand the interval is all zeros
+            else:
+                total = 0
+                for _, rest, nxt in self._children(i, need, least):
+                    total += self._count(i + 1, rest, nxt)
+            self._memo[key] = total
+        return total
+
+    def _walk(self, i: int, need: tuple[int, ...], least: int):
+        if i == len(self.rows):
+            yield ()
+            return
+        for v, rest, nxt in self._children(i, need, least):
+            if self._count(i + 1, rest, nxt):
+                for tail in self._walk(i + 1, rest, nxt):
+                    yield (v,) + tail
+
+    def __len__(self) -> int:
+        return self._count(0, self.bounds, 0)
+
+    def __iter__(self):
+        return self._walk(0, self.bounds, 0) if len(self) else iter(())
+
+
 @dataclass(frozen=True)
 class I1Result:
     status: str  # feasible / infeasible / inconclusive
     summands: tuple[I1Summand, ...]
-    solutions: tuple[tuple[tuple[int, ...], ...], ...]
+    solutions: Tilings | tuple[()]  # lazy; len() is the exact count
     lines: tuple[str, ...]
 
 
@@ -146,6 +253,67 @@ def _irrational_indices(dims) -> list[int]:
 
 def _dot(row, coeffs) -> int:
     return sum(map(operator.mul, row, coeffs))
+
+
+# binary digits of the fixed-point dimension bounds in `_images`
+_FIXED_BITS = 40
+
+
+def _fixed_point(den: int, coords: dict[int, list[int]]) -> tuple[list[int], list[int]]:
+    """Integer bounds lo[k] <= values[k] * den * 2^_FIXED_BITS <= hi[k] for
+    the `(den, coords)` of `_integer_field`, one per value, over any number
+    of quadratic fields: s = isqrt(D * 4^bits) gives s <= sqrt(D) * 2^bits
+    < s + 1."""
+    lo = [a << _FIXED_BITS for a in coords[1]]
+    hi = lo[:]
+    for D, col in coords.items():
+        if D > 1:
+            s = math.isqrt(D << (2 * _FIXED_BITS))
+            for k, b in enumerate(col):
+                if b:
+                    x, y = sorted((b * s, b * (s + 1)))
+                    lo[k] += x
+                    hi[k] += y
+    return lo, hi
+
+
+def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, ...], ...]:
+    """The vectors (1,) + c, c in the box `ranges` in lexicographic order,
+    that pass every exact check `_dot(c, r) == t`.
+
+    The box is walked one basis element at a time.  Every FP dimension is
+    positive, so once the dimension left to fill, bounded by
+    [lo_rem, hi_rem] in fixed point, is certainly below what the later
+    coordinates must add at their least, a larger value here only lowers
+    it and the loop stops; while it is certainly above what they can add
+    at their most, the value is skipped.  Both cuts drop only vectors that
+    fail the checks, so the result is the filtered box in its order."""
+    m = len(ranges)
+    need, room = [0] * (m + 1), [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        need[t] = need[t + 1] + ranges[t][0] * lo_dim[t]
+        room[t] = room[t + 1] + ranges[t][-1] * hi_dim[t]
+    out: list[tuple[int, ...]] = []
+    _walk_box((ranges, lo_dim, hi_dim, need, room, checks), [0] * m, 0, lo_rem, hi_rem, out)
+    return tuple(out)
+
+
+def _walk_box(box, vec: list[int], t: int, lo: int, hi: int, out: list) -> None:
+    """`_images` from coordinate t on, with vec[:t] fixed and the dimension
+    left to fill in [lo, hi].  A module function, not a closure, so that no
+    reference cycle outlives the call."""
+    ranges, lo_dim, hi_dim, need, room, checks = box
+    if t == len(ranges):
+        if all(_dot(vec, r) == c for r, c in checks):
+            out.append((1,) + tuple(vec))
+        return
+    for x in ranges[t]:
+        lo2, hi2 = lo - x * hi_dim[t], hi - x * lo_dim[t]
+        if hi2 < need[t + 1]:
+            break
+        if lo2 <= room[t + 1]:
+            vec[t] = x
+            _walk_box(box, vec, t + 1, lo2, hi2, out)
 
 
 def i1_dimension_system(
@@ -160,7 +328,10 @@ def i1_dimension_system(
     induced unit, and their column sums must reproduce it exactly.  When
     the dimension field is irrational the irrational part of each equation
     forces the coefficient on the irrational-dimension basis element, which
-    is recorded in the certificate."""
+    is recorded in the certificate.
+
+    Each summand's candidates come from `_images`, once per distinct
+    codegree; the tilings are a lazy `Tilings`."""
     ring.require_valid()
     if not ring.is_commutative:
         return I1Result(
@@ -185,29 +356,40 @@ def i1_dimension_system(
     den, coords = _integer_field(d + data.i1_dims)
     coords[1] = coords[1][:n] + [t - den for t in coords[1][n:]]
     eqs = [(c[1:n], c[n:]) for c in coords.values()]
+    lo_fix, hi_fix = _fixed_point(den, coords)
+    lo_dim, hi_dim = lo_fix[1:n], hi_fix[1:n]
+    if len(irr) == 1:
+        # exactly one basis element carries the irrational part, so the
+        # irrational half of each dimension equation pins its coefficient
+        m = irr[0]
+        q_m = d[m].q
     lines: list[str] = []
     summands: list[I1Summand] = []
-    feasible = True
+    tied: list[bool] = []  # summand k has the codegree of summand k - 1
+    own: list[str] = []  # the lines of the latest distinct summand
     for k, (f, target) in enumerate(zip(data.codegrees, data.i1_dims)):
+        tied.append(bool(summands) and f == summands[-1].codegree)
+        if tied[-1]:
+            # codegrees come sorted, so equal ones are adjacent and give the
+            # same summand, with the same lines
+            summands.append(summands[-1])
+            lines.extend(own)
+            continue
+        own = []
         alg = target.is_algebraic_integer()
         if not alg:
-            lines.append(
+            own.append(
                 f"codegree {f}: summand dimension {target} is not an "
                 f"algebraic integer"
             )
         forced: Optional[Fraction] = None
         forced_ok = True
         if len(irr) == 1:
-            # exactly one basis element carries the irrational part, so
-            # the irrational half of the dimension equation pins its
-            # coefficient
-            m = irr[0]
-            q_m = d[m].q
             forced = target.q / q_m
             forced_ok = forced.denominator == 1 and forced >= 0
             if mr is not None and m == mr.extra and f.is_rational:
                 fi = f.as_fraction()
-                lines.append(
+                own.append(
                     f"codegree {f}: irrational branch forces "
                     f"kappa - {fi}*a{m} = 0"
                     + ("" if forced_ok else
@@ -215,62 +397,41 @@ def i1_dimension_system(
                        f"integer a{m}")
                 )
             elif not forced_ok:
-                lines.append(
+                own.append(
                     f"codegree {f}: irrational part forces coefficient "
                     f"{forced} on basis element {m}, not a nonnegative "
                     f"integer"
                 )
-        cands: list[tuple[int, ...]] = []
+        cands: tuple[tuple[int, ...], ...] = ()
         if alg and forced_ok:
-            ranges = []
-            for j in range(1, n):
-                if forced is not None and j == irr[0]:
-                    ranges.append((int(forced),))
-                else:
-                    ranges.append(tuple(range(bounds[j] + 1)))
-            checks = [(r, t[k]) for r, t in eqs]
-            cands = [
-                (1,) + vec for vec in itertools.product(*ranges)
-                if all(_dot(vec, r) == t for r, t in checks)
+            ranges = [
+                (int(forced),) if forced is not None and j == irr[0]
+                else range(bounds[j] + 1)
+                for j in range(1, n)
             ]
+            cands = _images(
+                ranges, lo_dim, hi_dim, lo_fix[n + k], hi_fix[n + k],
+                [(r, t[k]) for r, t in eqs],
+            )
             if not cands:
-                lines.append(
+                own.append(
                     f"codegree {f}: no nonnegative integer image with "
                     f"dimension {target} within the induced-unit bounds"
                 )
-        summands.append(
-            I1Summand(f, target, alg, forced, tuple(cands))
-        )
-        if not (alg and forced_ok and summands[-1].candidates):
-            feasible = False
+        summands.append(I1Summand(f, target, alg, forced, cands))
+        lines.extend(own)
+    feasible = all(s.candidates for s in summands)
     if not feasible:
         return I1Result(INFEASIBLE, tuple(summands), (), tuple(lines))
     # joint enumeration: the candidate rows must tile the induced unit
-    solutions: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(i: int, acc: list[tuple[int, ...]], colsum: tuple[int, ...]):
-        if i == len(summands):
-            if list(colsum) == list(bounds):
-                solutions.append(tuple(acc))
-            return
-        prev_same = (
-            i > 0 and summands[i].codegree == summands[i - 1].codegree
-        )
-        for v in summands[i].candidates:
-            if prev_same and v < acc[-1]:
-                continue  # equal codegrees: summands interchangeable
-            ns = tuple(a + b for a, b in zip(colsum, v))
-            if all(x <= y for x, y in zip(ns, bounds)):
-                rec(i + 1, acc + [v], ns)
-
-    rec(0, [], (0,) * n)
-    if not solutions:
+    tilings = Tilings(tuple(s.candidates for s in summands), tuple(tied), bounds)
+    if not len(tilings):
         lines.append(
             "per-summand images exist but no assignment reproduces the "
             "induced unit exactly"
         )
         return I1Result(INFEASIBLE, tuple(summands), (), tuple(lines))
-    return I1Result(FEASIBLE, tuple(summands), tuple(solutions), tuple(lines))
+    return I1Result(FEASIBLE, tuple(summands), tilings, tuple(lines))
 
 
 class NodeCapExceeded(Exception):
@@ -292,6 +453,29 @@ class GramWitness:
         for row, mult in self.free_rows:
             out.extend([row] * mult)
         return out
+
+
+def verify_witness(H, witness: GramWitness) -> None:
+    """Raise ExactnessError unless the witness rows give N^t N = H exactly.
+
+    The sum runs over the distinct rows, each free row once with its
+    multiplicity m as m * w w^t, and over the nonzero entries of each
+    row, so it costs per distinct row rather than per row of N."""
+    n = len(H)
+    G = [[0] * n for _ in range(n)]
+    for w, m in [(w, 1) for w in witness.fixed_rows] + list(witness.free_rows):
+        support = [(i, x) for i, x in enumerate(w) if x]
+        for i, x in support:
+            Gi, mx = G[i], m * x
+            for j, y in support:
+                Gi[j] += mx * y
+    if G != [list(r) for r in H]:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n) if G[i][j] != H[i][j]
+        )
+        raise ExactnessError(
+            f"Gram witness fails N^t N = H at ({i},{j}): {G[i][j]} != {H[i][j]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -479,13 +663,7 @@ def gram_search(
         )
         return GramResult(INFEASIBLE, None, nodes, tuple(log))
     witness = GramWitness(tuple(fixed_rows), tuple(found))
-    # re-verify the witness before reporting it
-    G = [[0] * n for _ in range(n)]
-    for w in witness.all_rows():
-        for i in range(n):
-            for j in range(n):
-                G[i][j] += w[i] * w[j]
-    assert [list(r) for r in G] == [list(r) for r in H]
+    verify_witness(H, witness)
     return GramResult(FEASIBLE, witness, nodes, tuple(log))
 
 

@@ -29,6 +29,10 @@ KINDS = ("ring", "chartable", "premodular", "report")
 # largest cyclotomic order a document may name (the corpus needs 16):
 # building Q(zeta_m) takes about 20 ms at m = 4096 but 41 s at m = 40028
 MAX_CYCLOTOMIC_ORDER = 4096
+# largest quadratic radicand a document may name: QuadExt factors D by
+# trial division, about 70 ms for a D near 10^12 with no small factor,
+# while D = 10^18 + 9 did not finish in 20 s
+MAX_RADICAND = 10**12
 
 
 class DocumentError(ValueError):
@@ -101,11 +105,13 @@ def scalar_from_json(v: Any) -> Fraction | QuadExt | CycNumber:
     if isinstance(v, dict):
         keys = set(v)
         if keys == {"p", "q", "D"}:
-            return QuadExt(
-                fraction_from_json(v["p"]),
-                fraction_from_json(v["q"]),
-                _require_int(v["D"], "radicand", 1),
-            )
+            D = _require_int(v["D"], "radicand", 1)
+            if D > MAX_RADICAND:
+                # out of range, not malformed: plain ValueError, as below
+                raise ValueError(
+                    f"radicand {D} is above the supported maximum {MAX_RADICAND}"
+                )
+            return QuadExt(fraction_from_json(v["p"]), fraction_from_json(v["q"]), D)
         if keys == {"order", "coeffs"}:
             order = _require_int(v["order"], "cyclotomic order", 1)
             if order > MAX_CYCLOTOMIC_ORDER:

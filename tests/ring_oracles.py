@@ -2,8 +2,8 @@
 oracle that `subrings` is compared against, the forgetful images of the
 induced objects that `codegree_matrix` is compared against, a ring whose FP
 dimensions lie outside every quadratic field, a noncommutative ring with
-irrational dimensions, the Deligne product of two rings, and the stdlib
-text that `canonical_dumps` is compared against."""
+irrational dimensions, the SU(2)_k fusion rings, the Deligne product of two
+rings, and the stdlib text that `canonical_dumps` is compared against."""
 
 import itertools
 import json
@@ -70,6 +70,24 @@ def haagerup_izumi_ring():
             for h in range(3):
                 N[3 + a][3 + b][3 + h] = 1
     return FusionRing([f"g{a}" for a in range(3)] + [f"g{a}rho" for a in range(3)], N)
+
+
+def su2_ring(level):
+    """SU(2)_level: V_0 .. V_level with the truncated Clebsch-Gordan rule,
+    N_ab^c = 1 iff |a - b| <= c <= min(a + b, 2 level - a - b) and
+    a + b + c is even."""
+    n = level + 1
+    N = [
+        [
+            [
+                int(abs(a - b) <= c <= min(a + b, 2 * level - a - b) and (a + b + c) % 2 == 0)
+                for c in range(n)
+            ]
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return FusionRing([f"V{a}" for a in range(n)], N)
 
 
 def deligne_product(R, S):

@@ -65,8 +65,8 @@ def test_criterion_1_s3_base_sweep():
     assert FI[1] == [3, 9, 3, 10]
     assert FI[2] == [2, 3, 4, 5]
     assert FI[3] == [5, 10, 5, 37]
-    i1 = i1_dimension_system(s3_base_ring(5))
-    assert i1.solutions == (
+    solutions = tuple(i1_dimension_system(s3_base_ring(5)).solutions)
+    assert solutions == (
         ((1, 0, 0, 0), (1, 2, 1, 0), (1, 0, 1, 2), (1, 1, 0, 3)),
     )
     # nontrivial unit-induction coefficient vectors: the first and third
@@ -74,9 +74,9 @@ def test_criterion_1_s3_base_sweep():
     # is (0,1,2), not the targeted (0,1,0), which fails its own dimension
     # equation: 42/3 = 14 = 1 + 0*2 + 1*1 + 2*6 requires the last entry 2
     (a_vec, b_vec, c_vec) = (
-        i1.solutions[0][1][1:],
-        i1.solutions[0][2][1:],
-        i1.solutions[0][3][1:],
+        solutions[0][1][1:],
+        solutions[0][2][1:],
+        solutions[0][3][1:],
     )
     assert a_vec == (2, 1, 0)
     assert c_vec == (1, 0, 3)

@@ -325,6 +325,19 @@ class TestSmatrix:
         assert time.perf_counter() - start < 2
         assert_exit(result, 1, "INVALID: cyclotomic order 40028")
 
+    @pytest.mark.parametrize("command", ["check", "smatrix"])
+    def test_huge_radicand_refused(self, tmp_path, command):
+        # factoring 10^18 + 9 by trial division did not finish in 20 s; the
+        # radicand is refused while the document is read
+        doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
+        doc["payload"]["dims"][1] = {"p": 0, "q": 1, "D": 10**18 + 9}
+        p = tmp_path / "radicand.json"
+        save_document(doc, p)
+        start = time.perf_counter()
+        result = invoke(command, str(p))
+        assert time.perf_counter() - start < 2
+        assert_exit(result, 1, f"INVALID: radicand {10**18 + 9}")
+
     def test_invalid_ring_rejected(self, tmp_path):
         doc = premodular_to_doc(cyclic_ring(2), [1, 1], [1, 1])
         doc["payload"]["ring"] = swapped_z2_payload()

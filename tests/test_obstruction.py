@@ -1,15 +1,20 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from gram_oracle import OracleBudgetExceeded, gram_bruteforce
+from i1_oracle import images_bruteforce, tilings_bruteforce
 from ring_oracles import (
     cubic_ring,
     deligne_product,
     haagerup_izumi_ring,
     induction_images,
+    su2_ring,
 )
 
 from mrfw.chartab import fusion_from_table
@@ -32,6 +37,7 @@ from mrfw.obstruction import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    GramWitness,
     classify_rank4_mr,
     codegree_matrix,
     codegrees,
@@ -39,9 +45,10 @@ from mrfw.obstruction import (
     i1_dimension_system,
     induction_data,
     obstruct,
+    verify_witness,
 )
 from mrfw.ring import fpdims, global_fpdim, left_charpoly
-from mrfw.scalars import QuadExt, UnsupportedFieldError, charpoly
+from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, charpoly
 
 
 def s3_group_ring():
@@ -320,7 +327,7 @@ class TestI1System:
     def test_s3_base_kappa5_unique_solution(self):
         res = i1_dimension_system(s3_base_ring(5))
         assert res.status == FEASIBLE
-        assert res.solutions == (
+        assert tuple(res.solutions) == (
             (
                 (1, 0, 0, 0),
                 (1, 2, 1, 0),
@@ -362,7 +369,90 @@ class TestI1System:
 
     def test_fibonacci(self):
         res = i1_dimension_system(fibonacci_ring())
-        assert res.solutions == (((1, 0), (1, 1)),)
+        assert tuple(res.solutions) == (((1, 0), (1, 1)),)
+
+
+def rank4_and_near_group_rings(max_order):
+    """Both rank-4 bases for kappa 0..60 and C(Z_n, kappa) for
+    n <= max_order and kappa <= 2n."""
+    for kappa in range(61):
+        yield f"z3-base k={kappa}", z3_base_ring(kappa)
+        yield f"rep-s3 base k={kappa}", s3_base_ring(kappa)
+    for n in range(1, max_order + 1):
+        for kappa in range(2 * n + 1):
+            yield f"C(Z{n},{kappa})", near_group(n, kappa)
+
+
+class TestI1Oracles:
+    """The pruned candidate walk and the tiling count against the unpruned
+    oracles of `i1_oracle`."""
+
+    def test_candidates_match_box_filter(self):
+        for name, ring in rank4_and_near_group_rings(6):
+            res = i1_dimension_system(ring)
+            dims, bounds = fpdims(ring).dims, induction_data(ring).H[0]
+            for s in res.summands:
+                if s.is_algebraic_integer:
+                    want = images_bruteforce(dims, bounds, s.target_dim)
+                    assert s.candidates == want, (name, str(s.codegree))
+
+    def test_count_and_order_match_enumeration(self):
+        checked = 0
+        for name, ring in rank4_and_near_group_rings(10):
+            res = i1_dimension_system(ring)
+            if not all(s.candidates for s in res.summands):
+                continue  # decided before the tilings
+            want = tilings_bruteforce(res.summands, induction_data(ring).H[0])
+            assert (res.status == FEASIBLE) == bool(want), name
+            assert len(res.solutions) == len(want), name
+            assert list(res.solutions) == want, name
+            checked += 1
+        assert checked == 74
+
+    def test_ising_su2_4_pinned(self):
+        # 9942 tilings, counted without listing them; obstruct reads only
+        # the first, which extends after 49 Gram nodes
+        verdict = obstruct(deligne_product(ising_ring(), su2_ring(4)))
+        assert verdict.status == FEASIBLE
+        assert verdict.steps == (
+            "codegrees: 48, 48, 48, 48, 24, 24, 16, 16, 16, 16, 12, 12, 8, 8, 6",
+            "induced-unit system: 9942 exact solution(s)",
+            "gram factorization found after 49 nodes",
+        )
+        got = ["".join(map(str, w)) for w in verdict.witness.all_rows()]
+        assert got == (
+            "100000000000000 100000000000000 100000000000000 100000000000000 "
+            "100000000100000 100001000000000 100000010000000 100000010000000 "
+            "100000010000000 100002000000000 101001000000000 101001000000000 "
+            "102010000000000 102010000000000 103010000000000 040300100000000 "
+            "020000200000000 020000002000000 002010030100000 001001020100000 "
+            "001000010000000 001000000000000 001000000000000 000300001000000 "
+            "000200002000000 000100100000000 000100001000000 000030000100000 "
+            "000011000100000 000010000000000 000002020000000 000001020100000 "
+            "000001010000000 000000301000000 000000202000000 000000202000000 "
+            "000000101000000 000000010200000 000000002000000 000000000200000 "
+            "000000000100000 000000000040200 000000000020202 000000000005030 "
+            "000000000002000 000000000001010 000000000001000 000000000001000 "
+            "000000000000400 000000000000302 000000000000102 000000000000100 "
+            "000000000000100 000000000000040 000000000000020 000000000000010 "
+            "000000000000010 000000000000002 000000000000002"
+        ).split()
+
+    @pytest.mark.parametrize("n, kappa", [(12, 4), (16, 6)])
+    def test_unreachable_column_decides_at_root(self, n, kappa):
+        # every summand is smaller than the extra object, so no candidate
+        # reaches its column, which needs kappa: the column interval closes
+        # the root instead of the enumeration trying every tiling
+        ring = near_group(n, kappa)
+        res = i1_dimension_system(ring)
+        assert induction_data(ring).H[0][-1] == kappa
+        assert all(v[-1] == 0 for s in res.summands for v in s.candidates)
+        assert res.status == INFEASIBLE
+        assert res.solutions == ()
+        assert res.lines[-1] == (
+            "per-summand images exist but no assignment reproduces the "
+            "induced unit exactly"
+        )
 
 
 class TestGramSearch:
@@ -400,6 +490,39 @@ class TestGramSearch:
         assert gram_of(verdict.witness.all_rows(), ring.rank) == (
             codegree_matrix(ring)
         )
+
+    def test_witness_multiplicity_change_raises(self):
+        # the re-check sums each distinct row once, times its multiplicity;
+        # one multiplicity off by one in either direction must be caught
+        ring = z3_base_ring(3)
+        H = codegree_matrix(ring)
+        witness = obstruct(ring).witness
+        verify_witness(H, witness)
+        free = list(witness.free_rows)
+        for k, (row, m) in enumerate(free):
+            for m2 in (m - 1, m + 1):
+                bad = GramWitness(
+                    witness.fixed_rows, tuple(free[:k] + [(row, m2)] + free[k + 1:])
+                )
+                with pytest.raises(ExactnessError, match=r"fails N\^t N = H"):
+                    verify_witness(H, bad)
+
+    def test_witness_check_survives_optimize_flag(self):
+        # an explicit raise, not an assert: `python -O` still runs it
+        code = (
+            "from mrfw.obstruction import GramWitness, verify_witness\n"
+            "from mrfw.scalars import ExactnessError\n"
+            "try:\n"
+            "    verify_witness([[1, 0], [0, 1]], GramWitness(((1, 0),), (((0, 1), 2),)))\n"
+            "except ExactnessError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(obstruction.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)}, check=True,
+        )
+        assert out.stdout == "Gram witness fails N^t N = H at (1,1): 2 != 1\n"
 
     def test_matches_bruteforce_on_products(self):
         rng = random.Random(5771)

@@ -18,6 +18,7 @@ from mrfw.corpus import (
 from mrfw.scalars import CycNumber, QuadExt
 from mrfw.serialize import (
     MAX_CYCLOTOMIC_ORDER,
+    MAX_RADICAND,
     DocumentError,
     canonical_dumps,
     load_document,
@@ -73,6 +74,19 @@ class TestScalars:
         for order in (MAX_CYCLOTOMIC_ORDER + 1, 40028):
             with pytest.raises(ValueError, match="above the supported maximum") as exc:
                 scalar_from_json({"order": order, "coeffs": [0, 1]})
+            assert not isinstance(exc.value, DocumentError)
+        assert time.perf_counter() - start < 1
+
+    def test_radicand_bound(self):
+        # trial division of a radicand near the bound with no small factor
+        # takes tens of milliseconds; 10^18 + 9 did not finish in 20 s
+        start = time.perf_counter()
+        x = scalar_from_json({"p": 0, "q": 1, "D": 999999999989})
+        assert x == QuadExt.sqrt(999999999989)
+        assert scalar_from_json({"p": 1, "q": 1, "D": MAX_RADICAND}) == 1 + 10**6
+        for D in (MAX_RADICAND + 1, 10**18 + 9):
+            with pytest.raises(ValueError, match="above the supported maximum") as exc:
+                scalar_from_json({"p": 0, "q": 1, "D": D})
             assert not isinstance(exc.value, DocumentError)
         assert time.perf_counter() - start < 1
 
