@@ -22,12 +22,22 @@ from typing import Optional
 
 from .corpus import cyclic_ring, rep_s3_ring
 from .mr import mr_extend
-from .ring import FusionRing, MRData, detect_mr, fpdims, global_fpdim, left_charpoly
+from .ring import (
+    FusionRing,
+    MRData,
+    _seed_fpdims,
+    detect_mr,
+    fpdims,
+    global_fpdim,
+    left_charpoly,
+)
 from .scalars import (
     ExactnessError,
+    IntPoly,
     QuadExt,
     UnsupportedFieldError,
     _integer_field,
+    _quad,
     factor_linear_quadratic,
 )
 
@@ -68,18 +78,60 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     most its largest row sum.  Raises ExactnessError when the
     characteristic polynomial does not split into linear and quadratic
     factors over the integers."""
-    return _codegrees_of(ring, codegree_matrix(ring))
+    return _codegrees_of(ring, codegree_matrix(ring))[1]
 
 
-def _codegrees_of(ring: FusionRing, M: list[list[int]]) -> tuple[QuadExt, ...]:
-    """Codegrees from the codegree matrix M of `ring`."""
-    fact = factor_linear_quadratic(left_charpoly(ring, M), max(map(sum, M)))
+def _codegrees_of(
+    ring: FusionRing, M: list[list[int]]
+) -> tuple[IntPoly, tuple[QuadExt, ...]]:
+    """The characteristic polynomial of the codegree matrix M of `ring`
+    and the codegrees, its roots."""
+    poly = left_charpoly(ring, M)
+    fact = factor_linear_quadratic(poly, max(map(sum, M)))
     if fact.residual.degree > 0:
         raise ExactnessError(
             f"codegree polynomial has an unresolved factor of degree "
             f"{fact.residual.degree}"
         )
-    return tuple(sorted(fact.all_roots(), reverse=True))
+    return poly, tuple(sorted(fact.all_roots(), reverse=True))
+
+
+def _codegree_fpdims(
+    H: list[list[int]], poly: IntPoly, top: QuadExt
+) -> tuple[QuadExt, ...]:
+    """The eigenvector of the codegree matrix H for its largest codegree
+    `top`, a simple root of poly = det(xI - H), scaled to d_0 = 1.
+
+    With q = poly / (x - top), (H - top) q(H) = poly(H) = 0, so q(H) e_0
+    lies on the eigenline of `top`; H is symmetric, so q(H) = q(top) P for
+    the orthogonal projection P onto that line, and q(top) != 0 because
+    the root is simple.  The FP vector d spans the line (H d = FPdim(C) d
+    with a positive d, so FPdim(C) is the Perron root `top`) and d_0 = 1,
+    so P e_0 != 0 and the result is d.  q runs in integer coordinates over
+    one denominator, and q(H) e_0 by Horner's rule, one integer
+    matrix-vector product per coefficient and coordinate."""
+    quotient, acc = [], 0
+    for c in reversed(poly.coeffs[1:]):
+        acc = acc * top + c
+        quotient.append(acc)  # highest degree first
+    _, coords = _integer_field(quotient)
+    vecs = {}
+    for D, col in coords.items():
+        v = [col[0]] + [0] * (len(H) - 1)
+        for a in col[1:]:
+            v = [sum(map(operator.mul, row, v)) for row in H]
+            v[0] += a
+        vecs[D] = v
+    # `top` lies in one field, so at most one radicand besides 1; then
+    # d_i = (a_i + b_i sqrt D) (a_0 - b_0 sqrt D) / (a_0^2 - b_0^2 D)
+    rational = vecs.pop(1)
+    D, root = next(iter(vecs.items()), (1, [0] * len(H)))
+    a0, b0 = rational[0], root[0]
+    norm = a0 * a0 - b0 * b0 * D
+    return tuple(
+        _quad(a * a0 - b * b0 * D, b * a0 - a * b0, norm, D)
+        for a, b in zip(rational, root)
+    )
 
 
 @dataclass(frozen=True)
@@ -100,7 +152,15 @@ def induction_data(ring: FusionRing) -> InductionData:
     H[V][W] = sum over Y and k of N_YV^k N_{k Y*}^W, and reciprocity
     (N_{k Y*}^W = N_WY^k) with commutativity makes it the codegree matrix,
     whose eigenvalues are the formal codegrees (Ostrik, arXiv:0810.3242,
-    arXiv:1309.4822).  Raises ValueError on a noncommutative ring."""
+    arXiv:1309.4822).  Raises ValueError on a noncommutative ring.
+
+    The largest codegree is the global FP dimension.  When it is a simple
+    root and `fpdims(ring)` is not cached yet, the FP dimensions are read
+    off its eigenvector (`_codegree_fpdims`) and cached, so that the
+    codegree polynomial is the only characteristic polynomial this ring
+    needs.  A repeated top codegree (a nontrivial universal grading) leaves
+    the cache to `fpdims`, which factors one polynomial per non-invertible
+    basis element."""
     ring.require_valid()
     if not ring.is_commutative:
         raise ValueError(
@@ -108,7 +168,10 @@ def induction_data(ring: FusionRing) -> InductionData:
             "the induced objects is the codegree matrix only then"
         )
     H = codegree_matrix(ring)
-    cod = _codegrees_of(ring, H)
+    poly, cod = _codegrees_of(ring, H)
+    if ring._fpdims is None and cod[1:2] != cod[:1]:
+        # the top codegree is simple: its eigenvector is the FP vector
+        _seed_fpdims(ring, _codegree_fpdims(H, poly, cod[0]))
     total = global_fpdim(ring)
     if cod[0] != total:
         raise ExactnessError(
@@ -281,38 +344,50 @@ def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, 
     """The vectors (1,) + c, c in the box `ranges` in lexicographic order,
     that pass every exact check `_dot(c, r) == t`.
 
-    The box is walked one basis element at a time.  Every FP dimension is
-    positive, so once the dimension left to fill, bounded by
-    [lo_rem, hi_rem] in fixed point, is certainly below what the later
-    coordinates must add at their least, a larger value here only lowers
-    it and the loop stops; while it is certainly above what they can add
-    at their most, the value is skipped.  Both cuts drop only vectors that
-    fail the checks, so the result is the filtered box in its order."""
+    The box is walked one basis element at a time, largest dimension
+    first.  Every FP dimension is positive, so once the dimension left to
+    fill, bounded by [lo_rem, hi_rem] in fixed point, is certainly below
+    what the later coordinates must add at their least, a larger value
+    here only lowers it and the loop stops; while it is certainly above
+    what they can add at their most, the value is skipped.  Both cuts drop
+    only vectors that fail the checks, so sorting what is left gives the
+    filtered box in its order.  Taking the large dimensions first keeps
+    the small ones last, where the cuts bound them tightly: in basis order
+    the walk on C(Z_n, n - 1) visits about 2^(n-1) prefixes of the
+    invertibles, whose dimension the extra object could still make up."""
     m = len(ranges)
+    order = sorted(range(m), key=hi_dim.__getitem__, reverse=True)  # stable
+    ranges = [ranges[t] for t in order]
+    lo_dim = [lo_dim[t] for t in order]
+    hi_dim = [hi_dim[t] for t in order]
     need, room = [0] * (m + 1), [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         need[t] = need[t + 1] + ranges[t][0] * lo_dim[t]
         room[t] = room[t + 1] + ranges[t][-1] * hi_dim[t]
     out: list[tuple[int, ...]] = []
-    _walk_box((ranges, lo_dim, hi_dim, need, room, checks), [0] * m, 0, lo_rem, hi_rem, out)
-    return tuple(out)
+    box = (ranges, lo_dim, hi_dim, need, room, checks, order)
+    _walk_box(box, [0] * m, 0, lo_rem, hi_rem, out)
+    return tuple(sorted(out))
 
 
 def _walk_box(box, vec: list[int], t: int, lo: int, hi: int, out: list) -> None:
-    """`_images` from coordinate t on, with vec[:t] fixed and the dimension
-    left to fill in [lo, hi].  A module function, not a closure, so that no
-    reference cycle outlives the call."""
-    ranges, lo_dim, hi_dim, need, room, checks = box
+    """`_images` from walk step t on, with the basis coordinates of the
+    earlier steps fixed in vec and the dimension left to fill in [lo, hi];
+    step t sets coordinate order[t], and the box lists are in walk order.
+    A module function, not a closure, so that no reference cycle outlives
+    the call."""
+    ranges, lo_dim, hi_dim, need, room, checks, order = box
     if t == len(ranges):
         if all(_dot(vec, r) == c for r, c in checks):
             out.append((1,) + tuple(vec))
         return
+    u = order[t]
     for x in ranges[t]:
         lo2, hi2 = lo - x * hi_dim[t], hi - x * lo_dim[t]
         if hi2 < need[t + 1]:
             break
         if lo2 <= room[t + 1]:
-            vec[t] = x
+            vec[u] = x
             _walk_box(box, vec, t + 1, lo2, hi2, out)
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .mr import MRData
 from .ring import FusionRing, invertibles
 from .scalars import (
+    MAX_CYCLOTOMIC_ORDER,
     CycNumber,
     QuadExt,
     RationalLike,
@@ -28,6 +29,7 @@ from .scalars import (
     _cyc_dot,
     _cyclotomic_field,
     embed_quadratic,
+    quadratic_conductor,
 )
 
 NON_DEGENERATE = "non-degenerate"
@@ -44,6 +46,15 @@ def _to_cyc(x) -> CycNumber:
     if isinstance(x, QuadExt):
         return embed_quadratic(x)
     return CycNumber.from_rational(x)
+
+
+def _order(x) -> int:
+    """The order of the cyclotomic field `_to_cyc` puts x in."""
+    if isinstance(x, CycNumber):
+        return x.order
+    if isinstance(x, QuadExt) and not x.is_rational:
+        return quadratic_conductor(x.D)
+    return 1
 
 
 def _is_root_of_unity(x: CycNumber) -> bool:
@@ -85,8 +96,11 @@ def premodular_data(
     An irrational quadratic dim d_i is screened before it is embedded: it
     and its conjugate are eigenvalues of the fusion matrix of X_i, so it
     must be an algebraic integer with both within that matrix's largest
-    row sum.  The sums run in integer coordinates over one denominator;
-    a twist's inverse is its complex conjugate.
+    row sum.  A field order m above MAX_CYCLOTOMIC_ORDER is refused
+    (ValueError) before any value is embedded: dense arithmetic in
+    Q(zeta_m) takes seconds per entry at m = 10205.  The sums run in
+    integer coordinates over one denominator; a twist's inverse is its
+    complex conjugate.
     """
     ring.require_valid()
     n = ring.rank
@@ -106,6 +120,12 @@ def premodular_data(
             b = max(map(sum, ring.N[i]))
             if not x.is_algebraic_integer() or max(x * x, x.conjugate() ** 2) > b * b:
                 raise ValueError(f"dimension {i} is not a fusion matrix eigenvalue")
+    order = math.lcm(*map(_order, [*dims, *twists]))
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ValueError(
+            f"dimensions and twists need Q(zeta_{order}), above the "
+            f"supported cyclotomic order {MAX_CYCLOTOMIC_ORDER}"
+        )
     d = [_to_cyc(x) for x in dims]
     t = [_to_cyc(x) for x in twists]
     m, den, nums, conjs = _cyclotomic_field(d + [a * b for a, b in zip(t, d)] + t)

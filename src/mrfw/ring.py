@@ -328,11 +328,27 @@ class GradingData:
 def fpdims(ring: FusionRing) -> FPDims:
     """Exact FP dimension of each basis element: the Perron root of its
     left-multiplication matrix.  Computed once per ring; later calls return
-    the same object."""
+    the same object.
+
+    Two paths fill the cache.  `obstruction.induction_data`, when the
+    largest codegree is simple, reads the dimensions off its eigenvector
+    and seeds them through `_seed_fpdims` if nothing is cached yet.
+    Otherwise the first call here computes them with `_perron_dims`.
+    Both give the one positive character."""
     if ring._fpdims is None:
         ring.require_valid()
         object.__setattr__(ring, "_fpdims", _perron_dims(ring))
     return ring._fpdims
+
+
+def _seed_fpdims(ring: FusionRing, dims: Sequence[QuadExt]) -> None:
+    """Cache `dims` as `fpdims(ring)` if `_is_positive_character`
+    certifies them; the caller checks that nothing is cached yet.  The
+    positive character is unique, so a certified vector is the one
+    `_perron_dims` would return."""
+    if _is_positive_character(ring, dims):
+        n = ring.rank
+        object.__setattr__(ring, "_fpdims", FPDims(tuple(dims), (True,) * n, (None,) * n))
 
 
 def _perron_dims(ring: FusionRing) -> FPDims:

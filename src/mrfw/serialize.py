@@ -22,13 +22,10 @@ from typing import Any
 
 from .chartab import CharacterTable
 from .ring import FusionRing
-from .scalars import CycNumber, QuadExt
+from .scalars import MAX_CYCLOTOMIC_ORDER, CycNumber, QuadExt
 
 SCHEMA_VERSION = 1
 KINDS = ("ring", "chartable", "premodular", "report")
-# largest cyclotomic order a document may name (the corpus needs 16):
-# building Q(zeta_m) takes about 20 ms at m = 4096 but 41 s at m = 40028
-MAX_CYCLOTOMIC_ORDER = 4096
 # largest quadratic radicand a document may name: QuadExt factors D by
 # trial division, about 70 ms for a D near 10^12 with no small factor,
 # while D = 10^18 + 9 did not finish in 20 s

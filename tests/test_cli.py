@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from mrfw.corpus import (
     fibonacci_ring,
     s3_base_ring,
     s3_table,
+    trivial_ring,
     write_corpus,
     z3_base_ring,
 )
@@ -324,6 +326,19 @@ class TestSmatrix:
         result = invoke(command, str(p))
         assert time.perf_counter() - start < 2
         assert_exit(result, 1, "INVALID: cyclotomic order 40028")
+
+    @pytest.mark.parametrize("command", ["check", "smatrix"])
+    def test_large_conductor_refused(self, tmp_path, command):
+        # the near-group C(1, 101) passes the eigenvalue screen, but its
+        # dimension (101 + sqrt 10205)/2 needs Q(zeta_10205): refused at once
+        dim = (101 + QuadExt.sqrt(10205)) * Fraction(1, 2)
+        doc = premodular_to_doc(mr_extend(trivial_ring(), 101), [1, dim], [1, 1])
+        p = tmp_path / "near-group-101.json"
+        save_document(doc, p)
+        start = time.perf_counter()
+        result = invoke(command, str(p))
+        assert time.perf_counter() - start < 2
+        assert_exit(result, 1, "INVALID: dimensions and twists need Q(zeta_10205)")
 
     @pytest.mark.parametrize("command", ["check", "smatrix"])
     def test_huge_radicand_refused(self, tmp_path, command):

@@ -32,6 +32,7 @@ from mrfw.corpus import (
     z3_base_ring,
 )
 from mrfw import obstruction
+from mrfw import ring as ring_module
 from mrfw.mr import mr_extend
 from mrfw.obstruction import (
     FEASIBLE,
@@ -250,6 +251,94 @@ class TestRegularRepresentation:
         assert codegree_matrix(ring) == naive
 
 
+class TestCodegreeFPDims:
+    """`induction_data` seeds `fpdims` from the eigenvector of a simple top
+    codegree; every other ring computes them with `_perron_dims`."""
+
+    @staticmethod
+    def perron_calls(monkeypatch):
+        """The ids of the rings `_perron_dims` runs on, and the original."""
+        calls = []
+        perron = ring_module._perron_dims
+        monkeypatch.setattr(
+            ring_module, "_perron_dims", lambda ring: calls.append(id(ring)) or perron(ring)
+        )
+        return calls, perron
+
+    def test_seeded_dims_equal_perron_dims(self, monkeypatch):
+        rings = [(name, build()) for name, build in commutative_rings()]
+        rings += list(rank4_and_near_group_rings(10))
+        calls, perron = self.perron_calls(monkeypatch)
+        seeded = 0
+        for name, ring in rings:
+            try:
+                data = induction_data(ring)
+            except ExactnessError:
+                # approximate FP dims or an unresolved codegree factor
+                assert name in ("fibonacci x ising", "cubic"), name
+                continue
+            simple = data.codegrees[1:2] != data.codegrees[:1]
+            # the seeded path never reaches _perron_dims; the fallback once
+            assert calls.count(id(ring)) == (not simple), name
+            assert fpdims(ring) == perron(ring), name
+            seeded += simple
+        assert (len(rings), seeded) == (432, 394)
+
+    @pytest.mark.parametrize(
+        "build",
+        [ising_ring, functools.partial(cyclic_ring, 3), lambda: z3_base_ring(0),
+         lambda: near_group(5, 0), lambda: rep_ring("d8")],
+        ids=["ising", "z3", "z3-base-k0", "C(Z5,0)", "rep(d8)"],
+    )
+    def test_repeated_top_codegree_takes_the_fallback(self, build, monkeypatch):
+        # a nontrivial universal grading repeats the top codegree, so its
+        # eigenvector is not determined and _perron_dims computes the dims
+        ring = build()
+        calls, perron = self.perron_calls(monkeypatch)
+        cod = induction_data(ring).codegrees
+        assert cod[0] == cod[1]
+        assert calls == [id(ring)]
+        assert fpdims(ring) == perron(ring)
+
+    def test_cached_dims_are_kept(self, monkeypatch):
+        ring = near_group(5, 3)
+        before = fpdims(ring)
+        monkeypatch.setattr(
+            obstruction, "_codegree_fpdims", lambda *args: pytest.fail("recomputed")
+        )
+        induction_data(ring)
+        assert fpdims(ring) is before
+
+    @pytest.mark.parametrize("kappa, status", [(3, INFEASIBLE), (5, FEASIBLE)])
+    def test_obstruct_factors_one_charpoly(self, kappa, status, monkeypatch):
+        # C(Z5, kappa) has a simple top codegree: obstruct factors the
+        # codegree polynomial and nothing else, and never reaches
+        # _left_spectrum, also when the Gram search reads the dims
+        ring = near_group(5, kappa)
+        counts = {"charpoly": 0, "factor": 0}
+
+        def counting(key, f):
+            def wrapped(*args):
+                counts[key] += 1
+                return f(*args)
+            return wrapped
+
+        for module in (obstruction, ring_module):
+            monkeypatch.setattr(
+                module, "left_charpoly", counting("charpoly", module.left_charpoly)
+            )
+            monkeypatch.setattr(
+                module,
+                "factor_linear_quadratic",
+                counting("factor", module.factor_linear_quadratic),
+            )
+        monkeypatch.setattr(
+            ring_module, "_left_spectrum", lambda *args: pytest.fail("left spectrum")
+        )
+        assert obstruct(ring).status == status
+        assert counts == {"charpoly": 1, "factor": 1}
+
+
 class TestInductionImages:
     """On a commutative ring the Hom matrix of the induced objects, read
     off their forgetful images sum over Y of Y (x) X (x) Y*, is the
@@ -388,13 +477,31 @@ class TestI1Oracles:
     oracles of `i1_oracle`."""
 
     def test_candidates_match_box_filter(self):
-        for name, ring in rank4_and_near_group_rings(6):
+        # and C(Z_n, n - 1) up to n = 8, where the extra object's dimension
+        # n is walked before the invertibles'
+        extra = [(f"C(Z{n},{n - 1})", near_group(n, n - 1)) for n in (7, 8)]
+        for name, ring in [*rank4_and_near_group_rings(6), *extra]:
             res = i1_dimension_system(ring)
             dims, bounds = fpdims(ring).dims, induction_data(ring).H[0]
             for s in res.summands:
                 if s.is_algebraic_integer:
                     want = images_bruteforce(dims, bounds, s.target_dim)
                     assert s.candidates == want, (name, str(s.codegree))
+
+    def test_walk_is_not_exponential_on_near_group_n_minus_1(self, monkeypatch):
+        # the walk makes 51 calls here; in basis order it made 131,089,
+        # about 2^(n+1) for the prefixes of the invertibles of C(Z16, 15)
+        ring = near_group(16, 15)
+        data = induction_data(ring)
+        visits = []
+        walk = obstruction._walk_box
+        monkeypatch.setattr(
+            obstruction, "_walk_box", lambda *args: visits.append(1) or walk(*args)
+        )
+        res = i1_dimension_system(ring, data)
+        assert res.status == FEASIBLE
+        assert sum(len(s.candidates) for s in res.summands) == 17
+        assert len(visits) < 1000
 
     def test_count_and_order_match_enumeration(self):
         checked = 0

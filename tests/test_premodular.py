@@ -1,16 +1,20 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from mrfw.corpus import (
+    PREMODULAR_BUILDERS,
     cyclic_ring,
     fibonacci_ring,
     ising_ring,
     rep_s3_ring,
+    trivial_ring,
     z3_base_ring,
 )
+from mrfw.mr import mr_extend
 from mrfw.premodular import (
     _det,
     _to_cyc,
@@ -24,7 +28,7 @@ from mrfw.premodular import (
     tannakian_row_obstruction,
 )
 from mrfw.ring import FusionRing, InvalidRingError, detect_mr, fpdims
-from mrfw.scalars import CycNumber, QuadExt
+from mrfw.scalars import MAX_CYCLOTOMIC_ORDER, CycNumber, QuadExt
 
 Z5 = CycNumber.root_of_unity(5)
 PHI = 1 + Z5 + Z5 ** 4
@@ -146,6 +150,36 @@ class TestSMatrix:
     def test_irrational_twist_is_not_a_root_of_unity(self):
         with pytest.raises(ValueError, match="twist 1 is not a root of unity"):
             premodular_data(cyclic_ring(2), [1, 1], [1, QuadExt.sqrt(10007)])
+
+
+class TestConductorBound:
+    """The field order is bounded before any value is embedded."""
+
+    def test_near_group_101_refused_at_once(self):
+        # X^2 = 1 + 101 X: d = (101 + sqrt 10205)/2 passes the eigenvalue
+        # screen, but Q(zeta_10205) took 15 s of dense arithmetic
+        ring = mr_extend(trivial_ring(), 101)
+        dim = (101 + QuadExt.sqrt(10205)) * Fraction(1, 2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"need Q\(zeta_10205\), above") as exc:
+            premodular_data(ring, [1, dim], [1, 1])
+        assert type(exc.value) is ValueError
+        assert time.perf_counter() - start < 1
+
+    def test_order_is_the_lcm_of_twists_and_dims(self):
+        # a twist of order 4096 alone is at the bound; sqrt 2 needs
+        # Q(zeta_8) and a twist of order 513 fits, but their lcm 4104 not
+        theta = CycNumber.root_of_unity(MAX_CYCLOTOMIC_ORDER)
+        data = premodular_data(cyclic_ring(2), [1, 1], [1, theta])
+        assert data.S[1][1].order == MAX_CYCLOTOMIC_ORDER
+        dims = [1, 1, QuadExt.sqrt(2)]
+        with pytest.raises(ValueError, match="zeta_4104"):
+            premodular_data(ising_ring(), dims, [1, -1, CycNumber.root_of_unity(513)])
+
+    @pytest.mark.parametrize("name", sorted(PREMODULAR_BUILDERS))
+    def test_corpus_documents_pass(self, name):
+        ring, dims, twists = PREMODULAR_BUILDERS[name]()
+        assert len(premodular_data(ring, dims, twists).S) == ring.rank
 
 
 def reference_smatrix(ring, dims, twists):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfw import scalars
 from mrfw.scalars import (
     CycNumber,
     IntPoly,
@@ -17,6 +18,7 @@ from mrfw.scalars import (
     _cyc_dot,
     _cyclotomic_field,
     _integer_field,
+    _integer_roots,
     charpoly,
     count_real_roots,
     cyclotomic_polynomial,
@@ -441,6 +443,58 @@ class TestFactorLinearQuadratic:
         f = factor_linear_quadratic(IntPoly([-2, 0, 0, 1]))
         assert not f.roots and not f.quadratics
         assert f.residual == IntPoly([-2, 0, 0, 1])
+
+
+def integer_roots_bruteforce(p, bound):
+    """Every integer root r, 0 < |r| <= bound, with multiplicity, by
+    evaluating p at each r in turn and dividing it out while it vanishes."""
+    roots = []
+    for r in range(-bound, bound + 1):
+        while r and p.degree > 0 and p(r) == 0:
+            p = p.divexact(IntPoly([-r, 1]))
+            roots.append(r)
+    return roots, p
+
+
+class TestIntegerRoots:
+    @given(
+        st.lists(st.integers(-9, 9).filter(bool), max_size=7),
+        st.lists(
+            st.sampled_from([(1, 0), (-2, 0), (-1, -1), (5, 1), (-6, 4)]),
+            max_size=2,
+        ),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=150)
+    def test_matches_bruteforce(self, roots, quads, bound):
+        # roots of both signs, repeated ones, and quadratic factors without
+        # integer roots, so that Descartes' rule skips a sign only sometimes
+        p = IntPoly([1])
+        for r in roots:
+            p = p * IntPoly([-r, 1])
+        for c, b in quads:
+            p = p * IntPoly([c, b, 1])
+        found, quotient = _integer_roots(p, bound)
+        want, want_quotient = integer_roots_bruteforce(p, bound)
+        assert sorted(found) == want
+        assert quotient == want_quotient
+
+    def test_positive_roots_skip_negative_divisors(self, monkeypatch):
+        # the z3-base kappa-1 codegree polynomial (x - 3)^2 (x^2 - 13x + 39):
+        # its coefficients alternate, so p(-x) has no sign change and no
+        # negative divisor is tried
+        tried = []
+        divide = scalars._divide_linear
+
+        def counting(coeffs, r):
+            tried.append(r)
+            return divide(coeffs, r)
+
+        monkeypatch.setattr(scalars, "_divide_linear", counting)
+        p = IntPoly([-3, 1]) * IntPoly([-3, 1]) * IntPoly([39, -13, 1])
+        found, quotient = _integer_roots(p, 39)
+        assert found == [3, 3] and quotient == IntPoly([39, -13, 1])
+        assert tried and min(tried) > 0
 
 
 class TestSturm:
