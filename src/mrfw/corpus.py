@@ -56,15 +56,19 @@ def rep_s3_ring() -> FusionRing:
     return FusionRing(("1", "X", "Y"), N)
 
 
+# shared, so that `mr_extend` validates each base and finds its dims once
+_Z3_BASE = FusionRing(("1", "X", "Y"), cyclic_ring(3).N)
+_S3_BASE = rep_s3_ring()
+
+
 def z3_base_ring(kappa: int) -> FusionRing:
     """Rank 4 near-group rules over the pointed Z_3 base."""
-    ring = mr_extend(cyclic_ring(3), kappa, extra_label="Z")
-    return FusionRing(("1", "X", "Y", "Z"), ring.N)
+    return mr_extend(_Z3_BASE, kappa, extra_label="Z")
 
 
 def s3_base_ring(kappa: int) -> FusionRing:
     """Rank 4 rules over the rank-3 representation ring of S_3."""
-    return mr_extend(rep_s3_ring(), kappa, extra_label="Z")
+    return mr_extend(_S3_BASE, kappa, extra_label="Z")
 
 
 def cyclic_table(n: int) -> CharacterTable:

@@ -54,17 +54,8 @@ def mr_fpdim(a: int, kappa: int) -> tuple[QuadExt, QuadExt]:
     d_n = (kappa + sqrt(kappa^2 + 4a))/2, total = a + d_n^2."""
     if a < 1:
         raise ValueError("a must be positive")
-    disc = kappa * kappa + 4 * a
-    d_n = (QuadExt(kappa) + QuadExt.sqrt(disc)) * Fraction(1, 2)
-    total = QuadExt(a) + d_n * d_n
-    # closed form 2a + (kappa^2 + kappa sqrt(disc))/2, verified symbolically
-    closed = (
-        QuadExt(2 * a)
-        + (QuadExt(kappa * kappa) + QuadExt(kappa) * QuadExt.sqrt(disc))
-        * Fraction(1, 2)
-    )
-    assert total == closed
-    return d_n, total
+    d_n = (QuadExt(kappa) + QuadExt.sqrt(kappa * kappa + 4 * a)) * Fraction(1, 2)
+    return d_n, QuadExt(a) + d_n * d_n
 
 
 def pivotal_dims(

@@ -25,20 +25,18 @@ from .mr import mr_extend
 from .ring import (
     FusionRing,
     MRData,
-    _seed_fpdims,
+    Spectrum,
     detect_mr,
     fpdims,
     global_fpdim,
-    left_charpoly,
+    seed_fpdims,
+    spectrum,
 )
 from .scalars import (
     ExactnessError,
-    IntPoly,
     QuadExt,
     UnsupportedFieldError,
     _integer_field,
-    _quad,
-    factor_linear_quadratic,
 )
 
 INFEASIBLE = "infeasible"
@@ -63,10 +61,13 @@ def codegree_matrix(ring: FusionRing) -> list[list[int]]:
     multiplication by the one ring element C = sum T (x) T*, also on a
     noncommutative ring, and is built as `element_matrix(C)`."""
     ring.require_valid()
+    return ring.element_matrix(_codegree_element(ring))
+
+
+def _codegree_element(ring: FusionRing) -> list[int]:
+    """The coordinates of C = sum over basis elements T of T (x) T*."""
     n, N, dual = ring.rank, ring.N, ring.dual
-    return ring.element_matrix(
-        [sum(N[t][dual[t]][m] for t in range(n)) for m in range(n)]
-    )
+    return [sum(N[t][dual[t]][m] for t in range(n)) for m in range(n)]
 
 
 def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
@@ -78,60 +79,19 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     most its largest row sum.  Raises ExactnessError when the
     characteristic polynomial does not split into linear and quadratic
     factors over the integers."""
-    return _codegrees_of(ring, codegree_matrix(ring))[1]
+    return _codegree_spectrum(ring)[1]
 
 
-def _codegrees_of(
-    ring: FusionRing, M: list[list[int]]
-) -> tuple[IntPoly, tuple[QuadExt, ...]]:
-    """The characteristic polynomial of the codegree matrix M of `ring`
-    and the codegrees, its roots."""
-    poly = left_charpoly(ring, M)
-    fact = factor_linear_quadratic(poly, max(map(sum, M)))
-    if fact.residual.degree > 0:
+def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]:
+    """`spectrum` of C = sum T (x) T*, and its roots in descending order."""
+    ring.require_valid()
+    spec = spectrum(ring, _codegree_element(ring))
+    if spec.factors.residual.degree > 0:
         raise ExactnessError(
             f"codegree polynomial has an unresolved factor of degree "
-            f"{fact.residual.degree}"
+            f"{spec.factors.residual.degree}"
         )
-    return poly, tuple(sorted(fact.all_roots(), reverse=True))
-
-
-def _codegree_fpdims(
-    H: list[list[int]], poly: IntPoly, top: QuadExt
-) -> tuple[QuadExt, ...]:
-    """The eigenvector of the codegree matrix H for its largest codegree
-    `top`, a simple root of poly = det(xI - H), scaled to d_0 = 1.
-
-    With q = poly / (x - top), (H - top) q(H) = poly(H) = 0, so q(H) e_0
-    lies on the eigenline of `top`; H is symmetric, so q(H) = q(top) P for
-    the orthogonal projection P onto that line, and q(top) != 0 because
-    the root is simple.  The FP vector d spans the line (H d = FPdim(C) d
-    with a positive d, so FPdim(C) is the Perron root `top`) and d_0 = 1,
-    so P e_0 != 0 and the result is d.  q runs in integer coordinates over
-    one denominator, and q(H) e_0 by Horner's rule, one integer
-    matrix-vector product per coefficient and coordinate."""
-    quotient, acc = [], 0
-    for c in reversed(poly.coeffs[1:]):
-        acc = acc * top + c
-        quotient.append(acc)  # highest degree first
-    _, coords = _integer_field(quotient)
-    vecs = {}
-    for D, col in coords.items():
-        v = [col[0]] + [0] * (len(H) - 1)
-        for a in col[1:]:
-            v = [sum(map(operator.mul, row, v)) for row in H]
-            v[0] += a
-        vecs[D] = v
-    # `top` lies in one field, so at most one radicand besides 1; then
-    # d_i = (a_i + b_i sqrt D) (a_0 - b_0 sqrt D) / (a_0^2 - b_0^2 D)
-    rational = vecs.pop(1)
-    D, root = next(iter(vecs.items()), (1, [0] * len(H)))
-    a0, b0 = rational[0], root[0]
-    norm = a0 * a0 - b0 * b0 * D
-    return tuple(
-        _quad(a * a0 - b * b0 * D, b * a0 - a * b0, norm, D)
-        for a, b in zip(rational, root)
-    )
+    return spec, tuple(sorted(spec.factors.all_roots(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -154,31 +114,27 @@ def induction_data(ring: FusionRing) -> InductionData:
     whose eigenvalues are the formal codegrees (Ostrik, arXiv:0810.3242,
     arXiv:1309.4822).  Raises ValueError on a noncommutative ring.
 
-    The largest codegree is the global FP dimension.  When it is a simple
-    root and `fpdims(ring)` is not cached yet, the FP dimensions are read
-    off its eigenvector (`_codegree_fpdims`) and cached, so that the
-    codegree polynomial is the only characteristic polynomial this ring
-    needs.  A repeated top codegree (a nontrivial universal grading) leaves
-    the cache to `fpdims`, which factors one polynomial per non-invertible
-    basis element."""
+    The largest codegree is the global FP dimension.  `seed_fpdims` reads
+    the FP dimensions off its eigenvector when it is a simple root, so that
+    the codegree polynomial is the only characteristic polynomial this
+    ring needs.  A repeated top codegree (a nontrivial universal grading)
+    leaves them to `fpdims`, which factors one polynomial per
+    non-invertible basis element."""
     ring.require_valid()
     if not ring.is_commutative:
         raise ValueError(
             "induction data needs a commutative ring: the Hom matrix of "
             "the induced objects is the codegree matrix only then"
         )
-    H = codegree_matrix(ring)
-    poly, cod = _codegrees_of(ring, H)
-    if ring._fpdims is None and cod[1:2] != cod[:1]:
-        # the top codegree is simple: its eigenvector is the FP vector
-        _seed_fpdims(ring, _codegree_fpdims(H, poly, cod[0]))
+    spec, cod = _codegree_spectrum(ring)
+    seed_fpdims(ring, spec, cod)
     total = global_fpdim(ring)
     if cod[0] != total:
         raise ExactnessError(
             "largest codegree does not equal the global FP dimension"
         )
     dims = tuple(total / f for f in cod)
-    return InductionData(cod, dims, tuple(map(tuple, H)))
+    return InductionData(cod, dims, tuple(map(tuple, spec.matrix)))
 
 
 @dataclass(frozen=True)

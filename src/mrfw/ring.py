@@ -9,14 +9,16 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .scalars import (
     ExactnessError,
     Factorization,
     IntPoly,
     QuadExt,
+    _divide_linear,
     _integer_field,
+    _quad,
     count_real_roots,
     factor_linear_quadratic,
     largest_real_root_bounds,
@@ -330,25 +332,100 @@ def fpdims(ring: FusionRing) -> FPDims:
     left-multiplication matrix.  Computed once per ring; later calls return
     the same object.
 
-    Two paths fill the cache.  `obstruction.induction_data`, when the
-    largest codegree is simple, reads the dimensions off its eigenvector
-    and seeds them through `_seed_fpdims` if nothing is cached yet.
-    Otherwise the first call here computes them with `_perron_dims`.
-    Both give the one positive character."""
+    Two paths fill the cache: `seed_fpdims`, from the codegree spectrum
+    that `obstruction.induction_data` takes, when the top codegree is
+    simple; otherwise the first call here, with `_perron_dims`.  Both
+    give the one positive character."""
     if ring._fpdims is None:
         ring.require_valid()
         object.__setattr__(ring, "_fpdims", _perron_dims(ring))
     return ring._fpdims
 
 
-def _seed_fpdims(ring: FusionRing, dims: Sequence[QuadExt]) -> None:
-    """Cache `dims` as `fpdims(ring)` if `_is_positive_character`
-    certifies them; the caller checks that nothing is cached yet.  The
-    positive character is unique, so a certified vector is the one
-    `_perron_dims` would return."""
-    if _is_positive_character(ring, dims):
-        n = ring.rank
-        object.__setattr__(ring, "_fpdims", FPDims(tuple(dims), (True,) * n, (None,) * n))
+class Spectrum(NamedTuple):
+    """Left multiplication by a ring element y, from `spectrum`."""
+
+    matrix: list[list[int]]  # element_matrix(y)
+    poly: IntPoly  # its characteristic polynomial chi_y
+    factors: Factorization  # of chi_y, roots bounded by the largest row sum
+    powers: tuple[list[int], ...]  # y^0 .. y^(n-1) in the basis
+
+
+def spectrum(ring: FusionRing, y: Sequence[int]) -> Spectrum:
+    """Left multiplication by y = sum_i y_i X_i on a valid ring; every
+    characteristic polynomial the library factors is taken here."""
+    M = ring.element_matrix(y)
+    poly, powers = _power_traces(ring, M)
+    return Spectrum(M, poly, factor_linear_quadratic(poly, max(map(sum, M))), powers)
+
+
+def left_charpoly(ring: FusionRing, y: Sequence[int]) -> IntPoly:
+    """det(xI - M) for M = ring.element_matrix(y), unfactored."""
+    return _power_traces(ring, ring.element_matrix(y))[0]
+
+
+def _power_traces(ring: FusionRing, M: list[list[int]]) -> tuple[IntPoly, tuple]:
+    """det(xI - M) for M = ring.element_matrix(y), and y^0 .. y^(n-1).
+
+    Left multiplication is a representation of the associative ring, so
+    M^k = element_matrix(y^k), and the trace of element_matrix(z) is
+    tau . z with tau_i = sum_j N_ij^j.  The power y^k = e_0 M^k is one
+    vector-matrix product away from y^(k-1), so the power sums
+    p_k = tr M^k cost n vector products, not n matrix products, and
+    Newton's identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+    give the integer coefficients with exact divisions."""
+    n = ring.rank
+    tau = [sum(plane[j][j] for j in range(n)) for plane in ring.N]
+    cols = list(zip(*M))
+    power = [int(k == 0) for k in range(n)]
+    powers, sums, cs = [], [], [1]  # sums[k - 1] = p_k, cs[k] = coeff of x^(n-k)
+    for k in range(1, n + 1):
+        powers.append(power)
+        power = [sum(map(operator.mul, power, col)) for col in cols]
+        sums.append(sum(map(operator.mul, tau, power)))
+        q, r = divmod(-sum(map(operator.mul, cs, reversed(sums))), k)
+        if r:
+            raise ArithmeticError("charpoly produced a non-integer coefficient")
+        cs.append(q)
+    return IntPoly(cs[::-1]), tuple(powers)
+
+
+def perron_vector(spec: Spectrum, top: QuadExt) -> tuple[QuadExt, ...]:
+    """The coordinates of q(y), q = chi_y / (x - top), scaled to d_0 = 1:
+    the FP vector when `top` = FPdim(y) is a simple root of chi_y.
+
+    The regular element R = sum_i d_i X_i has y R = FPdim(y) R, and
+    (y - top) q(y) = chi_y(y) = 0, where q(y) != 0 because the minimal
+    polynomial of y has the simple root `top`; so q(y) is a multiple of R
+    (q(M) e_0 when M is symmetric, as for the codegree element).  q runs
+    in integer coordinates over one denominator, and
+    q(y) = sum_k q_k y^k costs O(n^2) per coordinate."""
+    _, coords = _integer_field(_divide_linear(spec.poly.coeffs, top)[0])
+    vecs = {D: [sum(map(operator.mul, col, z)) for z in zip(*spec.powers)]
+            for D, col in coords.items()}
+    # `top` lies in one field, so at most one radicand besides 1; then
+    # d_i = (a_i + b_i sqrt D) (a_0 - b_0 sqrt D) / (a_0^2 - b_0^2 D)
+    rational = vecs.pop(1)
+    D, root = next(iter(vecs.items()), (1, [0] * len(rational)))
+    a0, b0 = rational[0], root[0]
+    norm = a0 * a0 - b0 * b0 * D
+    return tuple(
+        _quad(a * a0 - b * b0 * D, b * a0 - a * b0, norm, D)
+        for a, b in zip(rational, root)
+    )
+
+
+def seed_fpdims(ring: FusionRing, spec: Spectrum, codegrees: Sequence[QuadExt]) -> None:
+    """The cache rule, given `spectrum(ring, C)` of C = sum_T X_T X_T* and
+    its roots `codegrees` in descending order, of which FPdim(C) is the
+    largest (Ostrik, arXiv:0810.3242): if nothing is cached and it is a
+    simple root, cache `perron_vector` once `_is_positive_character`
+    certifies it, which makes it the vector `_perron_dims` would return."""
+    if ring._fpdims is None and codegrees[1:2] != codegrees[:1]:
+        dims = perron_vector(spec, codegrees[0])
+        if _is_positive_character(ring, dims):
+            n = ring.rank
+            object.__setattr__(ring, "_fpdims", FPDims(dims, (True,) * n, (None,) * n))
 
 
 def _perron_dims(ring: FusionRing) -> FPDims:
@@ -375,50 +452,21 @@ def _perron_dims(ring: FusionRing) -> FPDims:
     }
     dims = [QuadExt(1)] * n
     for i, (_, fact) in spectra.items():
-        roots = fact.all_roots()
-        dims[i] = max(roots, default=QuadExt(0))
+        dims[i] = max(fact.all_roots(), default=QuadExt(0))
     if _is_positive_character(ring, dims):
         return FPDims(tuple(dims), (True,) * n, (None,) * n)
     exact = [True] * n
     bounds: list[Optional[tuple[Fraction, Fraction]]] = [None] * n
-    for i, spectrum in spectra.items():
-        dims[i], exact[i], bounds[i] = _elementwise_dim(*spectrum)
+    for i, spec in spectra.items():
+        dims[i], exact[i], bounds[i] = _elementwise_dim(*spec)
     return FPDims(tuple(dims), tuple(exact), tuple(bounds))
 
 
 def _left_spectrum(ring: FusionRing, i: int) -> tuple[IntPoly, Factorization]:
     """Characteristic polynomial of X_i's left-multiplication matrix and its
-    factorization, with roots bounded by the largest row sum."""
-    M = ring.left_matrix(i)
-    poly = left_charpoly(ring, M)
-    return poly, factor_linear_quadratic(poly, max(map(sum, M)))
-
-
-def left_charpoly(ring: FusionRing, M: Sequence[Sequence[int]]) -> IntPoly:
-    """Characteristic polynomial det(xI - M) of M = ring.element_matrix(y).
-
-    Precondition: `ring` is valid and M is one of its element matrices;
-    other input gives a wrong polynomial or ArithmeticError.  Left
-    multiplication is a representation of the associative ring, so
-    M^k = element_matrix(y^k), and the trace of element_matrix(z) is
-    tau . z with tau_i = sum_j N_ij^j.  The power y^k = e_0 M^k is one
-    vector-matrix product away from y^(k-1), so the power sums
-    p_k = tr M^k cost n vector products, not n matrix products, and
-    Newton's identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
-    give the integer coefficients with exact divisions."""
-    n = ring.rank
-    tau = [sum(plane[j][j] for j in range(n)) for plane in ring.N]
-    cols = list(zip(*M))
-    power = [int(k == 0) for k in range(n)]
-    sums, cs = [], [1]  # sums[k - 1] = p_k, cs[k] = coeff of x^(n-k)
-    for k in range(1, n + 1):
-        power = [sum(map(operator.mul, power, col)) for col in cols]
-        sums.append(sum(map(operator.mul, tau, power)))
-        q, r = divmod(-sum(map(operator.mul, cs, reversed(sums))), k)
-        if r:
-            raise ArithmeticError("charpoly produced a non-integer coefficient")
-        cs.append(q)
-    return IntPoly(cs[::-1])
+    factorization, from `spectrum`."""
+    spec = spectrum(ring, [int(k == i) for k in range(ring.rank)])
+    return spec.poly, spec.factors
 
 
 def _elementwise_dim(

@@ -426,7 +426,7 @@ def _mat_mul(A, B):
 def charpoly(M: Sequence[Sequence[int]]) -> IntPoly:
     """Characteristic polynomial det(xI - M) of a generic square matrix by
     the Faddeev-LeVerrier recurrence: the reference for bare matrices.
-    Ring spectra use `ring.left_charpoly`."""
+    Ring spectra use `ring.spectrum`."""
     n = len(M)
     for row in M:
         if len(row) != n:
@@ -472,10 +472,10 @@ class Factorization:
         return out
 
 
-def _divide_linear(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
+def _divide_linear(coeffs: Sequence[int], r):
     """Synthetic division of an integer polynomial (lowest degree first) by
     x - r: the quotient's coefficients and the remainder, which is the
-    value at r.  Integer throughout."""
+    value at r.  Integer throughout when r is an integer."""
     quotient = [0] * (len(coeffs) - 1)
     acc = 0
     for k in range(len(coeffs) - 1, 0, -1):
@@ -561,13 +561,13 @@ def factor_linear_quadratic(
     is returned as the residual, untouched.
 
     `root_bound` bounds the absolute value of every root; it defaults to
-    the Cauchy bound.  The library factors characteristic polynomials of
-    nonnegative integer matrices, whose eigenvalues are bounded by the
-    largest row sum: the codegree matrix once per ring
-    (`obstruction.codegrees`), and each fusion matrix only when the FP
-    dimensions cannot be read off it (`ring._perron_dims`).  The codegree
-    matrix is symmetric and positive semidefinite, so every root, a formal
-    codegree (Ostrik, arXiv:0810.3242), is real and positive."""
+    the Cauchy bound.  The library factors characteristic polynomials in
+    `ring.spectrum`, of element matrices, whose eigenvalues are bounded by
+    the largest row sum: the codegree element's once per ring, and each
+    basis element's only when the FP dimensions cannot be read off it
+    (`ring._perron_dims`).  The codegree matrix is symmetric and positive
+    semidefinite, so every root, a formal codegree (Ostrik,
+    arXiv:0810.3242), is real and positive."""
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     zeros = next((k for k, c in enumerate(p.coeffs) if c), 0)

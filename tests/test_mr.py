@@ -25,6 +25,7 @@ from mrfw.mr import (
     prime_rank_check,
     spherical_witness,
 )
+from mrfw import ring as ring_module
 from mrfw.ring import detect_mr, fpdims
 from mrfw.scalars import QuadExt
 
@@ -55,6 +56,21 @@ class TestMRExtend:
             for i in range(3)
         ]
         assert tuple(tuple(tuple(r) for r in p) for p in relabeled) == rep.N
+
+    def test_rank4_bases_are_built_once(self, monkeypatch):
+        # each rank-3 base is one shared instance, so mr_extend validates it
+        # and computes its FP dimensions at most once over a whole sweep,
+        # while every cell is a fresh ring
+        calls = []
+        perron = ring_module._perron_dims
+        monkeypatch.setattr(
+            ring_module, "_perron_dims", lambda ring: calls.append(ring) or perron(ring)
+        )
+        rings = [build(k) for build in (z3_base_ring, s3_base_ring) for k in range(61)]
+        assert len(calls) <= 2
+        assert len({id(ring) for ring in rings}) == 122
+        assert all(ring._fpdims is None for ring in rings)
+        assert rings[3].labels == rings[64].labels == ("1", "X", "Y", "Z")
 
     def test_rejects_non_integral_base(self):
         with pytest.raises(ValueError):
@@ -105,6 +121,18 @@ class TestMRFPDim:
         d_n, total = mr_fpdim(1, 1)
         assert d_n == PHI
         assert total == (5 + QuadExt.sqrt(5)) * Fraction(1, 2)
+
+    # kappa = 0, and kappa^2 + 4a a perfect square at (1, 0), (2, 1), (6, 1),
+    # (3, 2), (5, 4), (12, 4) and (6, 5)
+    @pytest.mark.parametrize(
+        "a, kappa", [(a, k) for a in (1, 2, 3, 5, 6, 12) for k in (0, 1, 2, 4, 5, 11)]
+    )
+    def test_total_closed_form(self, a, kappa):
+        # d_n^2 = kappa d_n + a, so a + d_n^2 = 2a + (kappa^2 + kappa sqrt(disc))/2
+        d_n, total = mr_fpdim(a, kappa)
+        root = QuadExt.sqrt(kappa * kappa + 4 * a)
+        assert d_n * d_n == kappa * d_n + a
+        assert total == 2 * a + (kappa * kappa + kappa * root) * Fraction(1, 2)
 
     def test_matches_ring_dims(self):
         ring = s3_base_ring(5)

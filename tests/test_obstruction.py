@@ -48,8 +48,8 @@ from mrfw.obstruction import (
     obstruct,
     verify_witness,
 )
-from mrfw.ring import fpdims, global_fpdim, left_charpoly
-from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, charpoly
+from mrfw.ring import fpdims, global_fpdim, left_charpoly, spectrum
+from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, _mat_mul, charpoly
 
 
 def s3_group_ring():
@@ -227,11 +227,20 @@ class TestRegularRepresentation:
             ring = build()
             n = ring.rank
             for i in range(n):
-                M = ring.element_matrix([int(k == i) for k in range(n)])
+                y = [int(k == i) for k in range(n)]
+                M = ring.element_matrix(y)
                 assert M == [list(row) for row in ring.N[i]] == ring.left_matrix(i)
-                assert left_charpoly(ring, M) == charpoly(M), (name, i)
+                assert left_charpoly(ring, y) == charpoly(M), (name, i)
             H = codegree_matrix(ring)
-            assert left_charpoly(ring, H) == charpoly(H), name
+            spec = spectrum(ring, obstruction._codegree_element(ring))
+            assert spec.matrix == H, name
+            assert spec.poly == charpoly(H), name
+            # the powers the eigenvector is formed from: y^k = e_0 H^k
+            Hk = [[int(i == j) for j in range(n)] for i in range(n)]
+            for k, power in enumerate(spec.powers):
+                assert power == Hk[0], (name, k)
+                Hk = _mat_mul(Hk, H)
+            assert len(spec.powers) == n, name
             count += 1
         assert count == 192
 
@@ -304,18 +313,19 @@ class TestCodegreeFPDims:
         ring = near_group(5, 3)
         before = fpdims(ring)
         monkeypatch.setattr(
-            obstruction, "_codegree_fpdims", lambda *args: pytest.fail("recomputed")
+            ring_module, "perron_vector", lambda *args: pytest.fail("recomputed")
         )
         induction_data(ring)
         assert fpdims(ring) is before
 
     @pytest.mark.parametrize("kappa, status", [(3, INFEASIBLE), (5, FEASIBLE)])
     def test_obstruct_factors_one_charpoly(self, kappa, status, monkeypatch):
-        # C(Z5, kappa) has a simple top codegree: obstruct factors the
-        # codegree polynomial and nothing else, and never reaches
-        # _left_spectrum, also when the Gram search reads the dims
+        # C(Z5, kappa) has a simple top codegree: obstruct takes the
+        # spectrum of the codegree element, one characteristic polynomial
+        # and one factorization, and never reaches _left_spectrum, also
+        # when the Gram search reads the dims
         ring = near_group(5, kappa)
-        counts = {"charpoly": 0, "factor": 0}
+        counts = {"spectrum": 0, "charpoly": 0, "factor": 0}
 
         def counting(key, f):
             def wrapped(*args):
@@ -323,20 +333,16 @@ class TestCodegreeFPDims:
                 return f(*args)
             return wrapped
 
+        spectrum_calls = counting("spectrum", ring_module.spectrum)
         for module in (obstruction, ring_module):
-            monkeypatch.setattr(
-                module, "left_charpoly", counting("charpoly", module.left_charpoly)
-            )
-            monkeypatch.setattr(
-                module,
-                "factor_linear_quadratic",
-                counting("factor", module.factor_linear_quadratic),
-            )
+            monkeypatch.setattr(module, "spectrum", spectrum_calls)
+        for name, key in [("_power_traces", "charpoly"), ("factor_linear_quadratic", "factor")]:
+            monkeypatch.setattr(ring_module, name, counting(key, getattr(ring_module, name)))
         monkeypatch.setattr(
             ring_module, "_left_spectrum", lambda *args: pytest.fail("left spectrum")
         )
         assert obstruct(ring).status == status
-        assert counts == {"charpoly": 1, "factor": 1}
+        assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
 
 
 class TestInductionImages:
