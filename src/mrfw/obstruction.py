@@ -28,7 +28,6 @@ from .ring import (
     Spectrum,
     detect_mr,
     fpdims,
-    global_fpdim,
     seed_fpdims,
     spectrum,
 )
@@ -128,13 +127,24 @@ def induction_data(ring: FusionRing) -> InductionData:
         )
     spec, cod = _codegree_spectrum(ring)
     seed_fpdims(ring, spec, cod)
-    total = global_fpdim(ring)
-    if cod[0] != total:
+    fp = fpdims(ring)
+    fp.require_exact()
+    # the global FP dimension sum d_i^2 must be the top codegree; over one
+    # denominator den, with den*top = t + sum_D t_D sqrt(D) and
+    # den*d_i = a_i + b_i sqrt(D), each d_i in one field, that is
+    # sum a_i^2 + sum_D D sum b_i^2 = den t and 2 sum a_i b_i = den t_D
+    top = cod[0]
+    den, coords = _integer_field((top,) + fp.dims)
+    t, *a = coords.pop(1)
+    squares = _dot(a, a) + sum(D * _dot(b[1:], b[1:]) for D, b in coords.items())
+    if squares != den * t or any(2 * _dot(a, b[1:]) != den * b[0] for b in coords.values()):
         raise ExactnessError(
             "largest codegree does not equal the global FP dimension"
         )
-    dims = tuple(total / f for f in cod)
-    return InductionData(cod, dims, tuple(map(tuple, spec.matrix)))
+    dims: list[QuadExt] = []  # cod is sorted: one division per run of equals
+    for k, f in enumerate(cod):
+        dims.append(dims[-1] if k and f == cod[k - 1] else top / f)
+    return InductionData(cod, tuple(dims), tuple(map(tuple, spec.matrix)))
 
 
 @dataclass(frozen=True)
@@ -312,10 +322,15 @@ def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, 
     the walk on C(Z_n, n - 1) visits about 2^(n-1) prefixes of the
     invertibles, whose dimension the extra object could still make up."""
     m = len(ranges)
-    order = sorted(range(m), key=hi_dim.__getitem__, reverse=True)  # stable
-    ranges = [ranges[t] for t in order]
-    lo_dim = [lo_dim[t] for t in order]
-    hi_dim = [hi_dim[t] for t in order]
+    order = range(m)
+    # with hi_dim already non-increasing the walk is in basis order and its
+    # output in lexicographic order: no permutation and no sort
+    reordered = any(map(operator.lt, hi_dim, hi_dim[1:]))
+    if reordered:
+        order = sorted(order, key=hi_dim.__getitem__, reverse=True)  # stable
+        ranges = [ranges[t] for t in order]
+        lo_dim = [lo_dim[t] for t in order]
+        hi_dim = [hi_dim[t] for t in order]
     need, room = [0] * (m + 1), [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         need[t] = need[t + 1] + ranges[t][0] * lo_dim[t]
@@ -323,7 +338,7 @@ def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, 
     out: list[tuple[int, ...]] = []
     box = (ranges, lo_dim, hi_dim, need, room, checks, order)
     _walk_box(box, [0] * m, 0, lo_rem, hi_rem, out)
-    return tuple(sorted(out))
+    return tuple(sorted(out) if reordered else out)
 
 
 def _walk_box(box, vec: list[int], t: int, lo: int, hi: int, out: list) -> None:

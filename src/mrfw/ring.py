@@ -58,9 +58,7 @@ class FusionRing:
             raise ValueError("empty basis")
         if len(N) != n or any(len(r) != n or any(len(c) != n for c in r) for r in N):
             raise ValueError("structure constants must be an n x n x n array")
-        tensor = tuple(
-            tuple(tuple(int(x) for x in row) for row in plane) for plane in N
-        )
+        tensor = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in N)
         # best-effort duality inference; validate() reports ambiguities
         dual = []
         for i in range(n):

@@ -7,15 +7,16 @@ values as {"p", "q", "D"}, cyclotomic values as {"order", "coeffs"}.
 Decimal strings never appear.  Canonical form is byte for byte the text of
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
 newline, saved as UTF-8; load then save is the identity on canonical files.
-mrfw writes that text without the stdlib's pure-Python indent encoder (see
-`canonical_dumps`).
+mrfw writes that text without the stdlib's pure-Python indent encoder: it
+checks types once per container and writes each distinct int row of a
+matrix once (see `canonical_dumps`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
@@ -159,7 +160,7 @@ def ring_to_doc(ring: FusionRing) -> dict:
         "ring",
         {
             "labels": list(ring.labels),
-            "N": [[[int(x) for x in row] for row in plane] for plane in ring.N],
+            "N": [list(map(list, plane)) for plane in ring.N],
         },
     )
 
@@ -177,13 +178,14 @@ def ring_from_payload(payload: dict) -> FusionRing:
         or any(not isinstance(row, list) or len(row) != n for plane in N for row in plane)
     ):
         raise DocumentError("structure constant tensor is not rank x rank x rank")
-    for plane in N:
-        for row in plane:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    raise DocumentError(
-                        f"structure constant {x!r} is not a nonnegative integer"
-                    )
+    flat = list(chain.from_iterable(chain.from_iterable(N)))
+    if set(map(type, flat)) != {int} or min(flat) < 0:
+        # the ordered scan names the first bad entry
+        for x in flat:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                raise DocumentError(
+                    f"structure constant {x!r} is not a nonnegative integer"
+                )
     return FusionRing([str(s) for s in labels], N)
 
 
@@ -315,8 +317,12 @@ def canonical_dumps(doc: dict) -> str:
     return _write(doc, "\n") + "\n"
 
 
-# json.dumps drops its C encoder whenever `indent` is set; this one keeps it
-# for leaves and for the compact text of int-only lists and matrices
+# json.dumps drops its C encoder whenever `indent` is set.  This writer
+# checks types once per container instead of once per leaf: a list of
+# exact ints or exact strs, an int matrix, or an int 3-tensor is written by
+# joining C-level conversions, and each distinct int row's text is built
+# once per container, so a witness of 1,098 rows, 10 of them distinct,
+# costs 10 row texts and one join.  Other leaves go through the C encoder.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -342,29 +348,55 @@ def _write(value: Any, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # exact ints (no bools) in a flat list, or in nonempty list or tuple
-        # rows, compact-encode as digits, "-", "[", "]" and ", " alone, so
-        # the replacements below re-indent them exactly
-        if type(value) in (list, tuple):
-            types = set(map(type, value))
-            if types == {int}:
-                body = _encode(value)[1:-1].replace(", ", "," + inner)
-                return "[" + inner + body + nl + "]"
-            if (
-                types <= {list, tuple}
-                and all(value)
-                and set(map(type, chain.from_iterable(value))) == {int}
-            ):
-                row = inner + "  "
-                body = (
-                    _encode(value)[2:-2]
-                    .replace("], [", inner + "]," + inner + "[" + row)
-                    .replace(", ", "," + row)
-                )
-                return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
-        body = ("," + inner).join([_write(v, inner) for v in value])
+        body = _packed(value, inner) if type(value) in (list, tuple) else None
+        if body is None:
+            body = ("," + inner).join([_write(v, inner) for v in value])
         return "[" + inner + body + nl + "]"
     return _encode(value)
+
+
+def _packed(value: list | tuple, inner: str) -> str | None:
+    """The items of `value` joined by "," and `inner`, as `_write` writes
+    them, when they are exact ints, exact strs, nonempty int rows or
+    matrices of them; None for any other items.  Rows are exact lists or
+    tuples, and every entry is an exact int (no bool or float), so equal
+    rows have equal text and a row tuple is a safe key."""
+    types = set(map(type, value))
+    if types == {int}:
+        return ("," + inner).join(map(int.__repr__, value))
+    if types == {str}:
+        return ("," + inner).join(map(encode_basestring, value))
+    if not (types <= {list, tuple} and all(value)):
+        return None
+    item_types = set(map(type, chain.from_iterable(value)))
+    if item_types == {int}:
+        return ("," + inner).join(_row_texts(value, inner))
+    if not item_types <= {list, tuple}:
+        return None
+    rows = list(chain.from_iterable(value))
+    if all(rows) and set(map(type, chain.from_iterable(rows))) == {int}:
+        row = inner + "  "
+        texts = iter(_row_texts(rows, row))  # planes share row texts
+        return ("," + inner).join(
+            [
+                "[" + row + ("," + row).join(islice(texts, len(plane))) + inner + "]"
+                for plane in value
+            ]
+        )
+    return None
+
+
+def _row_texts(rows, inner: str) -> list[str]:
+    """The text of each int row in `rows`, starting on a line indented by
+    `inner`; each distinct row's text is built once."""
+    keys = list(map(tuple, rows))
+    entry = inner + "  "
+    sep = "," + entry
+    texts = {
+        key: "[" + entry + sep.join(map(int.__repr__, key)) + inner + "]"
+        for key in set(keys)
+    }
+    return list(map(texts.__getitem__, keys))
 
 
 def save_document(doc: dict, path: str | Path) -> None:

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -128,6 +129,14 @@ class TestEnvelope:
         with pytest.raises(DocumentError):
             ring_from_payload({"labels": ["1"], "N": [[[-1]]]})
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", -1])
+    def test_first_bad_structure_constant_is_named(self, bad):
+        # valid entries first, then `bad`, then a second bad entry: the
+        # message names `bad`, the first in tensor order
+        N = [[[1, 0], [0, 1]], [[0, bad], [1, -7]]]
+        with pytest.raises(DocumentError, match=re.escape(f"constant {bad!r} is not")):
+            ring_from_payload({"labels": ["1", "g"], "N": N})
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(RING_BUILDERS))
@@ -172,7 +181,7 @@ class TestRoundTrip:
 
 
 # quotes, backslashes, control and non-ASCII characters, and the ", [ ]"
-# that the int-matrix re-indentation replaces
+# of compact JSON text inside strings
 TEXT = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028é日𝄞 a0,[]:{}'), max_size=6)
 INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
 LEAVES = st.one_of(
@@ -219,6 +228,13 @@ class TestCanonicalText:
     @example(doc={"a": [], "b": {}, "c": [[]], "d": [[], []], "e": [[1], []]})
     @example(doc={"N": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]], "w": [[-1, 2**70]]})
     @example(doc={"x": [1, True], "y": [[1], [False]], "z": [[1], 2], "t": (1, (2,))})
+    # runs of repeated rows, as in a Gram witness, and planes sharing rows,
+    # including a tuple row equal to a list row: one cached text per row
+    @example(doc={"w": [[1, 0, 2]] * 5 + [[0, 1, 1]] * 3})
+    @example(doc={"N": [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], (0, 1)]]})
+    # rows that compare and hash equal but are written differently
+    @example(doc={"a": [[1, 0], [True, 0]], "b": [[1], [1.0]], "c": [[[1]], [[True]]]})
+    @example(doc={"w": [[2**70, -1]] * 3, "s": ["a", "a", "\u00e9"]})
     def test_matches_stdlib(self, doc):
         assert canonical_dumps(doc) == stdlib_dumps(doc)
 
