@@ -141,10 +141,8 @@ def induction_data(ring: FusionRing) -> InductionData:
         raise ExactnessError(
             "largest codegree does not equal the global FP dimension"
         )
-    dims: list[QuadExt] = []  # cod is sorted: one division per run of equals
-    for k, f in enumerate(cod):
-        dims.append(dims[-1] if k and f == cod[k - 1] else top / f)
-    return InductionData(cod, tuple(dims), tuple(map(tuple, spec.matrix)))
+    dims = tuple(top / f for f in cod)
+    return InductionData(cod, dims, tuple(map(tuple, spec.matrix)))
 
 
 @dataclass(frozen=True)
@@ -322,15 +320,10 @@ def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, 
     the walk on C(Z_n, n - 1) visits about 2^(n-1) prefixes of the
     invertibles, whose dimension the extra object could still make up."""
     m = len(ranges)
-    order = range(m)
-    # with hi_dim already non-increasing the walk is in basis order and its
-    # output in lexicographic order: no permutation and no sort
-    reordered = any(map(operator.lt, hi_dim, hi_dim[1:]))
-    if reordered:
-        order = sorted(order, key=hi_dim.__getitem__, reverse=True)  # stable
-        ranges = [ranges[t] for t in order]
-        lo_dim = [lo_dim[t] for t in order]
-        hi_dim = [hi_dim[t] for t in order]
+    order = sorted(range(m), key=hi_dim.__getitem__, reverse=True)  # stable
+    ranges = [ranges[t] for t in order]
+    lo_dim = [lo_dim[t] for t in order]
+    hi_dim = [hi_dim[t] for t in order]
     need, room = [0] * (m + 1), [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         need[t] = need[t + 1] + ranges[t][0] * lo_dim[t]
@@ -338,7 +331,7 @@ def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, 
     out: list[tuple[int, ...]] = []
     box = (ranges, lo_dim, hi_dim, need, room, checks, order)
     _walk_box(box, [0] * m, 0, lo_rem, hi_rem, out)
-    return tuple(sorted(out) if reordered else out)
+    return tuple(sorted(out))
 
 
 def _walk_box(box, vec: list[int], t: int, lo: int, hi: int, out: list) -> None:

@@ -319,10 +319,10 @@ def canonical_dumps(doc: dict) -> str:
 
 # json.dumps drops its C encoder whenever `indent` is set.  This writer
 # checks types once per container instead of once per leaf: a list of
-# exact ints or exact strs, an int matrix, or an int 3-tensor is written by
-# joining C-level conversions, and each distinct int row's text is built
-# once per container, so a witness of 1,098 rows, 10 of them distinct,
-# costs 10 row texts and one join.  Other leaves go through the C encoder.
+# exact ints, an int matrix, or an int 3-tensor is written by joining
+# C-level conversions, and each distinct int row's text is built once per
+# container, so a witness of 1,098 rows, 10 of them distinct, costs 10 row
+# texts and one join.  Other leaves go through the C encoder.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -357,15 +357,13 @@ def _write(value: Any, nl: str) -> str:
 
 def _packed(value: list | tuple, inner: str) -> str | None:
     """The items of `value` joined by "," and `inner`, as `_write` writes
-    them, when they are exact ints, exact strs, nonempty int rows or
-    matrices of them; None for any other items.  Rows are exact lists or
-    tuples, and every entry is an exact int (no bool or float), so equal
-    rows have equal text and a row tuple is a safe key."""
+    them, when they are exact ints, nonempty int rows or matrices of
+    them; None for any other items.  Rows are exact lists or tuples, and
+    every entry is an exact int (no bool or float), so equal rows have
+    equal text and a row tuple is a safe key."""
     types = set(map(type, value))
     if types == {int}:
         return ("," + inner).join(map(int.__repr__, value))
-    if types == {str}:
-        return ("," + inner).join(map(encode_basestring, value))
     if not (types <= {list, tuple} and all(value)):
         return None
     item_types = set(map(type, chain.from_iterable(value)))
