@@ -526,16 +526,20 @@ class GramResult:
 
 
 def _dimension_screen(dims: tuple[QuadExt, ...]):
-    """Predicate on rows: does the dimension of the row's image divide the
-    global dimension?
+    """The coefficient columns of the row dimensions and a test: does the
+    dimension of a row's image divide the global dimension?
 
     The test runs in integers.  With dims scaled to integer coordinates
     over den, each d^2 stays in the field of d, so the global dimension is
     (ga + gb*sqrt(D)) / den^2 and a row's dimension is (A + B*sqrt(D)) / den.
     Their quotient is (P + Q*sqrt(D)) / M, an algebraic integer iff its
-    trace and norm are integers.  Raises UnsupportedFieldError when the
-    global dimension, or a row's dimension together with it, spans two
-    quadratic fields."""
+    trace and norm are integers.
+
+    Returns `(cols, divides)`: `cols[i]` holds basis element i's integer
+    coordinates, rational part first and then one per radicand, so a row's
+    `sums` are the sums of x_i * cols[i], and `divides(row, sums)` tests
+    them.  Raises UnsupportedFieldError when the global dimension, or a
+    row's dimension together with it, spans two quadratic fields."""
     den, coords = _integer_field(dims)
     ra = coords.pop(1)
     irr = list(coords.items())
@@ -549,25 +553,99 @@ def _dimension_screen(dims: tuple[QuadExt, ...]):
             )
         )
     gD, gb = gfield[0] if gfield else (1, 0)
+    fields = list(enumerate((D for D, _ in irr), 1))  # (index in sums, D)
 
-    def divides(row) -> bool:
-        A = _dot(row, ra)
+    def divides(row, sums) -> bool:
+        A = sums[0]
         D, B = gD, 0
-        for E, b in irr:
-            x = _dot(row, b)
+        for k, E in fields:
+            x = sums[k]
             if x:
                 if B or (gb and E != gD):
                     raise UnsupportedFieldError(
-                        f"the dimension of row {row} and the global "
+                        f"the dimension of row {tuple(row)} and the global "
                         f"dimension span two quadratic fields"
                     )
                 D, B = E, x
         P = ga * A - gb * B * D
-        Q = gb * A - ga * B
         M = den * (A * A - B * B * D)
-        return 2 * P % M == 0 and (P * P - Q * Q * D) % (M * M) == 0
+        if 2 * P % M:
+            return False
+        Q = gb * A - ga * B
+        return (P * P - Q * Q * D) % (M * M) == 0
 
-    return divides
+    return list(zip(ra, *(b for _, b in irr))), divides
+
+
+def _free_rows(R: list[int], pos: list[list[int]], screen=None):
+    """The admissible free rows of a residual in descending lexicographic
+    order, with their products and masks: `(free, prods, masks)`.
+
+    R is the residual's upper triangle, entry (i, j) at `pos[i][j]`.  A row
+    w is admissible when it is nonzero, w_i * w_j <= R_ij for every pair,
+    and its dimension passes the `_dimension_screen`, if one is given.
+    `prods[k]` lists the `(entry, w_i * w_j)` of row k's support, and
+    `masks[k]` has their bits.
+
+    One recursion enumerates the rows.  The children of a row set one more
+    entry after its last nonzero one, by position and then by value,
+    largest first, and each child comes after its own subtree, whose rows
+    are greater.  A row carries what its children need:
+      - the bounds of the entries it may still set: isqrt(R_kk), lowered to
+        R_jk // w_j by each entry j it sets; an entry whose bound reaches
+        zero drops out;
+      - the screen's sums over its support, so the screen is integer
+        arithmetic on them, with no pass over the row;
+      - its support, products and mask, once it has children, so a child
+        adds only the products of its new entry with the support."""
+    n = len(pos)
+    Rm = [[R[p] for p in row] for row in pos]
+    cols, divides = screen or ([()] * n, None)
+    # steps[i][x]: the change in the screen's sums when entry i is set to x
+    steps = [
+        [[x * c for c in col] for x in range(math.isqrt(Rm[i][i]) + 1)]
+        for i, col in enumerate(cols)
+    ]
+    free: list[tuple[int, ...]] = []
+    prods: list[tuple[tuple[int, int], ...]] = []
+    masks: list[int] = []
+    row = [0] * n
+
+    def grow(node, i, x):
+        # the support, products and mask of `node` with entry i set to x
+        supp, pr, mask = node
+        pi = pos[i]
+        new = [(pi[j], w * x) for j, w in supp]
+        new.append((pi[i], x * x))
+        return supp + [(i, x)], pr + new, mask | sum([1 << p for p, _ in new])
+
+    def extend(cand, sums, node) -> None:
+        # cand: (position, bound) for each entry the current row may set
+        for t, (i, top) in enumerate(cand):
+            Ri, si = Rm[i], steps[i]
+            rest = cand[t + 1:]
+            for x in range(top, 0, -1):
+                row[i] = x
+                sums2 = [*map(operator.add, sums, si[x])]
+                child = None
+                if rest:
+                    sub = [(k, b) for k, c in rest if (b := min(c, Ri[k] // x))]
+                    if sub:
+                        child = grow(node, i, x)
+                        extend(sub, sums2, child)
+                if divides is None or divides(row, sums2):
+                    _, pr, mask = child or grow(node, i, x)
+                    free.append(tuple(row))
+                    prods.append(tuple(pr))
+                    masks.append(mask)
+            row[i] = 0
+
+    extend(
+        [(i, b) for i in range(n) if (b := math.isqrt(Rm[i][i]))],
+        [0] * len(cols[0]) if cols else [],
+        ([], [], 0),
+    )
+    return free, prods, masks
 
 
 def gram_search(
@@ -589,6 +667,14 @@ def gram_search(
     N^t N is symmetric.  The residual H - sum w w^t is therefore kept as
     its upper triangle, and each row touches only the entries of its
     support, the pairs (i, j) with w_i * w_j > 0.
+
+    The set-up, `_free_rows`, lists the admissible rows in one recursion
+    that extends a row by one entry at a time and carries down what the
+    extension changes: the bounds on the entries still open, the
+    dimension screen's integer sums (one for the rational part and one
+    per radicand), and, for rows that have extensions, the `(entry,
+    w_i * w_j)` products and their bitmask, so a new entry adds only its
+    products with the support.
 
     Two prunings cut subtrees that hold no solution.  A column whose
     diagonal residual is zero admits no further row, so positive cross
@@ -621,34 +707,9 @@ def gram_search(
                 f"fixed rows overshoot H at ({i},{j}): residual {R[p]}"
             )
             return GramResult(INFEASIBLE, None, 0, tuple(log))
-    divides = None if dims is None else _dimension_screen(dims)
-    # admissible rows in descending lexicographic order: w_i * w_j <= R_ij
-    # for every pair, so each entry is bounded by those before it
-    free: list[tuple[int, ...]] = []
-    prefix = [0] * n
-
-    def admissible(i: int) -> None:
-        if i == n:
-            row = tuple(prefix)
-            if any(row) and (divides is None or divides(row)):
-                free.append(row)
-            return
-        top = math.isqrt(R[pos[i][i]])
-        for j in range(i):
-            if prefix[j]:
-                top = min(top, R[pos[j][i]] // prefix[j])
-        for x in range(top, -1, -1):
-            prefix[i] = x
-            admissible(i + 1)
-        prefix[i] = 0
-
-    admissible(0)
-    # per row: its (entry, w_i * w_j) products and their bitmask
-    prods = [
-        tuple((p, w[i] * w[j]) for p, (i, j) in enumerate(pairs) if w[i] * w[j])
-        for w in free
-    ]
-    masks = [sum(1 << p for p, _ in pr) for pr in prods]
+    free, prods, masks = _free_rows(
+        R, pos, None if dims is None else _dimension_screen(dims)
+    )
     # uncovered[idx]: entries that no row of free[idx:] touches
     uncovered = [~0] * (len(free) + 1)
     for idx in range(len(free) - 1, -1, -1):

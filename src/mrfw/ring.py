@@ -58,7 +58,24 @@ class FusionRing:
             raise ValueError("empty basis")
         if len(N) != n or any(len(r) != n or any(len(c) != n for c in r) for r in N):
             raise ValueError("structure constants must be an n x n x n array")
-        tensor = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in N)
+        tensor = tuple(tuple(map(tuple, plane)) for plane in N)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(tensor))
+        if set(map(type, flat)) != {int}:
+            # the ordered scan names the first entry that is not an integer;
+            # other integer types (bool, numpy ints) become exact ints
+            for i, j, k in itertools.product(range(n), repeat=3):
+                x = tensor[i][j][k]
+                try:
+                    operator.index(x)
+                except TypeError:
+                    raise ValueError(
+                        f"structure constant N[{i}][{j}][{k}] = {x!r} is not "
+                        f"an integer"
+                    ) from None
+            tensor = tuple(
+                tuple(tuple(map(operator.index, row)) for row in plane)
+                for plane in tensor
+            )
         # best-effort duality inference; validate() reports ambiguities
         dual = []
         for i in range(n):

@@ -484,6 +484,12 @@ def _divide_linear(coeffs: Sequence[int], r):
     return quotient, acc * r + coeffs[0]
 
 
+def _at_plus_minus_one(coeffs: list[int]) -> tuple[int, int]:
+    """p(1) and p(-1) for the coefficients of p, lowest degree first."""
+    even, odd = sum(coeffs[::2]), sum(coeffs[1::2])
+    return even + odd, even - odd
+
+
 def _integer_roots(p: IntPoly, bound: int) -> tuple[list[int], IntPoly]:
     """Integer roots r with |r| <= bound of a monic p with p(0) != 0, with
     multiplicity, and the quotient of p by them.
@@ -498,7 +504,12 @@ def _integer_roots(p: IntPoly, bound: int) -> tuple[list[int], IntPoly]:
     coefficients show no sign change, that is, when none is negative or
     none is positive, and no negative root when those of p(-x) show none;
     d or -d is then not tried.  A codegree polynomial has only positive
-    roots, so its negative divisors are never tested."""
+    roots, so its negative divisors are never tested.
+
+    Before the synthetic division, a cheap filter: p = (x - r) q with q
+    monic and integral, so p(1) = (1 - r) q(1) and p(-1) = (-1 - r) q(-1),
+    and r is tried only when r - 1 divides p(1) and r + 1 divides p(-1);
+    r = 1 and r = -1 are roots exactly when p(1) = 0 and p(-1) = 0."""
     c = abs(p.coeffs[0])
     small = [d for d in range(1, min(bound, math.isqrt(c)) + 1) if c % d == 0]
     candidates = sorted(set(small).union(c // d for d in small if c // d <= bound))
@@ -506,16 +517,23 @@ def _integer_roots(p: IntPoly, bound: int) -> tuple[list[int], IntPoly]:
     signs = [s for s, cs in ((1, p.coeffs), (-1, flipped)) if min(cs) < 0 < max(cs)]
     coeffs = list(p.coeffs)
     roots: list[int] = []
+    at_one, at_minus_one = _at_plus_minus_one(coeffs)
     for d in candidates:
         for r in (d * s for s in signs):
             # deflation keeps the constant term nonzero, and every root of
             # the quotient still divides it
             while len(coeffs) > 1 and coeffs[0] % r == 0:
+                if r == 1 or r == -1:
+                    if (at_one if r == 1 else at_minus_one) != 0:
+                        break
+                elif at_one % (r - 1) or at_minus_one % (r + 1):
+                    break
                 quotient, value = _divide_linear(coeffs, r)
                 if value:
                     break
                 roots.append(r)
                 coeffs = quotient
+                at_one, at_minus_one = _at_plus_minus_one(coeffs)
     return roots, IntPoly(coeffs)
 
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from gram_oracle import OracleBudgetExceeded, gram_bruteforce
+from gram_oracle import OracleBudgetExceeded, eager_free_rows, gram_bruteforce
 from i1_oracle import images_bruteforce, tilings_bruteforce
 from ring_oracles import (
     cubic_ring,
@@ -681,6 +682,89 @@ class TestGramSearch:
         assert checked > 30
 
 
+def two_field_ring():
+    # dimensions 1, sqrt(2), sqrt(3) and sqrt(6)
+    return deligne_product(ising_ring(), near_group(3, 0))
+
+
+def setup_outcome(setup):
+    """The set-up's rows, their products as sets and their masks, or the
+    message of the UnsupportedFieldError it raises."""
+    try:
+        free, prods, masks = setup()
+    except UnsupportedFieldError as exc:
+        return str(exc)
+    return free, [set(pr) for pr in prods], masks
+
+
+class TestFreeRowsSetup:
+    """The one-pass set-up `_free_rows` gives the eager set-up's rows, in
+    its order, with the same products and masks."""
+
+    @staticmethod
+    def assert_same_setup(H, fixed_rows, dims):
+        """Compare both set-ups with the dimensions and with no screen;
+        return the outcome with the dimensions."""
+        R, pos, *_ = eager_free_rows(H, fixed_rows)
+        outcomes = []
+        for d in (dims, None):
+            want = setup_outcome(lambda: eager_free_rows(H, fixed_rows, d)[2:])
+            got = setup_outcome(
+                lambda: obstruction._free_rows(
+                    R, pos, None if d is None else obstruction._dimension_screen(d)
+                )
+            )
+            assert got == want
+            outcomes.append(want)
+        return outcomes[0]
+
+    @pytest.mark.parametrize(
+        "rings",
+        [
+            lambda: rank4_and_near_group_rings(8),
+            lambda: [("ising x C(Z3,0)", two_field_ring())],
+        ],
+        ids=["rank4 and C(Z_n) n<=8", "two fields"],
+    )
+    def test_matches_eager_on_every_residual(self, rings):
+        # every induced-unit solution whose fixed rows leave a nonnegative
+        # residual, as gram_search receives it: with the ring's dimensions,
+        # and without any screen
+        checked = 0
+        for _, ring in rings():
+            data = induction_data(ring)
+            i1 = i1_dimension_system(ring, data)
+            if i1.status != FEASIBLE:
+                continue
+            dims = fpdims(ring).dims
+            for sol in i1.solutions:
+                n = len(data.H)
+                if any(
+                    data.H[i][j] < sum(w[i] * w[j] for w in sol)
+                    for i in range(n) for j in range(i, n)
+                ):
+                    continue  # gram_search stops before its set-up
+                self.assert_same_setup(data.H, sol, dims)
+                checked += 1
+        assert checked > 0
+
+    def test_screen_raises_at_the_same_row(self):
+        # random residuals over the two-field dimensions: where a row's
+        # dimension mixes fields, both set-ups stop at the same first row
+        dims = fpdims(two_field_ring()).dims
+        n = len(dims)
+        rng = random.Random(9041)
+        outcomes = set()
+        for _ in range(60):
+            H = [[0] * n for _ in range(n)]
+            for i in range(n):
+                H[i][i] = rng.choice((0, 1, 1, 4))
+                for j in range(i + 1, n):
+                    H[i][j] = H[j][i] = rng.choice((0, 0, 0, 1))
+            outcomes.add(isinstance(self.assert_same_setup(H, (), dims), str))
+        assert outcomes == {True, False}
+
+
 class TestSoundnessGate:
     """Rings known to be categorifiable must never be declared infeasible."""
 
@@ -776,16 +860,23 @@ class TestWitnessPinning:
 
 
 def quadext_screen(dims):
-    """The dimension screen in plain `QuadExt` arithmetic: the row's
-    dimension is summed term by term, which raises UnsupportedFieldError
-    as soon as two quadratic fields meet."""
+    """The dimension screen in plain `QuadExt` arithmetic, in the shape of
+    `_dimension_screen`: no columns, and a test that sums the row's
+    dimension term by term, which raises UnsupportedFieldError as soon as
+    two quadratic fields meet."""
     total = sum((d * d for d in dims), QuadExt(0))
 
-    def divides(row):
+    def divides(row, sums=()):
         s = sum((c * d for c, d in zip(row, dims) if c), QuadExt(0))
         return (total * s.inverse()).is_algebraic_integer()
 
-    return divides
+    return [()] * len(dims), divides
+
+
+def screen_sums(row, cols):
+    """The sums `_free_rows` carries down to a row: one dot product of the
+    row per coordinate of `cols`."""
+    return [sum(map(operator.mul, row, col)) for col in zip(*cols)]
 
 
 class TestIntegerScreens:
@@ -804,11 +895,11 @@ class TestIntegerScreens:
     @pytest.mark.parametrize("name", list(RINGS))
     def test_dimension_screen_matches_quadext(self, name):
         dims = fpdims(self.RINGS[name]()).dims
-        divides = obstruction._dimension_screen(dims)
-        oracle = quadext_screen(dims)
+        cols, divides = obstruction._dimension_screen(dims)
+        _, oracle = quadext_screen(dims)
         for row in itertools.product(range(4), repeat=len(dims)):
             if any(row):
-                assert divides(row) == oracle(row)
+                assert divides(row, screen_sums(row, cols)) == oracle(row)
 
     @pytest.mark.parametrize("name", list(RINGS))
     def test_quadext_fallback_agrees(self, name, monkeypatch):
@@ -828,8 +919,8 @@ class TestIntegerScreens:
         # dimension mixes fields makes both raise
         dims = fpdims(deligne_product(ising_ring(), near_group(3, 0))).dims
         assert {d.D for d in dims} == {1, 2, 3, 6}
-        divides = obstruction._dimension_screen(dims)
-        oracle = quadext_screen(dims)
+        cols, divides = obstruction._dimension_screen(dims)
+        _, oracle = quadext_screen(dims)
         rng = random.Random(3217)
         outcomes = set()
         for _ in range(3000):
@@ -840,10 +931,10 @@ class TestIntegerScreens:
                 want = oracle(row)
             except UnsupportedFieldError:
                 with pytest.raises(UnsupportedFieldError):
-                    divides(row)
+                    divides(row, screen_sums(row, cols))
                 outcomes.add("raise")
             else:
-                assert divides(row) == want
+                assert divides(row, screen_sums(row, cols)) == want
                 outcomes.add(want)
         assert outcomes == {True, False, "raise"}
 

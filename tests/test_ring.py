@@ -187,6 +187,17 @@ class TestValidate:
         fib = fibonacci_ring()
         assert fib.N[1][1] == (1, 1)  # X (x) X = 1 + X
 
+    @pytest.mark.parametrize("bad", [1.7, Fraction(3, 2), "1"], ids=repr)
+    def test_non_integer_structure_constant_rejected(self, bad):
+        # without the check, 1.7 truncated to 1 made a valid Z2 ring
+        with pytest.raises(ValueError, match=r"N\[1\]\[1\]\[0\] = .* is not an integer"):
+            FusionRing(["1", "g"], [[[1, 0], [0, 1]], [[0, 1], [bad, 0]]])
+
+    def test_integer_types_become_exact_ints(self):
+        ring = FusionRing(["1", "g"], [[[True, 0], [0, 1]], [[0, 1], [1, False]]])
+        assert ring.N == cyclic_ring(2).N
+        assert {type(x) for plane in ring.N for row in plane for x in row} == {int}
+
     def test_duality_normalization_violation(self):
         bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
         report = bad.validate()

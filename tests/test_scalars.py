@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrfw import scalars
@@ -466,6 +466,11 @@ class TestIntegerRoots:
         st.integers(0, 12),
     )
     @settings(max_examples=150)
+    # r = 1 and r = -1 bypass the p(1), p(-1) divisibility filter, which
+    # would divide by zero there; repeated ones must survive deflation
+    @example([1, -1, 2, -2], [], 2)
+    @example([1, 1, 1, -1, -1], [], 1)
+    @example([-1, -1, 2, 2, -2], [(5, 1)], 12)
     def test_matches_bruteforce(self, roots, quads, bound):
         # roots of both signs, repeated ones, and quadratic factors without
         # integer roots, so that Descartes' rule skips a sign only sometimes
