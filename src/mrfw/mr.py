@@ -126,11 +126,7 @@ def spherical_witness(a: int, kappa: int) -> SphericalCertificate:
             # FPdim of the pivotalization is rational; filter by direct
             # integrality of x = dim / FPdim itself
             denom = fp_tilde.as_fraction()
-            root = QuadExt.sqrt(u * u + 4 * a)
-            branches = tuple(
-                (QuadExt(4 * a + u * u) + sign * QuadExt(u) * root) * (1 / denom)
-                for sign in (1, -1)
-            )
+            branches = tuple(x / denom for x in pivotal_dims(a, kappa, s, t)[1])
             ok = any(x.is_algebraic_integer() for x in branches)
             candidates.append(SphericalCandidate(s, t, None, branches, ok))
         else:

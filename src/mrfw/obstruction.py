@@ -579,13 +579,13 @@ def _dimension_screen(dims: tuple[QuadExt, ...]):
 
 def _free_rows(R: list[int], pos: list[list[int]], screen=None):
     """The admissible free rows of a residual in descending lexicographic
-    order, with their products and masks: `(free, prods, masks)`.
+    order, with their masks: `(free, masks)`.
 
     R is the residual's upper triangle, entry (i, j) at `pos[i][j]`.  A row
     w is admissible when it is nonzero, w_i * w_j <= R_ij for every pair,
     and its dimension passes the `_dimension_screen`, if one is given.
-    `prods[k]` lists the `(entry, w_i * w_j)` of row k's support, and
-    `masks[k]` has their bits.
+    `masks[k]` has the bits of the entries (i, j) of row k's support, the
+    pairs with w_i * w_j > 0.
 
     One recursion enumerates the rows.  The children of a row set one more
     entry after its last nonzero one, by position and then by value,
@@ -596,8 +596,8 @@ def _free_rows(R: list[int], pos: list[list[int]], screen=None):
         zero drops out;
       - the screen's sums over its support, so the screen is integer
         arithmetic on them, with no pass over the row;
-      - its support, products and mask, once it has children, so a child
-        adds only the products of its new entry with the support."""
+      - its support and mask; a mask depends on the support alone, so
+        it grows once per new position, whatever the entry's value."""
     n = len(pos)
     Rm = [[R[p] for p in row] for row in pos]
     cols, divides = screen or ([()] * n, None)
@@ -607,45 +607,41 @@ def _free_rows(R: list[int], pos: list[list[int]], screen=None):
         for i, col in enumerate(cols)
     ]
     free: list[tuple[int, ...]] = []
-    prods: list[tuple[tuple[int, int], ...]] = []
     masks: list[int] = []
     row = [0] * n
 
-    def grow(node, i, x):
-        # the support, products and mask of `node` with entry i set to x
-        supp, pr, mask = node
-        pi = pos[i]
-        new = [(pi[j], w * x) for j, w in supp]
-        new.append((pi[i], x * x))
-        return supp + [(i, x)], pr + new, mask | sum([1 << p for p, _ in new])
-
-    def extend(cand, sums, node) -> None:
+    def extend(cand, sums, supp, mask) -> None:
         # cand: (position, bound) for each entry the current row may set
         for t, (i, top) in enumerate(cand):
-            Ri, si = Rm[i], steps[i]
+            Ri, si, pi = Rm[i], steps[i], pos[i]
             rest = cand[t + 1:]
+            supp2 = supp + [i]
+            mask2 = mask | sum([1 << pi[j] for j in supp2])
             for x in range(top, 0, -1):
                 row[i] = x
                 sums2 = [*map(operator.add, sums, si[x])]
-                child = None
                 if rest:
                     sub = [(k, b) for k, c in rest if (b := min(c, Ri[k] // x))]
                     if sub:
-                        child = grow(node, i, x)
-                        extend(sub, sums2, child)
+                        extend(sub, sums2, supp2, mask2)
                 if divides is None or divides(row, sums2):
-                    _, pr, mask = child or grow(node, i, x)
                     free.append(tuple(row))
-                    prods.append(tuple(pr))
-                    masks.append(mask)
+                    masks.append(mask2)
             row[i] = 0
 
     extend(
         [(i, b) for i in range(n) if (b := math.isqrt(Rm[i][i]))],
         [0] * len(cols[0]) if cols else [],
-        ([], [], 0),
+        [],
+        0,
     )
-    return free, prods, masks
+    return free, masks
+
+
+def _row_products(w: tuple[int, ...], pos: list[list[int]]):
+    """The `(pos[i][j], w_i * w_j)` of row w, over the pairs of its support."""
+    supp = [i for i, x in enumerate(w) if x]
+    return [(pos[i][j], w[i] * w[j]) for i in supp for j in supp if j <= i]
 
 
 def gram_search(
@@ -668,13 +664,13 @@ def gram_search(
     its upper triangle, and each row touches only the entries of its
     support, the pairs (i, j) with w_i * w_j > 0.
 
-    The set-up, `_free_rows`, lists the admissible rows in one recursion
-    that extends a row by one entry at a time and carries down what the
-    extension changes: the bounds on the entries still open, the
-    dimension screen's integer sums (one for the rational part and one
-    per radicand), and, for rows that have extensions, the `(entry,
-    w_i * w_j)` products and their bitmask, so a new entry adds only its
-    products with the support.
+    The set-up, `_free_rows`, lists the admissible rows and their masks
+    in one recursion that extends a row by one entry at a time and
+    carries down what the extension changes: the bounds on the entries
+    still open, the dimension screen's integer sums (one for the rational
+    part and one per radicand), the support and its bitmask.  A row's
+    `(entry, w_i * w_j)` products are built when the search first tries
+    that row, and kept for its later visits.
 
     Two prunings cut subtrees that hold no solution.  A column whose
     diagonal residual is zero admits no further row, so positive cross
@@ -707,9 +703,10 @@ def gram_search(
                 f"fixed rows overshoot H at ({i},{j}): residual {R[p]}"
             )
             return GramResult(INFEASIBLE, None, 0, tuple(log))
-    free, prods, masks = _free_rows(
+    free, masks = _free_rows(
         R, pos, None if dims is None else _dimension_screen(dims)
     )
+    prods: list[Optional[list[tuple[int, int]]]] = [None] * len(free)
     # uncovered[idx]: entries that no row of free[idx:] touches
     uncovered = [~0] * (len(free) + 1)
     for idx in range(len(free) - 1, -1, -1):
@@ -734,9 +731,10 @@ def gram_search(
                 return None  # cover rule
             if masks[idx] & ~live:
                 continue  # the row meets an entry already cleared
+            if prods[idx] is None:  # the search's first try of this row
+                prods[idx] = _row_products(free[idx], pos)
             # largest multiplicity keeping the residual nonnegative
-            limit = min(R[p] // c for p, c in prods[idx])
-            for m in range(limit, 0, -1):
+            for m in range(min(R[p] // c for p, c in prods[idx]), 0, -1):
                 nodes += 1
                 if nodes > node_cap:
                     raise NodeCapExceeded

@@ -283,7 +283,9 @@ def replay_from_payload(payload: dict) -> tuple[FusionRing, Any, Any, int | None
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integers past the int-digit limit, and
+        # nesting past the recursion limit
         raise DocumentError(f"not valid JSON: {exc}") from exc
     _require_keys(doc, {"schema", "kind", "payload"}, set(), "document")
     if _require_int(doc["schema"], "schema version") != SCHEMA_VERSION:

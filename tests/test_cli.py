@@ -395,6 +395,28 @@ class TestExitCodes:
         result = invoke(*args, str(p))
         assert_exit(result, 2, "error: approximate Frobenius-Perron dimensions")
 
+    @pytest.mark.parametrize(
+        "args", [["check"], ["obstruct", "--replay"]], ids=["check", "replay"]
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"schema": 1, "kind": "ring", "payload": {"labels": ["1"], '
+            '"N": [[[' + "1" * 5000 + "]]]}}",
+        ],
+        ids=["deep-nesting", "5000-digit-integer"],
+    )
+    def test_unparseable_json(self, tmp_path, args, text):
+        # json.loads raises RecursionError on the one and a plain ValueError
+        # (Python's int-digit limit) on the other
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        result = invoke(*args, str(p))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: not valid JSON")
+        assert "Traceback" not in result.output
+
     def test_failed_report_prints_no_partial_report(self, tmp_path):
         p = tmp_path / "cubic.json"
         save_document(ring_to_doc(cubic_ring()), p)

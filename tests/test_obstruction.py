@@ -697,9 +697,27 @@ def setup_outcome(setup):
     return free, [set(pr) for pr in prods], masks
 
 
+def gram_residuals(ring):
+    """Each induced-unit solution of the ring whose fixed rows leave a
+    nonnegative residual, as gram_search receives it: `(H, rows, dims)`."""
+    data = induction_data(ring)
+    i1 = i1_dimension_system(ring, data)
+    if i1.status != FEASIBLE:
+        return
+    dims = fpdims(ring).dims
+    H, n = data.H, len(data.H)
+    for sol in i1.solutions:
+        if all(
+            H[i][j] >= sum(w[i] * w[j] for w in sol)
+            for i in range(n) for j in range(i, n)
+        ):
+            yield H, sol, dims
+
+
 class TestFreeRowsSetup:
     """The one-pass set-up `_free_rows` gives the eager set-up's rows, in
-    its order, with the same products and masks."""
+    its order, with the same masks, and `_row_products`, which gram_search
+    calls on its first try of a row, gives the eager set-up's products."""
 
     @staticmethod
     def assert_same_setup(H, fixed_rows, dims):
@@ -709,12 +727,15 @@ class TestFreeRowsSetup:
         outcomes = []
         for d in (dims, None):
             want = setup_outcome(lambda: eager_free_rows(H, fixed_rows, d)[2:])
-            got = setup_outcome(
-                lambda: obstruction._free_rows(
+
+            def lazy():
+                free, masks = obstruction._free_rows(
                     R, pos, None if d is None else obstruction._dimension_screen(d)
                 )
-            )
-            assert got == want
+                prods = [obstruction._row_products(w, pos) for w in free]
+                return free, prods, masks
+
+            assert setup_outcome(lazy) == want
             outcomes.append(want)
         return outcomes[0]
 
@@ -727,26 +748,24 @@ class TestFreeRowsSetup:
         ids=["rank4 and C(Z_n) n<=8", "two fields"],
     )
     def test_matches_eager_on_every_residual(self, rings):
-        # every induced-unit solution whose fixed rows leave a nonnegative
-        # residual, as gram_search receives it: with the ring's dimensions,
+        # every residual gram_search receives: with the ring's dimensions,
         # and without any screen
         checked = 0
         for _, ring in rings():
-            data = induction_data(ring)
-            i1 = i1_dimension_system(ring, data)
-            if i1.status != FEASIBLE:
-                continue
-            dims = fpdims(ring).dims
-            for sol in i1.solutions:
-                n = len(data.H)
-                if any(
-                    data.H[i][j] < sum(w[i] * w[j] for w in sol)
-                    for i in range(n) for j in range(i, n)
-                ):
-                    continue  # gram_search stops before its set-up
-                self.assert_same_setup(data.H, sol, dims)
+            for H, sol, dims in gram_residuals(ring):
+                self.assert_same_setup(H, sol, dims)
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize(
+        "order, kappa, rows", [(12, 12, 5702), (10, 20, 920)]
+    )
+    def test_matches_eager_on_frontier_residual(self, order, kappa, rows):
+        # the first residual of two cells beyond n <= 8, with hundreds to
+        # thousands of rows
+        H, sol, dims = next(gram_residuals(near_group(order, kappa)))
+        free, _, _ = self.assert_same_setup(H, sol, dims)
+        assert len(free) == rows
 
     def test_screen_raises_at_the_same_row(self):
         # random residuals over the two-field dimensions: where a row's
