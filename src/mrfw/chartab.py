@@ -12,10 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .ring import FusionRing, detect_mr
-from .scalars import CycNumber, RationalLike, _cyc_dot, _cyclotomic_field
+from .scalars import (
+    CycNumber,
+    RationalLike,
+    _cyclotomic_field,
+    _pack,
+    _phi_tail,
+    _reduce_ints,
+    _slot_width,
+    _unpack,
+)
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -96,12 +106,17 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
 
     Inferred from the identity chi(g^-1) = conj(chi(g)): the inverse class
     of column j is the unique column matching the conjugated column j in
-    every character.  An explicit permutation stored on the table wins.
+    every character.  An explicit permutation stored on the table wins,
+    once it is checked to be a permutation with that property (ValueError
+    otherwise).
     """
-    if t.inverse_perm is not None:
-        return t.inverse_perm
     k = t.k
     _, _, rows, conj = _lift(t)
+    if t.inverse_perm is not None:
+        problem = _inverse_perm_problem(t, rows, conj)
+        if problem:
+            raise ValueError(problem)
+        return t.inverse_perm
     columns: dict[tuple, list[int]] = {}
     for m in range(k):
         columns.setdefault(tuple(rows[i][m] for i in range(k)), []).append(m)
@@ -116,13 +131,36 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _sized(t: CharacterTable, conj: list) -> list[list[tuple[int, ...]]]:
-    """Each conjugate's coordinates times the size of its class, so that a
-    class-weighted inner product is a plain `_cyc_dot`."""
-    return [
-        [tuple(s * x for x in v) for s, v in zip(t.class_sizes, row)]
-        for row in conj
-    ]
+def _inverse_perm_problem(t: CharacterTable, rows: list, conj: list) -> Optional[str]:
+    """What is wrong with the table's stored inverse-class permutation, at
+    the first bad class: it is not a permutation of the k classes, or
+    chi(g^-1) != conj(chi(g)) for some character chi."""
+    perm, k = t.inverse_perm, t.k
+    seen: set[int] = set()
+    for c in range(max(len(perm), k)):
+        if c >= len(perm) or not 0 <= perm[c] < k or perm[c] in seen:
+            return f"inverse_perm is not a permutation of the {k} classes at class {c}"
+        seen.add(perm[c])
+    for c, p in enumerate(perm):
+        if any(conj[i][c] != rows[i][p] for i in range(k)):
+            return f"inverse_perm sends class {c} to {p}, not to its inverse class"
+    return None
+
+
+def _packed(rows: list, B: int) -> list[list[int]]:
+    return [[_pack(v, B) for v in row] for row in rows]
+
+
+def _norm_bound(lifted: tuple) -> int:
+    """M, the largest l1 norm of a lifted value or conjugate: a product of
+    e of them has every coefficient within M^e."""
+    _, _, rows, conj = lifted
+    return max((sum(map(abs, v)) for row in rows + conj for v in row), default=0)
+
+
+def _reduced(v: int, B: int, length: int, n: int) -> list[int]:
+    """Coordinates over Q(zeta_n) of a packed sum of `length` digits."""
+    return _reduce_ints(_unpack(v, B, length), n)
 
 
 def _is_integer(acc: list[int], value: int) -> bool:
@@ -170,13 +208,24 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
     n, den, rows, conj = lifted
+    if t.inverse_perm is not None:
+        problem = _inverse_perm_problem(t, rows, conj)
+        if problem:
+            problems.append(problem)
     # every coordinate carries den, so a product of two values carries den^2
     den2 = den * den
-    sized = _sized(t, conj)
+    # each sum below has k terms of two values: a row sum weighted by class
+    # sizes, which may be zero or negative here, or a column sum, which runs
+    # only when every size is at least 1, so Sum |s_c| bounds its weights too
+    M = _norm_bound(lifted)
+    B = _slot_width(sum(map(abs, t.class_sizes)) * M * M)
+    length = 2 * _phi_tail(n)[0] - 1
+    packed, packed_conj = _packed(rows, B), _packed(conj, B)
+    sized = [list(map(mul, t.class_sizes, row)) for row in packed_conj]
     for i in range(k):
         for j in range(i, k):
             want = t.order if i == j else 0
-            acc = _cyc_dot(n, sized[j], rows[i])
+            acc = _reduced(sum(map(mul, sized[j], packed[i])), B, length, n)
             if not _is_integer(acc, want * den2):
                 problems.append(
                     f"row orthogonality fails for characters ({i}, {j})"
@@ -184,12 +233,12 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
     if any(s <= 0 for s in t.class_sizes):
         # reported above; the centralizer orders below divide by the sizes
         return problems
-    columns = list(zip(*rows))
-    conj_columns = list(zip(*conj))
+    columns = list(zip(*packed))
+    conj_columns = list(zip(*packed_conj))
     for c in range(k):
         for d in range(c, k):
             want = t.order // t.class_sizes[c] if c == d else 0
-            acc = _cyc_dot(n, conj_columns[d], columns[c])
+            acc = _reduced(sum(map(mul, conj_columns[d], columns[c])), B, length, n)
             if not _is_integer(acc, want * den2):
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
@@ -211,20 +260,23 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
 def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
     kcount = t.k
     n, den, rows, conj = lifted
-    sized = _sized(t, conj)
-    # each term is a class size times three coordinates, each carrying den
+    # each term is a class size times three values, each carrying den
     scale = den ** 3 * t.order
+    M = _norm_bound(lifted)
+    B = _slot_width(sum(map(abs, t.class_sizes)) * M ** 3)
+    length = 3 * _phi_tail(n)[0] - 2
+    packed = _packed(rows, B)
+    sized = [list(map(mul, t.class_sizes, row)) for row in _packed(conj, B)]
     N = [[[0] * kcount for _ in range(kcount)] for _ in range(kcount)]
     # chi_i chi_j = chi_j chi_i pointwise, so N[i][j] = N[j][i]; pairs and
     # multiplicities are visited in index order, so the first bad entry
     # reported is the same as in a full (i, j, m) scan
     for i in range(kcount):
         for j in range(i, kcount):
-            products = [
-                _cyc_dot(n, (a,), (b,)) for a, b in zip(rows[i], rows[j])
-            ]
+            # chi_i chi_j unreduced, so each multiplicity is reduced once
+            products = list(map(mul, packed[i], packed[j]))
             for m in range(kcount):
-                acc = _cyc_dot(n, sized[m], products)
+                acc = _reduced(sum(map(mul, sized[m], products)), B, length, n)
                 if any(acc[1:]):
                     raise ValueError(
                         f"multiplicity ({i}, {j}, {m}) is irrational"

@@ -783,7 +783,8 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
     equal coordinates.
 
     The cyclotomic analogue of `_integer_field`: sums of products of the
-    values are then sums of `_cyc_dot`, with no `CycNumber` per term."""
+    values are then `_cyc_dot` or packed sums (`_pack`), with no
+    `CycNumber` per term."""
     values = list(values)
     n = math.lcm(*(v.order for v in values))
     den = math.lcm(*(v._den for v in values))
@@ -798,6 +799,39 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
         nums.append(coords(x))
         conjs.append(nums[-1] if x.is_rational else coords(x.conjugate()))
     return n, den, nums, conjs
+
+
+def _pack(coords, B: int) -> int:
+    """Integer coordinates as one int, the polynomial evaluated at 2^B
+    (Kronecker substitution): a product of packed values packs the
+    polynomial product, and a sum of them packs the sum.  `_unpack`
+    recovers every coefficient of absolute value below 2^(B-1)."""
+    v = 0
+    for c in reversed(coords):
+        v = (v << B) + c
+    return v
+
+
+def _slot_width(bound: int) -> int:
+    """A slot width B for packed sums whose every coefficient is within
+    `bound` in absolute value."""
+    return bound.bit_length() + 2
+
+
+def _unpack(v: int, B: int, length: int) -> list[int]:
+    """The first `length` signed B-bit digits of a packed value: each low
+    slot r, less 2^B when r >= 2^(B-1), after which (v - r) >> B is the
+    rest."""
+    mask, half, top = (1 << B) - 1, 1 << (B - 1), 1 << B
+    out = []
+    for _ in range(length):
+        r = v & mask
+        v >>= B
+        if r >= half:
+            r -= top
+            v += 1
+        out.append(r)
+    return out
 
 
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

@@ -105,6 +105,37 @@ class TestInversePermutation:
         )
         assert class_inverse_permutation(t2) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize(
+        "perm,problem",
+        [
+            ((0, 1, 5), "inverse_perm is not a permutation of the 3 classes at class 2"),
+            ((0, 1, 1), "inverse_perm is not a permutation of the 3 classes at class 2"),
+            ((-1, 1, 2), "inverse_perm is not a permutation of the 3 classes at class 0"),
+            ((0, 1), "inverse_perm is not a permutation of the 3 classes at class 2"),
+            ((0, 1, 2, 3), "inverse_perm is not a permutation of the 3 classes at class 3"),
+            ((0, 2, 1), "inverse_perm sends class 1 to 2, not to its inverse class"),
+        ],
+    )
+    def test_bad_explicit_perm_reported(self, perm, problem):
+        t = s3_table()
+        bad = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=perm)
+        assert validate_table(bad) == [problem]
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            class_inverse_permutation(bad)
+        with pytest.raises(ValueError, match=re.escape(f"invalid table: {problem}")):
+            theorem57_check(bad)
+
+    def test_explicit_perm_checked_against_conjugates(self):
+        # Z3's classes 1 and 2 are mutually inverse; the identity is not
+        t = cyclic_table(3)
+        good = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=(0, 2, 1))
+        assert validate_table(good) == []
+        assert class_inverse_permutation(good) == (0, 2, 1)
+        bad = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=(0, 1, 2))
+        assert validate_table(bad) == [
+            "inverse_perm sends class 1 to 1, not to its inverse class"
+        ]
+
 
 def naive_validate(t):
     """validate_table with one CycNumber per term of every orthogonality
@@ -218,6 +249,9 @@ PERTURBATIONS = (
     CycNumber.root_of_unity(3), CycNumber.root_of_unity(4),
     CycNumber.root_of_unity(5, 2), CycNumber.root_of_unity(8, 3),
     CycNumber.root_of_unity(9), -CycNumber.root_of_unity(12, 5),
+    # large coordinates and a large common denominator widen the packed
+    # sums' slots
+    10 ** 30, -(10 ** 30) * CycNumber.root_of_unity(8, 3), Fraction(1, 10 ** 12),
 )
 
 
@@ -239,6 +273,47 @@ def perturbed_tables(draw):
 @given(perturbed_tables())
 def test_perturbed_tables_match_per_term_sums(t):
     assert validate_table(t) == naive_validate(t)
+    got = _outcome(lambda t: fusion_from_table(t).N, t)
+    assert got == _outcome(_naive_ring, t)
+
+
+def _resized(t, sizes, order=None):
+    return CharacterTable(t.order if order is None else order, sizes, t.characters)
+
+
+# class sizes that are zero, negative or huge, with the group order left as
+# it is or made consistent with them: each weights the packed sums, whose
+# slot width must still fit every digit
+BAD_SIZE_TABLES = [
+    _resized(s3_table(), [1, 0, 2]),
+    _resized(s3_table(), [1, -3, 2]),
+    _resized(s3_table(), [1, 3, -2], order=2),
+    _resized(s3_table(), [0, 0, 0]),
+    _resized(s3_table(), [1, 10 ** 40, 2]),
+    _resized(s3_table(), [1, -(10 ** 40), 10 ** 40], order=1),
+    _resized(cyclic_table(5), [1, 10 ** 30, 1, -(10 ** 30), 1], order=5),
+    _resized(cyclic_table(7), [1] + [10 ** 50] * 6, order=1 + 6 * 10 ** 50),
+    _resized(q8_table(), [1, 1, -2, 2, 2]),
+]
+
+
+def _naive_theorem57(t):
+    if t.order <= 2:
+        raise ValueError("criterion requires group order > 2")
+    bad = naive_validate(t)
+    if bad:
+        raise ValueError(f"invalid table: {bad[0]}")
+    return "valid"
+
+
+@pytest.mark.parametrize("index", range(len(BAD_SIZE_TABLES)))
+def test_bad_class_sizes_match_per_term_sums(index):
+    t = BAD_SIZE_TABLES[index]
+    assert validate_table(t) == naive_validate(t)
+    assert validate_table(t) != []
+    got = _outcome(theorem57_check, t)
+    assert got == _outcome(_naive_theorem57, t)
+    assert got.startswith("ValueError: ")
     got = _outcome(lambda t: fusion_from_table(t).N, t)
     assert got == _outcome(_naive_ring, t)
 

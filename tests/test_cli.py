@@ -98,6 +98,16 @@ class TestCheck:
         assert result.exit_code == 1
         assert "INVALID: class 1 size 0 does not divide order 6" in result.output
 
+    def test_forged_inverse_perm(self, tmp_path):
+        # class 2 of S3 has no inverse class 5; the table is otherwise valid
+        doc = table_to_doc(s3_table())
+        doc["payload"]["inverse_perm"] = [0, 1, 5]
+        p = tmp_path / "perm.json"
+        save_document(doc, p)
+        want = "INVALID: inverse_perm is not a permutation of the 3 classes at class 2"
+        assert_exit(invoke("check", str(p)), 1, want)
+        assert_exit(invoke("gagola", str(p)), 1, want.replace(": ", ": invalid table: ", 1))
+
     def test_corpus_env_override(self, tmp_path):
         write_corpus(tmp_path)
         result = invoke("check", "fibonacci", env={"MRFW_CORPUS": str(tmp_path)})

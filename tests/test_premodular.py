@@ -225,6 +225,13 @@ def reference_cases():
     yield "rep-s3", rep_s3_ring(), [1, 2, 1], [1, 1, 1]
     yield "z3-base", z3_base_ring(2), [1, 1, 1, 3], [1, 1, 1, 1]
     yield "z4-partial", cyclic_ring(4), [1, 1, 1, 1], [1, I4, 1, I4]
+    # X^2 = Sum_g g + 11 X over Z_12: a rational dim 12 and a
+    # multiplicity 11 widen the packed slots
+    z = CycNumber.root_of_unity(24)
+    yield (
+        "z12-k11-dim12", mr_extend(cyclic_ring(12), 11), [1] * 12 + [12],
+        [z ** (2 * k * k) for k in range(12)] + [z ** 7],
+    )
 
 
 REFERENCE_CASES = {name: rest for name, *rest in reference_cases()}

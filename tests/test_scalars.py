@@ -19,6 +19,10 @@ from mrfw.scalars import (
     _cyclotomic_field,
     _integer_field,
     _integer_roots,
+    _pack,
+    _reduce_ints,
+    _slot_width,
+    _unpack,
     charpoly,
     count_real_roots,
     cyclotomic_polynomial,
@@ -725,6 +729,42 @@ def test_cyclotomic_field_matches_fraction_oracle(drawn):
             total[k] += c
     got = _cyc_dot(n, nums, conjs)
     assert tuple(Fraction(c, den * den) for c in got) == _mod_phi(total, n)
+
+
+@pytest.mark.parametrize("n", FIELD_ORDERS)
+@pytest.mark.parametrize("B", [2, 3, 17, 64, 65, 200])
+def test_pack_unpack_round_trip_at_extreme_digits(n, B):
+    # as many digits as a packed multiplicity sum has, each at the largest
+    # magnitude a B-bit slot holds, in every sign pattern the slots meet
+    length = 3 * (len(_phi(n)) - 1) - 2
+    top = (1 << (B - 1)) - 1
+    patterns = [
+        [top] * length,
+        [-top] * length,
+        [top if k % 2 else -top for k in range(length)],
+        [-top if k % 3 else 0 for k in range(length)],
+        [0] * (length - 1) + [-top],
+        [-1] * length,
+    ]
+    for digits in patterns:
+        assert _unpack(_pack(digits, B), B, length) == digits
+
+
+@given(
+    st.sampled_from(FIELD_ORDERS),
+    st.lists(st.integers(-(10 ** 30), 10 ** 30), min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_packed_sum_matches_cyc_dot(n, pool):
+    # a sum of products of packed vectors, unpacked and reduced once, is
+    # the per-term sum when B is chosen from the l1 bound of the factors
+    d = len(_phi(n)) - 1
+    vecs = [tuple(pool[(k + j) % len(pool)] for j in range(d)) for k in range(6)]
+    xs, ys = vecs[:3], vecs[3:]
+    M = max(sum(map(abs, v)) for v in vecs)
+    B = _slot_width(len(xs) * M * M)
+    packed = sum(_pack(x, B) * _pack(y, B) for x, y in zip(xs, ys))
+    assert _reduce_ints(_unpack(packed, B, 2 * d - 1), n) == _cyc_dot(n, xs, ys)
 
 
 def test_cyc_mixed_orders_lift_to_lcm():
