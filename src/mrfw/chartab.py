@@ -260,6 +260,8 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
 def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
     kcount = t.k
     n, den, rows, conj = lifted
+    if t.order <= 0:
+        raise ValueError(f"group order {t.order} is not positive")
     # each term is a class size times three values, each carrying den
     scale = den ** 3 * t.order
     M = _norm_bound(lifted)

@@ -473,10 +473,6 @@ def i1_dimension_system(
     return I1Result(FEASIBLE, tuple(summands), tilings, tuple(lines))
 
 
-class NodeCapExceeded(Exception):
-    """Search aborted after visiting the configured number of nodes."""
-
-
 @dataclass(frozen=True)
 class GramWitness:
     """A complete multiset of virtual-simple rows N with N^t N = H.
@@ -664,13 +660,12 @@ def gram_search(
     its upper triangle, and each row touches only the entries of its
     support, the pairs (i, j) with w_i * w_j > 0.
 
-    The set-up, `_free_rows`, lists the admissible rows and their masks
-    in one recursion that extends a row by one entry at a time and
-    carries down what the extension changes: the bounds on the entries
-    still open, the dimension screen's integer sums (one for the rational
-    part and one per radicand), the support and its bitmask.  A row's
-    `(entry, w_i * w_j)` products are built when the search first tries
-    that row, and kept for its later visits.
+    The set-up, `_free_rows`, lists the admissible rows and their masks.
+    A row's `(entry, w_i * w_j)` products are built when the search first
+    tries that row, and kept for its later visits.  The search is one loop
+    over an explicit stack of the rows taken, each with its multiplicity
+    and the residual from before it, so neither its time nor its reach
+    depends on the depth of the caller's stack.
 
     Two prunings cut subtrees that hold no solution.  A column whose
     diagonal residual is zero admits no further row, so positive cross
@@ -717,50 +712,50 @@ def gram_search(
         for i in range(n)
     ]
     nodes = 0
-
-    def dfs(R, live, start) -> Optional[list[tuple[tuple[int, ...], int]]]:
-        # live: bitmask of the positive residual entries
-        nonlocal nodes
-        if not live:
-            return []
+    path = []  # the rows taken: (idx, m, R, live), R and live from before it
+    live = sum(1 << p for p, r in enumerate(R) if r)  # positive entries
+    idx = 0
+    while live:  # a new node, its scan starting at idx
         for diag, cross in columns:
             if not live & diag and live & cross:
-                return None  # exhausted column still has cross terms
-        for idx in range(start, len(free)):
-            if live & uncovered[idx]:
-                return None  # cover rule
-            if masks[idx] & ~live:
-                continue  # the row meets an entry already cleared
-            if prods[idx] is None:  # the search's first try of this row
-                prods[idx] = _row_products(free[idx], pos)
-            # largest multiplicity keeping the residual nonnegative
-            for m in range(min(R[p] // c for p, c in prods[idx]), 0, -1):
-                nodes += 1
-                if nodes > node_cap:
-                    raise NodeCapExceeded
-                R2 = R[:]
-                live2 = live
-                for p, c in prods[idx]:
-                    R2[p] -= m * c
-                    if not R2[p]:
-                        live2 ^= 1 << p
-                tail = dfs(R2, live2, idx + 1)
-                if tail is not None:
-                    return [(free[idx], m)] + tail
-        return None
-
-    try:
-        found = dfs(R, sum(1 << p for p, r in enumerate(R) if r), 0)
-    except NodeCapExceeded:
-        log.append(f"node cap {node_cap} exceeded")
-        return GramResult(INCONCLUSIVE, None, nodes, tuple(log))
-    if found is None:
-        log.append(
-            f"exhausted {len(free)} admissible rows in {nodes} nodes "
-            f"without completing H"
-        )
-        return GramResult(INFEASIBLE, None, nodes, tuple(log))
-    witness = GramWitness(tuple(fixed_rows), tuple(found))
+                idx = len(free)  # exhausted column still has cross terms
+                break
+        m = 0
+        while not m:
+            while not live & uncovered[idx]:  # cover rule
+                if not masks[idx] & ~live:  # no entry it meets is cleared
+                    if prods[idx] is None:  # the search's first try of it
+                        prods[idx] = _row_products(free[idx], pos)
+                    # largest multiplicity keeping the residual nonnegative
+                    m = min(R[p] // c for p, c in prods[idx])
+                    if m:
+                        break
+                idx += 1
+            else:  # no row fits: retake the last one with one less
+                if not path:
+                    log.append(
+                        f"exhausted {len(free)} admissible rows in {nodes} "
+                        f"nodes without completing H"
+                    )
+                    return GramResult(INFEASIBLE, None, nodes, tuple(log))
+                idx, m, R, live = path.pop()
+                m -= 1
+                if not m:
+                    idx += 1  # resume the scan after it
+        nodes += 1
+        if nodes > node_cap:
+            log.append(f"node cap {node_cap} exceeded")
+            return GramResult(INCONCLUSIVE, None, nodes, tuple(log))
+        path.append((idx, m, R, live))
+        R = R[:]
+        for p, c in prods[idx]:
+            R[p] -= m * c
+            if not R[p]:
+                live ^= 1 << p
+        idx += 1
+    witness = GramWitness(
+        tuple(fixed_rows), tuple((free[idx], m) for idx, m, _, _ in path)
+    )
     verify_witness(H, witness)
     return GramResult(FEASIBLE, witness, nodes, tuple(log))
 

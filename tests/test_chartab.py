@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -390,6 +391,13 @@ class TestFusionFromTable:
         with pytest.raises(ValueError, match=re.escape(msg)):
             fusion_from_table(t)
         assert _outcome(_naive_ring, t) == f"ValueError: {msg}"
+
+    @pytest.mark.parametrize("order", [0, -6])
+    def test_nonpositive_order_rejected(self, order):
+        # the multiplicities divide by the order
+        t = dataclasses.replace(s3_table(), order=order)
+        with pytest.raises(ValueError, match=f"group order {order} is not positive"):
+            fusion_from_table(t)
 
     def test_inconsistent_table_rejected(self):
         # orthogonal rows but non-group values: multiplicities fractional

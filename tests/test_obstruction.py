@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import operator
 import random
@@ -680,6 +681,44 @@ class TestGramSearch:
             assert (res.status == FEASIBLE) == expected
             checked += 1
         assert checked > 30
+
+    # (status, nodes, log) of every Gram search of a verdict; C(Z9, 18)
+    # needs 54,023 nodes, so one cap less stops it on its last node
+    GRAM_RUNS = {
+        "C(Z9,18) cap 54022": (
+            lambda: obstruct(near_group(9, 18), node_cap=54_022).gram,
+            [(INCONCLUSIVE, 54_023, ("node cap 54022 exceeded",))],
+        ),
+        "C(Z9,18) cap 54023": (
+            lambda: obstruct(near_group(9, 18), node_cap=54_023).gram,
+            [(FEASIBLE, 54_023, ())],
+        ),
+        "z3-base k=3": (lambda: obstruct(z3_base_ring(3)).gram, [(FEASIBLE, 6, ())]),
+        "C(Z6,6)": (lambda: obstruct(near_group(6, 6)).gram, [(FEASIBLE, 35, ())]),
+        "exhausted": (
+            lambda: [gram_search([[1, 2, 2], [2, 4, 2], [2, 2, 4]])],
+            [(INFEASIBLE, 5, (
+                "exhausted 15 admissible rows in 5 nodes without completing H",
+            ))],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAM_RUNS))
+    def test_node_counts_pinned(self, name):
+        run, expected = self.GRAM_RUNS[name]
+        assert [(g.status, g.nodes, g.log) for g in run()] == expected
+
+    def test_depth_independent_of_call_stack(self):
+        # 40 rows deep with only 20 frames to spare: the search must not
+        # take a frame per row
+        H = [[int(i == j) for j in range(40)] for i in range(40)]
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(len(inspect.stack()) + 20)
+            res = gram_search(H)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.status, res.nodes) == (FEASIBLE, 40)
 
 
 def two_field_ring():
