@@ -16,16 +16,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .ring import FusionRing, detect_mr
-from .scalars import (
-    CycNumber,
-    RationalLike,
-    _cyclotomic_field,
-    _pack,
-    _phi_tail,
-    _reduce_ints,
-    _slot_width,
-    _unpack,
-)
+from .scalars import CycNumber, RationalLike, _packed_field
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -85,20 +76,22 @@ class CharacterTable:
         return tuple(int(row[0].as_fraction()) for row in self.characters)
 
 
-def _lift(t: CharacterTable) -> tuple[int, int, list, list]:
-    """`(n, den, rows, conj)`: the table's values in one coordinate system
-    (`_cyclotomic_field`), where `rows[i][c]` and `conj[i][c]` are the
-    integer coordinates over Q(zeta_n), times den, of chi_i at class c and
-    of its conjugate."""
-    n, den, nums, conjs = _cyclotomic_field(
-        v for row in t.characters for v in row
+def _lift(t: CharacterTable, factors: int) -> tuple:
+    """`(den, rows, conj, coords)`: `_packed_field` of the table's values
+    for sums of products of up to `factors` of them weighted by class
+    sizes, where `rows[i][c]` and `conj[i][c]` are chi_i at class c and
+    its conjugate, packed."""
+    _, den, nums, conjs, coords = _packed_field(
+        (v for row in t.characters for v in row),
+        sum(map(abs, t.class_sizes)),
+        factors,
     )
     rows, conj, at = [], [], 0
     for row in t.characters:
         rows.append(nums[at:at + len(row)])
         conj.append(conjs[at:at + len(row)])
         at += len(row)
-    return n, den, rows, conj
+    return den, rows, conj, coords
 
 
 def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
@@ -111,7 +104,7 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     otherwise).
     """
     k = t.k
-    _, _, rows, conj = _lift(t)
+    _, rows, conj, _ = _lift(t, 1)
     if t.inverse_perm is not None:
         problem = _inverse_perm_problem(t, rows, conj)
         if problem:
@@ -147,22 +140,6 @@ def _inverse_perm_problem(t: CharacterTable, rows: list, conj: list) -> Optional
     return None
 
 
-def _packed(rows: list, B: int) -> list[list[int]]:
-    return [[_pack(v, B) for v in row] for row in rows]
-
-
-def _norm_bound(lifted: tuple) -> int:
-    """M, the largest l1 norm of a lifted value or conjugate: a product of
-    e of them has every coefficient within M^e."""
-    _, _, rows, conj = lifted
-    return max((sum(map(abs, v)) for row in rows + conj for v in row), default=0)
-
-
-def _reduced(v: int, B: int, length: int, n: int) -> list[int]:
-    """Coordinates over Q(zeta_n) of a packed sum of `length` digits."""
-    return _reduce_ints(_unpack(v, B, length), n)
-
-
 def _is_integer(acc: list[int], value: int) -> bool:
     """Whether reduced coordinates `acc` are those of the integer `value`."""
     return acc[0] == value and not any(acc[1:])
@@ -175,7 +152,7 @@ def validate_table(t: CharacterTable) -> list[str]:
     consistent.  Each message names the first pair of rows or columns
     witnessing the failure of that identity.
     """
-    return _validate(t, _lift(t))
+    return _validate(t, _lift(t, 2))
 
 
 def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
@@ -207,9 +184,9 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
         degs.append(v.as_fraction())
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
-    n, den, rows, conj = lifted
+    den, packed, packed_conj, coords = lifted
     if t.inverse_perm is not None:
-        problem = _inverse_perm_problem(t, rows, conj)
+        problem = _inverse_perm_problem(t, packed, packed_conj)
         if problem:
             problems.append(problem)
     # every coordinate carries den, so a product of two values carries den^2
@@ -217,15 +194,11 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
     # each sum below has k terms of two values: a row sum weighted by class
     # sizes, which may be zero or negative here, or a column sum, which runs
     # only when every size is at least 1, so Sum |s_c| bounds its weights too
-    M = _norm_bound(lifted)
-    B = _slot_width(sum(map(abs, t.class_sizes)) * M * M)
-    length = 2 * _phi_tail(n)[0] - 1
-    packed, packed_conj = _packed(rows, B), _packed(conj, B)
     sized = [list(map(mul, t.class_sizes, row)) for row in packed_conj]
     for i in range(k):
         for j in range(i, k):
             want = t.order if i == j else 0
-            acc = _reduced(sum(map(mul, sized[j], packed[i])), B, length, n)
+            acc = coords(sum(map(mul, sized[j], packed[i])), 2)
             if not _is_integer(acc, want * den2):
                 problems.append(
                     f"row orthogonality fails for characters ({i}, {j})"
@@ -238,7 +211,7 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
     for c in range(k):
         for d in range(c, k):
             want = t.order // t.class_sizes[c] if c == d else 0
-            acc = _reduced(sum(map(mul, conj_columns[d], columns[c])), B, length, n)
+            acc = coords(sum(map(mul, conj_columns[d], columns[c])), 2)
             if not _is_integer(acc, want * den2):
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
@@ -254,21 +227,17 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
     weighted sum divided by the group order.  Any non-integer multiplicity
     means the table is inconsistent and raises ValueError.
     """
-    return _fusion(t, _lift(t))
+    return _fusion(t, _lift(t, 3))
 
 
 def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
     kcount = t.k
-    n, den, rows, conj = lifted
+    den, packed, packed_conj, coords = lifted
     if t.order <= 0:
         raise ValueError(f"group order {t.order} is not positive")
     # each term is a class size times three values, each carrying den
     scale = den ** 3 * t.order
-    M = _norm_bound(lifted)
-    B = _slot_width(sum(map(abs, t.class_sizes)) * M ** 3)
-    length = 3 * _phi_tail(n)[0] - 2
-    packed = _packed(rows, B)
-    sized = [list(map(mul, t.class_sizes, row)) for row in _packed(conj, B)]
+    sized = [list(map(mul, t.class_sizes, row)) for row in packed_conj]
     N = [[[0] * kcount for _ in range(kcount)] for _ in range(kcount)]
     # chi_i chi_j = chi_j chi_i pointwise, so N[i][j] = N[j][i]; pairs and
     # multiplicities are visited in index order, so the first bad entry
@@ -278,7 +247,7 @@ def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
             # chi_i chi_j unreduced, so each multiplicity is reduced once
             products = list(map(mul, packed[i], packed[j]))
             for m in range(kcount):
-                acc = _reduced(sum(map(mul, sized[m], products)), B, length, n)
+                acc = coords(sum(map(mul, sized[m], products)), 3)
                 if any(acc[1:]):
                     raise ValueError(
                         f"multiplicity ({i}, {j}, {m}) is irrational"
@@ -357,7 +326,7 @@ def theorem57_check(t: CharacterTable) -> GagolaReport:
     """
     if t.order <= 2:
         raise ValueError("criterion requires group order > 2")
-    lifted = _lift(t)
+    lifted = _lift(t, 3)
     bad = _validate(t, lifted)
     if bad:
         raise ValueError(f"invalid table: {bad[0]}")

@@ -27,12 +27,7 @@ from .scalars import (
     QuadExt,
     RationalLike,
     _cyc,
-    _cyclotomic_field,
-    _pack,
-    _phi_tail,
-    _reduce_ints,
-    _slot_width,
-    _unpack,
+    _packed_field,
     embed_quadratic,
     quadratic_conductor,
 )
@@ -104,8 +99,9 @@ def premodular_data(
     row sum.  A field order m above MAX_CYCLOTOMIC_ORDER is refused
     (ValueError) before any value is embedded: dense arithmetic in
     Q(zeta_m) takes seconds per entry at m = 10205.  The sums run in
-    integer coordinates over one denominator, each packed into one int
-    (`_pack`) and reduced once; a twist's inverse is its complex conjugate.
+    integer coordinates over one denominator, packed into one int each by
+    one `_packed_field` call and reduced once; a twist's inverse is its
+    complex conjugate.
     """
     ring.require_valid()
     n = ring.rank
@@ -133,27 +129,25 @@ def premodular_data(
         )
     d = [_to_cyc(x) for x in dims]
     t = [_to_cyc(x) for x in twists]
-    m, den, nums, conjs = _cyclotomic_field(d + [a * b for a, b in zip(t, d)] + t)
-    dv, tdv, t_inv = nums[:n], nums[n : 2 * n], conjs[2 * n :]
-    # with M the largest l1 norm of these coordinate vectors, every
-    # coefficient of den * Sum_k N_ij^k d_k - d_i d_j is within
-    # den * rowsum * M + M^2, and of theta_i^-1 theta_j^-1 Sum_k N_ij^k
-    # theta_k d_k within rowsum * M^3
-    M = max(sum(map(abs, v)) for v in dv + tdv + t_inv)
+    # M, the largest l1 norm of the coordinate vectors, is at least den,
+    # the norm of the unit dimension 1, so the coefficients of both
+    # den * Sum_k N_ij^k d_k - d_i d_j and theta_i^-1 theta_j^-1 *
+    # Sum_k N_ij^k theta_k d_k are within (rowsum + 1) * M^3
     rowsum = max(sum(Nij) for Ni in ring.N for Nij in Ni)
-    B = _slot_width(max(den * rowsum * M + M * M, rowsum * M ** 3))
-    phi = _phi_tail(m)[0]
-    pd, ptd, pinv = ([_pack(v, B) for v in vs] for vs in (dv, tdv, t_inv))
+    m, den, nums, conjs, coords = _packed_field(
+        d + [a * b for a, b in zip(t, d)] + t, rowsum + 1, 3
+    )
+    pd, ptd, pinv = nums[:n], nums[n : 2 * n], conjs[2 * n :]
     S = []
     for i in range(n):
         row = []
         for j in range(n):
             Nij = ring.N[i][j]
             diff = den * sum(map(mul, Nij, pd)) - pd[i] * pd[j]
-            if diff and any(_reduce_ints(_unpack(diff, B, 2 * phi - 1), m)):
+            if diff and any(coords(diff, 2)):
                 raise ValueError(f"dimensions are not multiplicative at ({i}, {j})")
             acc = pinv[i] * pinv[j] * sum(map(mul, Nij, ptd))
-            row.append(_cyc(m, _reduce_ints(_unpack(acc, B, 3 * phi - 2), m), den ** 3))
+            row.append(_cyc(m, coords(acc, 3), den ** 3))
         S.append(tuple(row))
     return PremodularData(ring, tuple(d), tuple(t), tuple(S))
 

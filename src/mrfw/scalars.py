@@ -258,6 +258,9 @@ class QuadExt:
         return self._compare(0)
 
     def __eq__(self, other):
+        if isinstance(other, CycNumber):
+            # equal only as rationals, where the two hash alike
+            return not self._b and other == Fraction(self._a, self._c)
         o = _parts(other)
         if o is None:
             return NotImplemented
@@ -783,7 +786,7 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
     equal coordinates.
 
     The cyclotomic analogue of `_integer_field`: sums of products of the
-    values are then `_cyc_dot` or packed sums (`_pack`), with no
+    values are then `_cyc_dot` or packed sums (`_packed_field`), with no
     `CycNumber` per term."""
     values = list(values)
     n = math.lcm(*(v.order for v in values))
@@ -832,6 +835,29 @@ def _unpack(v: int, B: int, length: int) -> list[int]:
             v += 1
         out.append(r)
     return out
+
+
+def _packed_field(values, weight: int, factors: int) -> tuple:
+    """`(n, den, nums, conjs, coords)`: `_cyclotomic_field` of the values
+    with every coordinate vector packed (`_pack`) into one int, so that a
+    sum of products of up to `factors` values, with integer weights of
+    total absolute value at most `weight`, is a sum of products of ints.
+    `coords(v, f)` unpacks such a sum of products of f values and reduces
+    it modulo Phi_n once.
+
+    With M the largest l1 norm of a coordinate vector, every coefficient
+    of such a sum is within max(weight, 1) * M^factors, and the slot width
+    comes from that bound; any wider slot gives the same digits.  Packing
+    is injective at any weight, so packed values compare as the values."""
+    n, den, nums, conjs = _cyclotomic_field(values)
+    M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
+    B = _slot_width(max(weight, 1) * M ** factors)
+    d = _phi_tail(n)[0]
+
+    def coords(v: int, f: int) -> list[int]:
+        return _reduce_ints(_unpack(v, B, f * (d - 1) + 1), n)
+
+    return n, den, [_pack(v, B) for v in nums], [_pack(v, B) for v in conjs], coords
 
 
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

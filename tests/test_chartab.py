@@ -1,11 +1,13 @@
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfw import scalars
 from mrfw.chartab import (
     CharacterTable,
     class_inverse_permutation,
@@ -125,6 +127,24 @@ class TestInversePermutation:
             class_inverse_permutation(bad)
         with pytest.raises(ValueError, match=re.escape(f"invalid table: {problem}")):
             theorem57_check(bad)
+
+    @pytest.mark.parametrize(
+        "table,perm,problem",
+        [
+            (s3_table(), (0, 1, 5), "inverse_perm is not a permutation of the 3 classes at class 2"),
+            (s3_table(), (0, 2, 1), "inverse_perm sends class 1 to 2, not to its inverse class"),
+            (cyclic_table(3), (0, 1, 2), "inverse_perm sends class 1 to 1, not to its inverse class"),
+            (a4_table(), (0, 1, 2, 3), "inverse_perm sends class 2 to 2, not to its inverse class"),
+        ],
+    )
+    def test_bad_explicit_perm_reported_at_zero_class_sizes(self, table, perm, problem):
+        # all sizes 0 give the packing weight 0; the values must still pack
+        # apart, so the message is the one the true sizes give
+        for sizes in (table.class_sizes, [0] * table.k):
+            bad = CharacterTable(table.order, sizes, table.characters, inverse_perm=perm)
+            with pytest.raises(ValueError, match=re.escape(problem)):
+                class_inverse_permutation(bad)
+            assert problem in validate_table(bad)
 
     def test_explicit_perm_checked_against_conjugates(self):
         # Z3's classes 1 and 2 are mutually inverse; the identity is not
@@ -458,6 +478,21 @@ class TestTheorem57:
     def test_order_two_rejected(self):
         with pytest.raises(ValueError):
             theorem57_check(cyclic_table(2))
+
+    def test_lifts_and_packs_the_table_once(self, monkeypatch):
+        # one field for the whole check, and each of the k^2 values and
+        # k^2 conjugates packed once for both the validation and the
+        # multiplicities
+        calls = Counter()
+        for name in ("_cyclotomic_field", "_pack"):
+            def counted(*args, _f=getattr(scalars, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(scalars, name, counted)
+        for t in (s3_table(), a4_table(), s4_table(), cyclic_table(7)):
+            calls.clear()
+            theorem57_check(t)
+            assert calls == {"_cyclotomic_field": 1, "_pack": 2 * t.k ** 2}
 
 
 class TestCodegreeCentralizerProperty:

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from ring_oracles import deligne_product
 
 from mrfw.corpus import (
     PREMODULAR_BUILDERS,
@@ -20,6 +21,7 @@ from mrfw.premodular import (
     _to_cyc,
     NON_DEGENERATE,
     PROPERLY_DEGENERATE,
+    SLIGHTLY_DEGENERATE,
     SYMMETRIC,
     centralizer_of,
     degeneracy_class,
@@ -314,6 +316,17 @@ class TestDegeneracy:
         data = premodular_data(cyclic_ring(2), [1, 1], [1, -1])
         report = degeneracy_class(data)
         assert report.label == SYMMETRIC
+        assert report.svec_center
+
+    def test_svec_times_fibonacci_slightly_degenerate(self):
+        # sVec (Z2 with twist -1) times Fibonacci: the center is {1*1, g1*1},
+        # an invertible with twist -1
+        ring = deligne_product(cyclic_ring(2), fibonacci_ring())
+        assert ring.labels == ("1*1", "1*X", "g1*1", "g1*X")
+        data = premodular_data(ring, [1, PHI, 1, PHI], [1, Z5 ** 2, -1, -(Z5 ** 2)])
+        report = degeneracy_class(data)
+        assert report.label == SLIGHTLY_DEGENERATE
+        assert report.center == frozenset({0, 2})
         assert report.svec_center
 
     def test_properly_degenerate(self):

@@ -20,6 +20,7 @@ from mrfw.scalars import (
     _integer_field,
     _integer_roots,
     _pack,
+    _packed_field,
     _reduce_ints,
     _slot_width,
     _unpack,
@@ -177,6 +178,25 @@ def test_equal_values_hash_equal(values):
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+@given(spellings())
+def test_equal_values_compare_equal_both_ways(values):
+    # a rational QuadExt and a rational CycNumber answer for each other
+    for a in values:
+        for b in values:
+            assert a == b and b == a, (a, b)
+
+
+def test_quadext_and_cycnumber_meet_only_as_rationals():
+    two = CycNumber.from_rational(2, 4)
+    assert QuadExt(2) == two and two == QuadExt(2)
+    assert QuadExt(3) != two and two != QuadExt(3)
+    # sqrt(2) is zeta_8 + zeta_8^-1, but the two types hash irrationals
+    # differently, so they never compare equal
+    assert QuadExt.sqrt(2) != embed_quadratic(QuadExt.sqrt(2))
+    with pytest.raises(TypeError):
+        QuadExt(2) + two
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +785,81 @@ def test_packed_sum_matches_cyc_dot(n, pool):
     B = _slot_width(len(xs) * M * M)
     packed = sum(_pack(x, B) * _pack(y, B) for x, y in zip(xs, ys))
     assert _reduce_ints(_unpack(packed, B, 2 * d - 1), n) == _cyc_dot(n, xs, ys)
+
+
+@st.composite
+def packed_sums(draw):
+    """Values, a factor count f and weighted terms: each term is an integer
+    weight and f picks of a value or of its conjugate."""
+    values = [CycNumber(n, xs) for n, xs in draw(st.lists(cyc_values(), min_size=1, max_size=4))]
+    factors = draw(st.sampled_from([2, 3]))
+    pick = st.tuples(st.integers(0, len(values) - 1), st.booleans())
+    term = st.tuples(
+        st.integers(-(10 ** 6), 10 ** 6),
+        st.lists(pick, min_size=factors, max_size=factors),
+    )
+    return values, factors, draw(st.lists(term, min_size=1, max_size=5))
+
+
+# one value with one coordinate, so a product of f of them has the
+# coefficient M^f and the weighted sum sits at the bound, either sign
+AT_BOUND = [CycNumber(8, [0, 0, 0, 10 ** 20 + 7])]
+# zeta_5 has l1 norm 1 and its conjugate -1 - zeta_5 - zeta_5^2 - zeta_5^3
+# has 4, so the bound must take the conjugates' norms too
+ZETA5 = [CycNumber.root_of_unity(5)]
+
+
+@given(packed_sums())
+@example((AT_BOUND, 2, [(10 ** 6, [(0, False), (0, True)]), (-(10 ** 6), [(0, True), (0, True)])]))
+@example((AT_BOUND, 3, [(-(10 ** 6), [(0, False)] * 3)]))
+@example((AT_BOUND, 3, [(10 ** 6, [(0, True)] * 3)]))
+@example((ZETA5, 3, [(10 ** 6, [(0, True)] * 3)]))
+@settings(max_examples=100, deadline=None)
+def test_packed_field_sums_match_per_term(drawn):
+    # weights whose absolute values sum to exactly the weight passed, so
+    # every coefficient of the sum is within the bound the slots are cut to
+    values, factors, terms = drawn
+    weight = sum(abs(w) for w, _ in terms)
+    n, den, nums, conjs, coords = _packed_field(values, weight, factors)
+    plain = _cyclotomic_field(values)
+    assert (n, den) == plain[:2]
+    packed = 0
+    for w, picks in terms:
+        for i, c in picks:
+            w *= (conjs if c else nums)[i]
+        packed += w
+    got = coords(packed, factors)
+    if factors == 2:
+        xs, ys = [], []
+        for w, ((i, c), (j, e)) in terms:
+            xs.append([w * x for x in plain[2 + c][i]])
+            ys.append(plain[2 + e][j])
+        assert got == _cyc_dot(n, xs, ys)
+    else:
+        total = [Fraction(0)] * (3 * len(plain[2][0]) - 2)
+        for w, picks in terms:
+            product = [Fraction(w)]
+            for i, c in picks:
+                product = _poly_mul(product, plain[2 + c][i])
+            total = [a + b for a, b in zip(total, product)]
+        assert tuple(map(Fraction, got)) == _mod_phi(total, n)
+
+
+@given(st.lists(cyc_values(), min_size=1, max_size=6), st.integers(0, 5))
+@example([(4, (Fraction(1), Fraction(0))), (4, (Fraction(-3), Fraction(1)))], 0)
+@settings(max_examples=100, deadline=None)
+def test_packed_field_keeps_values_apart_at_weight_zero(drawn, repeat):
+    # weight 0 still cuts slots wide enough for one value, so packed
+    # values (and conjugates) are equal exactly when the values are; with
+    # 2-bit slots the example's 1 and -3 + zeta_4 would both pack to 1
+    values = [CycNumber(n, xs) for n, xs in drawn]
+    values += values[:repeat]
+    _, _, nums, conjs, _ = _packed_field(values, 0, 1)
+    everything = values + [v.conjugate() for v in values]
+    packed = nums + conjs
+    for a, pa in zip(everything, packed):
+        for b, pb in zip(everything, packed):
+            assert (pa == pb) == (a == b), (a, b)
 
 
 def test_cyc_mixed_orders_lift_to_lcm():
