@@ -801,10 +801,8 @@ def obstruct(
     mr = detect_mr(ring)
     i1 = i1_dimension_system(ring, data, mr)
     steps.extend(i1.lines)
-    if i1.status == INCONCLUSIVE:
-        return ObstructionVerdict(INCONCLUSIVE, "i1", tuple(steps), data, i1)
-    if i1.status == INFEASIBLE:
-        return ObstructionVerdict(INFEASIBLE, "i1", tuple(steps), data, i1)
+    if i1.status != FEASIBLE:
+        return ObstructionVerdict(i1.status, "i1", tuple(steps), data, i1)
     steps.append(
         f"induced-unit system: {len(i1.solutions)} exact solution(s)"
     )

@@ -19,7 +19,6 @@ from .scalars import (
     _divide_linear,
     _integer_field,
     _quad,
-    count_real_roots,
     factor_linear_quadratic,
     largest_real_root_bounds,
 )
@@ -459,7 +458,8 @@ def _perron_dims(ring: FusionRing) -> FPDims:
     accepted if `_is_positive_character` holds.  Otherwise (a Perron root
     left in an unfactored residual, or dimensions in two different
     quadratic fields) the non-invertible elements fall back to
-    `_elementwise_dim`, one Perron root at a time."""
+    `_elementwise_dim`, one Perron root and at most one Sturm chain at a
+    time."""
     n, N = ring.rank, ring.N
     unit = tuple(int(k == 0) for k in range(n))
     spectra = {
@@ -487,15 +487,17 @@ def _left_spectrum(ring: FusionRing, i: int) -> tuple[IntPoly, Factorization]:
 def _elementwise_dim(
     poly: IntPoly, fact: Factorization
 ) -> tuple[QuadExt, bool, Optional[tuple[Fraction, Fraction]]]:
-    """One Perron root on its own: exact when the unfactored residual has
-    no real root, so that the largest real root was extracted; otherwise a
-    certified Sturm enclosure of the largest real root of `poly`."""
+    """One Perron root from one Sturm chain of `poly`: exact when `poly`
+    has no more distinct real roots than the extracted factors, which share
+    no root with the residual (integer roots and real quadratic factors are
+    deflated with multiplicity), so the largest was extracted; otherwise
+    the chain's certified enclosure of the largest real root."""
+    roots = fact.all_roots()
     if fact.residual.degree > 0:
-        bound = Fraction(1 + max(abs(c) for c in fact.residual.coeffs))
-        if count_real_roots(fact.residual, -bound, bound):
-            lo, hi = largest_real_root_bounds(poly, Fraction(1, 10**10))
-            return QuadExt((lo + hi) / 2), False, (lo, hi)
-    return max(fact.all_roots()), True, None
+        count, bounds = largest_real_root_bounds(poly, Fraction(1, 10**10))
+        if count != len(set(roots)):
+            return QuadExt(sum(bounds) / 2), False, bounds
+    return max(roots), True, None
 
 
 def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:

@@ -96,6 +96,17 @@ def _quad(a: int, b: int, c: int, D: int) -> "QuadExt":
     return x
 
 
+def _sign_of(x: int, y: int, D: int) -> int:
+    """Sign of x + y*sqrt(D) for integers x, y and D >= 1: when x and y
+    differ in sign, the larger of x^2 and y^2 D decides."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    return sx if x * x > y * y * D else sy
+
+
 def _ordering(test):
     """A QuadExt rich comparison from a test of the sign of self - other."""
     def op(self, other):
@@ -255,7 +266,7 @@ class QuadExt:
     # -- ordering (real embedding with sqrt(D) > 0)
 
     def _sign(self) -> int:
-        return self._compare(0)
+        return _sign_of(self._a, self._b, self.D)
 
     def __eq__(self, other):
         if isinstance(other, CycNumber):
@@ -273,49 +284,29 @@ class QuadExt:
         return hash((self.p, self.q, self.D))
 
     def _compare(self, other):
-        """Sign of self - other, exact across fields: within one field (or
-        against a rational) it is the sign of an integer a + b*sqrt(D);
-        two irrationals from distinct squarefree radicands never coincide,
-        so separating their certified rational enclosures terminates."""
+        """Sign of self - other, in integers: over the common denominator
+        c c1 > 0, that of x + y*sqrt(D) - z*sqrt(E).  When D = E or a side
+        is rational, it is one field element.  Otherwise u = x + y*sqrt(D)
+        and v = z*sqrt(E) decide when their signs differ, and else the sign
+        of u^2 - v^2 = (x^2 + y^2 D - z^2 E) + 2xy*sqrt(D) does, which is
+        never zero: 1, sqrt(D) and sqrt(E) are independent over Q."""
         o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, c, D = o
-        if b and self._b and D != self.D:
-            scale = 16
-            while True:
-                alo, ahi = self.enclosure(scale)
-                blo, bhi = other.enclosure(scale)
-                if ahi < blo:
-                    return -1
-                if bhi < alo:
-                    return 1
-                scale *= 2
-        # self - other = (x + y*sqrt(D)) / (c c1), and c c1 > 0; when x and
-        # y differ in sign, the larger of x^2 and y^2 D decides
-        c1 = self._c
-        x, y = self._a * c - a * c1, self._b * c - b * c1
-        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-        if sx == sy or not sy:
-            return sx
-        if not sx:
-            return sy
-        return sx if x * x > y * y * (self.D if self._b else D) else sy
+        a, b, c, E = o
+        c1, D = self._c, self.D
+        x, y, z = self._a * c - a * c1, self._b * c, b * c1
+        if not (y and z) or D == E:
+            return _sign_of(x, y - z, D if y else E)
+        su, sv = _sign_of(x, y, D), (z > 0) - (z < 0)
+        if su != sv:
+            return 1 if su > sv else -1
+        return su * _sign_of(x * x + y * y * D - z * z * E, 2 * x * y, D)
 
     __lt__ = _ordering(lambda c: c < 0)
     __le__ = _ordering(lambda c: c <= 0)
     __gt__ = _ordering(lambda c: c > 0)
     __ge__ = _ordering(lambda c: c >= 0)
-
-    def enclosure(self, scale: int = 32) -> tuple[Fraction, Fraction]:
-        """Rational bounds lo <= self <= hi with hi - lo <= |q| / 2^scale."""
-        if not self._b:
-            return self.p, self.p
-        # s <= 2^scale sqrt(D) < s + 1, so both ends are over k = c 2^scale
-        a, b, k = self._a << scale, self._b, self._c << scale
-        s = math.isqrt(self.D << (2 * scale))
-        lo, hi = sorted((a + b * s, a + b * (s + 1)))
-        return Fraction(lo, k), Fraction(hi, k)
 
     def __repr__(self):
         return f"QuadExt({self})"
@@ -640,12 +631,6 @@ def _sign_changes(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    chain = _sturm_chain(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
 def _real_root_enclosures(
     p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
@@ -669,27 +654,28 @@ def _real_root_enclosures(
 
 def largest_real_root_bounds(
     p: IntPoly, width: Fraction = Fraction(1, 10**12)
-) -> tuple[Fraction, Fraction]:
-    """Certified enclosure (lo, hi] of the largest real root of a monic
-    integer polynomial, by Sturm bisection."""
+) -> tuple[int, tuple[Fraction, Fraction]]:
+    """The number of distinct real roots of a monic integer polynomial, and
+    a certified enclosure (lo, hi] of the largest, both from one Sturm
+    chain: the count is its sign changes across the Cauchy bound, and the
+    enclosure comes by bisection against the sign changes at the bound."""
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
     chain = _sturm_chain(p)
     bound = Fraction(1 + max(abs(c) for c in p.coeffs))
     lo, hi = -bound, bound
-
-    def roots_above(x: Fraction) -> int:
-        return _sign_changes(chain, x) - _sign_changes(chain, hi)
-
-    if roots_above(lo) == 0:
+    top = _sign_changes(chain, hi)
+    count = _sign_changes(chain, lo) - top
+    if count == 0:
         raise ValueError("polynomial has no real roots")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if roots_above(mid) > 0:
+        # no root lies above hi, so a root in (mid, hi] is one above mid
+        if _sign_changes(chain, mid) > top:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return count, (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,18 @@ class TestObstruct:
         assert replay.exit_code == 1
         assert "MISMATCH" in replay.output
 
+    def test_exactness_failure_replays(self, tmp_path):
+        # an inconclusive verdict is a completed run, exit 0, and replays
+        p = tmp_path / "cubic.json"
+        save_document(ring_to_doc(cubic_ring()), p)
+        result = invoke("obstruct", str(p))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)["payload"]
+        assert (payload["status"], payload["stage"]) == ("inconclusive", "codegrees")
+        cert = tmp_path / "cert.json"
+        cert.write_text(result.output)
+        assert_exit(invoke("obstruct", "--replay", str(cert)), 0, "(match)")
+
     def test_requires_argument(self):
         result = invoke("obstruct")
         assert result.exit_code != 0

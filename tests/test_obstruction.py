@@ -1059,6 +1059,24 @@ class TestObstruct:
     def test_noncommutative_inconclusive(self):
         assert obstruct(s3_group_ring()).status == INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "build, step",
+        [
+            (cubic_ring, "codegree polynomial has an unresolved factor of degree 3"),
+            (lambda: su2_ring(6), "approximate Frobenius-Perron dimensions"),
+        ],
+        ids=["cubic", "su2-6"],
+    )
+    def test_exactness_failure_inconclusive(self, build, step):
+        # the codegrees or the FP dimensions leave every quadratic field
+        verdict = obstruct(build())
+        assert (verdict.status, verdict.stage, verdict.steps) == (
+            INCONCLUSIVE, "codegrees", (f"exactness failure: {step}",)
+        )
+        assert (verdict.data, verdict.i1, verdict.gram, verdict.witness) == (
+            None, None, (), None
+        )
+
     def test_node_cap_inconclusive(self):
         verdict = obstruct(z3_base_ring(3), node_cap=1)
         assert verdict.status == INCONCLUSIVE

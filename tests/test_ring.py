@@ -11,6 +11,7 @@ from ring_oracles import (
     cubic_ring,
     deligne_product,
     haagerup_izumi_ring,
+    su2_ring,
     subrings_bruteforce,
 )
 
@@ -26,6 +27,7 @@ from mrfw.corpus import (
     z3_base_ring,
 )
 from mrfw import ring as ring_module
+from mrfw import scalars
 from mrfw.mr import mr_extend
 from mrfw.ring import (
     FusionRing,
@@ -404,6 +406,22 @@ class TestFPDims:
             (lambda x: x**3 - x**2 - 2 * x + 1, lambda y: y**3 - 2 * y**2 - y + 1),
         ):
             assert p(lo) < 0 <= p(hi) and hi - lo <= Fraction(1, 10**10)
+
+    @pytest.mark.parametrize(
+        "build, approximate, chains", [(cubic_ring, 2, 2), (lambda: su2_ring(5), 4, 8)]
+    )
+    def test_one_sturm_chain_per_approximate_root(
+        self, monkeypatch, build, approximate, chains
+    ):
+        # each approximate Perron root takes one chain for both its count
+        # of real roots and its enclosure; SU(2)_5's degree-6 polynomials
+        # take one more each, in the search for quadratic factors
+        ring = build()
+        calls = []
+        real = scalars._sturm_chain
+        monkeypatch.setattr(scalars, "_sturm_chain", lambda p: calls.append(p) or real(p))
+        assert fpdims(ring).exact.count(False) == approximate
+        assert len(calls) == chains
 
     def test_product_with_repeated_roots(self):
         # 1 x sigma has x^2 (x^2 - 2)^2, where a Sturm chain on the

@@ -25,7 +25,6 @@ from mrfw.scalars import (
     _slot_width,
     _unpack,
     charpoly,
-    count_real_roots,
     cyclotomic_polynomial,
     embed_quadratic,
     factor_linear_quadratic,
@@ -90,6 +89,20 @@ class TestQuadExt:
         assert max(values) == 2
         assert max(v for v in values if v != 2) == 4 - r5
         assert min(values) == r2
+
+    def test_ordering_across_fields_near_ties(self):
+        # Pell pairs with 2k^2 - 3m^2 = -1: k sqrt(2) and m sqrt(3) differ
+        # by less than 1/(2 k sqrt(2)); the oracle is the sign of 2k^2 - 3m^2
+        k, m = 1, 1
+        for _ in range(8):
+            d = 2 * k * k - 3 * m * m
+            d = (d > 0) - (d < 0)
+            assert d == -1
+            for shift in (0, Fraction(7, 3)):
+                x, y = shift + QuadExt(0, k, 2), shift + QuadExt(0, m, 3)
+                assert (x < y, y > x, x != y) == (d < 0, d < 0, d != 0)
+                assert (x > y, y < x, x >= y) == (d > 0, d > 0, d >= 0)
+            k, m = 5 * k + 6 * m, 4 * k + 5 * m
 
     def test_mixed_radicand_rejected(self):
         with pytest.raises(UnsupportedFieldError):
@@ -529,22 +542,26 @@ class TestIntegerRoots:
 class TestSturm:
     def test_count(self):
         p = IntPoly([-3, 0, 1])  # x^2 - 3
-        assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
-        assert count_real_roots(p, Fraction(-2), Fraction(2)) == 2
+        assert largest_real_root_bounds(p)[0] == 2
+        p = IntPoly([1, 0, 1]) * IntPoly([-2, 1])  # (x^2 + 1)(x - 2)
+        assert largest_real_root_bounds(p)[0] == 1
 
     def test_repeated_roots(self):
         # x^2 (x^2 - 2)^2: a chain on p itself vanishes at 0
         p = IntPoly([0, 0, 4, 0, -4, 0, 1])
-        assert count_real_roots(p, Fraction(0), Fraction(3)) == 1
-        assert count_real_roots(p, Fraction(-3), Fraction(3)) == 3
-        lo, hi = largest_real_root_bounds(p, Fraction(1, 10**10))
+        count, (lo, hi) = largest_real_root_bounds(p, Fraction(1, 10**10))
+        assert count == 3
         assert 0 < lo and lo * lo < 2 <= hi * hi
 
     def test_largest_root_bounds(self):
         p = IntPoly([-3, 0, 1])
-        lo, hi = largest_real_root_bounds(p, Fraction(1, 10**10))
+        _, (lo, hi) = largest_real_root_bounds(p, Fraction(1, 10**10))
         assert lo * lo < 3 < hi * hi
         assert hi - lo <= Fraction(1, 10**10)
+
+    def test_no_real_root(self):
+        with pytest.raises(ValueError, match="no real roots"):
+            largest_real_root_bounds(IntPoly([1, 0, 1]))
 
 
 class TestCyclotomic:
