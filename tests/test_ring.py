@@ -44,7 +44,7 @@ from mrfw.ring import (
     _is_positive_character,
     _left_spectrum,
 )
-from mrfw.scalars import QuadExt
+from mrfw.scalars import IntPoly, QuadExt, factor_linear_quadratic
 
 CORPUS = {
     "trivial": trivial_ring(),
@@ -422,6 +422,19 @@ class TestFPDims:
         monkeypatch.setattr(scalars, "_sturm_chain", lambda p: calls.append(p) or real(p))
         assert fpdims(ring).exact.count(False) == approximate
         assert len(calls) == chains
+
+    def test_elementwise_dim_counts_the_residual_roots(self):
+        # (x - 3)(x^2 + 1)(x^2 + x + 1): the residual has no real root, so
+        # the extracted 3 is exact; in (x - 3)(x^3 - 2) the residual's one
+        # real root makes the largest root an enclosure, as before
+        for residual, exact in ((IntPoly([1, 0, 1]) * IntPoly([1, 1, 1]), True),
+                                (IntPoly([-2, 0, 0, 1]), False)):
+            poly = IntPoly([-3, 1]) * residual
+            fact = factor_linear_quadratic(poly)
+            assert fact.residual == residual
+            dim, got, bounds = _elementwise_dim(poly, fact)
+            assert got == exact
+            assert dim == 3 if exact else bounds[0] < 3 <= bounds[1]
 
     def test_product_with_repeated_roots(self):
         # 1 x sigma has x^2 (x^2 - 2)^2, where a Sturm chain on the
