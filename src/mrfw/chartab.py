@@ -10,13 +10,12 @@ equivalence independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ring import FusionRing, detect_mr
-from .scalars import CycNumber, RationalLike, _packed_field
+from .scalars import CycNumber, RationalLike, _Frozen, _packed_field
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -25,8 +24,7 @@ def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
     return CycNumber.from_rational(x)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(_Frozen):
     """Exact character table of a finite group.
 
     Rows are irreducible characters, columns are conjugacy classes, and
@@ -34,11 +32,7 @@ class CharacterTable:
     numbers; the constructor coerces plain rationals.
     """
 
-    order: int
-    class_sizes: tuple[int, ...]
-    characters: tuple[tuple[CycNumber, ...], ...]
-    name: str = ""
-    inverse_perm: Optional[tuple[int, ...]] = None
+    __slots__ = ("order", "class_sizes", "characters", "name", "inverse_perm")
 
     def __init__(
         self,
@@ -48,19 +42,15 @@ class CharacterTable:
         name: str = "",
         inverse_perm: Optional[Sequence[int]] = None,
     ):
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "class_sizes", tuple(int(s) for s in class_sizes))
-        object.__setattr__(
-            self,
-            "characters",
+        values = (
+            int(order),
+            tuple(int(s) for s in class_sizes),
             tuple(tuple(_as_cyc(v) for v in row) for row in characters),
-        )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self,
-            "inverse_perm",
+            name,
             None if inverse_perm is None else tuple(int(i) for i in inverse_perm),
         )
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
 
     @property
     def k(self) -> int:
@@ -267,8 +257,7 @@ def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
     return ring
 
 
-@dataclass(frozen=True)
-class GagolaWitness:
+class GagolaWitness(NamedTuple):
     """Character vanishing outside exactly two conjugacy classes."""
 
     char_index: int
@@ -284,8 +273,7 @@ def gagola_condition(t: CharacterTable) -> Optional[GagolaWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class GagolaReport:
+class GagolaReport(NamedTuple):
     """Both sides of the two-class criterion, computed independently.
 
     `witness` is the character-theoretic side; `mr_basis` is the

@@ -2,7 +2,7 @@
 categorification obstruction pipeline, character-table checks, S-matrices,
 and corank-one extensions.
 
-Exit codes, all set by the one error boundary on the ``main`` group:
+Exit codes, all set by the one error boundary in ``main``:
 
 - 0: the command completed, whatever its verdict;
 - 1: validation failure.  A ring or table that fails its axioms, and any
@@ -11,8 +11,8 @@ Exit codes, all set by the one error boundary on the ``main`` group:
   validation report go to stdout, and so does a replay ``MISMATCH``;
 - 2: operational error.  An unreadable, malformed or wrong-kind document
   (``DocumentError``, ``OSError``) or a result that cannot be computed
-  exactly (``ExactnessError``) prints ``error: <msg>`` on stderr.  Click
-  usage errors, such as an option value out of range, also exit 2.
+  exactly (``ExactnessError``) prints ``error: <msg>`` on stderr.  Usage
+  errors, such as an option value out of range, also exit 2.
 
 Documents are the JSON envelopes of the serialize module; bare names are
 resolved against the bundled corpus, or against the directory named by
@@ -21,11 +21,11 @@ MRFW_CORPUS.
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
 from pathlib import Path
 from typing import Optional
-
-import click
 
 from .chartab import theorem57_check, validate_table
 from .mr import (
@@ -95,34 +95,9 @@ def _load(ref: str, kind: str) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    click.echo(canonical_dumps(doc), nl=False)
+    sys.stdout.write(canonical_dumps(doc))
 
 
-class _ExitCodeGroup(click.Group):
-    """Maps what a command raises to the exit-code contract.
-
-    ``DocumentError`` is a ``ValueError``, so it is matched first.  Any
-    other exception type reaching here is a bug where it was raised.
-    """
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (DocumentError, OSError, ExactnessError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(EXIT_OPERATIONAL)
-        except ValueError as exc:
-            click.echo(f"INVALID: {exc}", err=True)
-            raise SystemExit(EXIT_INVALID)
-
-
-@click.group(cls=_ExitCodeGroup)
-def main() -> None:
-    """Exact-arithmetic workbench for corank-one fusion rings."""
-
-
-@main.command()
-@click.argument("ref")
 def check(ref: str) -> None:
     """Validate a document (ring axioms or table orthogonality)."""
     doc = resolve_document(ref)
@@ -140,23 +115,21 @@ def check(ref: str) -> None:
         problems = []
     if problems:
         for line in problems:
-            click.echo(f"INVALID: {line}")
+            print(f"INVALID: {line}")
         raise SystemExit(EXIT_INVALID)
-    click.echo(f"valid {kind} document")
+    print(f"valid {kind} document")
 
 
-@main.command()
-@click.argument("ref")
 def report(ref: str) -> None:
     """One-page exact analysis of a ring document."""
     ring = ring_from_payload(_load(ref, "ring"))
     problems = ring.validate()
     if problems:
-        click.echo(f"INVALID: {problems[0]}")
+        print(f"INVALID: {problems[0]}")
         raise SystemExit(EXIT_INVALID)
     # every step runs before the first line is printed, so a step that
     # fails leaves stdout empty rather than holding half a report
-    click.echo("\n".join(_report_lines(ring)))
+    print("\n".join(_report_lines(ring)))
 
 
 def _report_lines(ring: FusionRing):
@@ -224,21 +197,6 @@ def _same_witness(recorded, verdict) -> bool:
     )
 
 
-@main.command(name="obstruct")
-@click.argument("ref", required=False)
-@click.option("--sweep", is_flag=True, help="classify both rank-4 bases per kappa")
-@click.option("--kappa-max", type=click.IntRange(min=0), default=60, show_default=True)
-@click.option(
-    "--node-cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True
-)
-@click.option(
-    "--jobs",
-    type=click.IntRange(1, os.cpu_count() or 1),
-    default=None,
-    help="worker processes for sweeps",
-)
-@click.option("--replay", type=click.Path(exists=False), default=None,
-              help="re-run a certificate document and compare verdict and witness")
 def obstruct_cmd(
     ref: Optional[str],
     sweep: bool,
@@ -246,6 +204,7 @@ def obstruct_cmd(
     node_cap: int,
     jobs: Optional[int],
     replay: Optional[str],
+    usage_error,
 ) -> None:
     """Run the categorification obstruction pipeline."""
     if replay is not None:
@@ -254,9 +213,9 @@ def obstruct_cmd(
         verdict = obstruct(ring, node_cap=cap or node_cap)
         same = verdict.status == status and verdict.stage == stage
         if "witness" in payload and not _same_witness(payload["witness"], verdict):
-            click.echo("replay: the recorded witness differs from the recomputed one")
+            print("replay: the recorded witness differs from the recomputed one")
             same = False
-        click.echo(
+        print(
             f"replay: {verdict.status} at stage {verdict.stage} "
             f"({'match' if same else 'MISMATCH'})"
         )
@@ -275,29 +234,25 @@ def obstruct_cmd(
         _emit(report_doc(payload))
         return
     if ref is None:
-        raise click.UsageError("provide a ring document or use --sweep")
+        usage_error("provide a ring document or use --sweep")
     ring = ring_from_payload(_load(ref, "ring"))
     verdict = obstruct(ring, node_cap=node_cap)
     _emit(report_doc(_verdict_payload(ring, verdict, node_cap)))
 
 
-@main.command()
-@click.argument("ref")
 def gagola(ref: str) -> None:
     """Two-class nonvanishing criterion versus corank-one subring."""
     rep = theorem57_check(table_from_payload(_load(ref, "chartable")))
     if rep.holds:
-        click.echo(
+        print(
             f"criterion holds: character {rep.witness.char_index} is "
             f"supported on classes {list(rep.witness.nonvanishing_classes)}; "
             f"subring basis {list(rep.mr_basis)}"
         )
     else:
-        click.echo("criterion fails on both sides (no witness, no corank-one subring)")
+        print("criterion fails on both sides (no witness, no corank-one subring)")
 
 
-@main.command()
-@click.argument("ref")
 def smatrix(ref: str) -> None:
     """S-matrix and degeneracy class of a premodular document."""
     data = premodular_data(*premodular_from_payload(_load(ref, "premodular")))
@@ -311,15 +266,77 @@ def smatrix(ref: str) -> None:
     _emit(report_doc(payload))
 
 
-@main.command()
-@click.argument("ref")
-@click.option("--kappa", type=int, required=True)
-@click.option("--label", default="Z", show_default=True, help="label of the new element")
 def extend(ref: str, kappa: int, label: str) -> None:
     """Corank-one extension of an integral base ring."""
     ring = ring_from_payload(_load(ref, "ring"))
     _emit(ring_to_doc(mr_extend(ring, kappa, extra_label=label)))
 
 
+class _IntRange(argparse.Action):
+    """An int option in [lo, hi], or at least lo when hi is None, refused
+    in the form "Invalid value for '--jobs': 0 is not in the range 1<=x<=2."."""
+
+    def __init__(self, *args, lo: int, hi: Optional[int] = None, **kwargs):
+        super().__init__(*args, type=int, **kwargs)
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.lo or (self.hi is not None and value > self.hi):
+            bounds = f"x>={self.lo}" if self.hi is None else f"{self.lo}<=x<={self.hi}"
+            parser.error(f"Invalid value for '{option_string}': {value} is not in "
+                         f"the range {bounds}.")
+        setattr(namespace, self.dest, value)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mrfw", description="Exact-arithmetic workbench for corank-one fusion rings."
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    subs = {}
+    for run in (check, report, obstruct_cmd, gagola, smatrix, extend):
+        name = run.__name__.removesuffix("_cmd")
+        subs[name] = sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        sub.add_argument("ref", metavar="REF", nargs="?" if name == "obstruct" else None)
+    sub = subs["obstruct"]
+    sub.set_defaults(usage_error=sub.error)
+    sub.add_argument("--sweep", action="store_true",
+                     help="classify both rank-4 bases per kappa")
+    sub.add_argument("--kappa-max", action=_IntRange, lo=0, default=60,
+                     help="largest kappa of a sweep (default: %(default)s)")
+    sub.add_argument("--node-cap", action=_IntRange, lo=1, default=DEFAULT_NODE_CAP,
+                     help="Gram search node cap (default: %(default)s)")
+    sub.add_argument("--jobs", action=_IntRange, lo=1, hi=os.cpu_count() or 1,
+                     help="worker processes for sweeps")
+    sub.add_argument("--replay", metavar="PATH",
+                     help="re-run a certificate document and compare verdict and witness")
+    subs["extend"].add_argument("--kappa", type=int, required=True)
+    subs["extend"].add_argument("--label", default="Z",
+                                help="label of the new element (default: %(default)s)")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Run the command in `argv` (default: the process arguments) and
+    return its exit code.  The one error boundary: ``DocumentError`` is a
+    ``ValueError``, so it is matched first.  Any other exception type
+    reaching here is a bug where it was raised."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+    except SystemExit as exc:  # a command's exit code, --help or a usage error
+        return exc.code
+    except (DocumentError, OSError, ExactnessError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OPERATIONAL
+    except ValueError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return EXIT_OK
+
+
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -5,9 +5,8 @@ and integrality / grading / primality consequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ring import FusionRing, MRData, adjoint_and_grading, fpdims, subrings
 from .scalars import QuadExt, is_perfect_square
@@ -76,8 +75,7 @@ def pivotal_dims(
     return dim_plus, dim_tilde
 
 
-@dataclass(frozen=True)
-class SphericalCandidate:
+class SphericalCandidate(NamedTuple):
     s: int
     t: int
     xy: Optional[Fraction]  # conjugate product, when the field is irrational
@@ -85,8 +83,7 @@ class SphericalCandidate:
     survives: bool
 
 
-@dataclass(frozen=True)
-class SphericalCertificate:
+class SphericalCertificate(NamedTuple):
     """Certificate that the pivotalization splits as (s, t) = (kappa, 0).
 
     xy is the conjugate product of the normalized dimension, with closed
@@ -165,8 +162,7 @@ def integrality_class(a: int, kappa: int) -> str:
     return IRRATIONAL
 
 
-@dataclass(frozen=True)
-class ForcingReport:
+class ForcingReport(NamedTuple):
     """Witness that d_n^2 | FPdim(C) forces kappa = 0, adjoint = base and a
     Z_2 universal grading."""
 
@@ -197,8 +193,7 @@ def grading_forcing_check(ring: FusionRing, mr: MRData) -> Optional[ForcingRepor
     return ForcingReport(int(tot // dn_sq), mr.kappa, grading.group_order, True)
 
 
-@dataclass(frozen=True)
-class PrimalityCertificate:
+class PrimalityCertificate(NamedTuple):
     rank: int
     subring_ranks: tuple[int, ...]  # proper nontrivial subring ranks
     lines: tuple[str, ...]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import cyclic_ring, rep_s3_ring
 from .mr import mr_extend
@@ -93,8 +92,7 @@ def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]
     return spec, tuple(sorted(spec.factors.all_roots(), reverse=True))
 
 
-@dataclass(frozen=True)
-class InductionData:
+class InductionData(NamedTuple):
     """Everything the obstruction pipeline derives before searching."""
 
     codegrees: tuple[QuadExt, ...]
@@ -145,8 +143,7 @@ def induction_data(ring: FusionRing) -> InductionData:
     return InductionData(cod, dims, tuple(map(tuple, spec.matrix)))
 
 
-@dataclass(frozen=True)
-class I1Summand:
+class I1Summand(NamedTuple):
     """One summand of the induced unit: its codegree, its forced dimension
     f_1/f_i, and the admissible forgetful-image coefficient vectors."""
 
@@ -266,8 +263,7 @@ class Tilings:
         return self._walk(0, self.bounds, 0) if len(self) else iter(())
 
 
-@dataclass(frozen=True)
-class I1Result:
+class I1Result(NamedTuple):
     status: str  # feasible / infeasible / inconclusive
     summands: tuple[I1Summand, ...]
     solutions: Tilings | tuple[()]  # lazy; len() is the exact count
@@ -473,8 +469,7 @@ def i1_dimension_system(
     return I1Result(FEASIBLE, tuple(summands), tilings, tuple(lines))
 
 
-@dataclass(frozen=True)
-class GramWitness:
+class GramWitness(NamedTuple):
     """A complete multiset of virtual-simple rows N with N^t N = H.
 
     Row r, column U: the multiplicity of virtual simple r in the induction
@@ -513,8 +508,7 @@ def verify_witness(H, witness: GramWitness) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GramResult:
+class GramResult(NamedTuple):
     status: str  # feasible / infeasible / inconclusive
     witness: Optional[GramWitness]
     nodes: int
@@ -760,8 +754,7 @@ def gram_search(
     return GramResult(FEASIBLE, witness, nodes, tuple(log))
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     """Outcome of the full pipeline with a replayable certificate."""
 
     status: str  # infeasible / feasible / inconclusive
@@ -836,8 +829,7 @@ def obstruct(
     )
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(NamedTuple):
     """Per-kappa verdicts for the two admissible rank-3 integral bases."""
 
     kappa_max: int

@@ -15,9 +15,8 @@ on an invertible that fixes the corank-one extra object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .mr import MRData
 from .ring import FusionRing, invertibles
@@ -63,8 +62,7 @@ def _is_root_of_unity(x: CycNumber) -> bool:
     return (x ** (2 * x.order)) == 1
 
 
-@dataclass(frozen=True)
-class PremodularData:
+class PremodularData(NamedTuple):
     """A fusion ring with exact dimensions, twists, and its S-matrix."""
 
     ring: FusionRing
@@ -206,8 +204,7 @@ def _det(M: Sequence[Sequence[CycNumber]]) -> CycNumber:
     return det
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """Degeneracy classification of the whole ring.
 
     `label` is one of the four class constants; `center` is the
@@ -247,8 +244,7 @@ def degeneracy_class(data: PremodularData) -> DegeneracyReport:
     return DegeneracyReport(PROPERLY_DEGENERATE, center, False)
 
 
-@dataclass(frozen=True)
-class RowComparison:
+class RowComparison(NamedTuple):
     """S-matrix row of an invertible fixing the extra object vs the unit."""
 
     g: int
@@ -258,8 +254,7 @@ class RowComparison:
     trivial: bool
 
 
-@dataclass(frozen=True)
-class TannakianReport:
+class TannakianReport(NamedTuple):
     comparisons: tuple[RowComparison, ...]
     degenerate: bool
     message: Optional[str]

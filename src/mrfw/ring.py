@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,8 +27,7 @@ class InvalidRingError(ValueError):
     """Raised when an operation requires a valid fusion ring."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom, pinpointing the first offending indices."""
 
     axiom: str
@@ -294,8 +292,7 @@ class FusionRing:
         return frozenset(cur)
 
 
-@dataclass(frozen=True)
-class FPDims:
+class FPDims(NamedTuple):
     """Frobenius-Perron dimensions, exact where the minimal polynomials stay
     within a quadratic tower and certified rational enclosures otherwise."""
 
@@ -316,8 +313,7 @@ class FPDims:
         return sum(d * d for d in self.dims)
 
 
-@dataclass(frozen=True)
-class MRData:
+class MRData(NamedTuple):
     """A detected maximal-rank subring and the forced extension data."""
 
     base: tuple[int, ...]
@@ -327,8 +323,7 @@ class MRData:
     a: int  # sum of squared base dims = FPdim of the subring
 
 
-@dataclass(frozen=True)
-class GradingData:
+class GradingData(NamedTuple):
     """Universal grading at the ring level."""
 
     adjoint: frozenset[int]
@@ -654,8 +649,7 @@ def adjoint_and_grading(ring: FusionRing) -> GradingData:
     return GradingData(adjoint, tuple(comps), tuple(table), rank_one)
 
 
-@dataclass(frozen=True)
-class InvertibleGroup:
+class InvertibleGroup(NamedTuple):
     elements: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]  # products as basis indices
     fixes_extra: Optional[bool]  # every invertible fixes X_n, when MR

@@ -9,10 +9,10 @@ certified rational enclosures produced by Sturm-sequence bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -278,10 +278,15 @@ class QuadExt:
         return (self._a, self._b, self._c, self.D) == o
 
     def __hash__(self):
-        # rational values hash as the Fraction (and int) they equal
-        if not self._b:
-            return hash(Fraction(self._a, self._c))
-        return hash((self.p, self.q, self.D))
+        # the normalized integers identify an irrational value; a rational
+        # a/c hashes as the Fraction (and int) it equals, by the formula of
+        # Python's numeric hash, without building the Fraction
+        a, c = self._a, self._c
+        if self._b:
+            return hash((a, self._b, c, self.D))
+        m = sys.hash_info.modulus
+        h = hash(abs(a)) * pow(c, -1, m) if c % m else sys.hash_info.inf
+        return hash(h if a >= 0 else -h)  # reduces mod m; -1 becomes -2
 
     def _compare(self, other):
         """Sign of self - other, in integers: over the common denominator
@@ -345,11 +350,39 @@ def _integer_field(values) -> tuple[int, dict[int, list[int]]]:
 # integer polynomials
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class _Frozen:
+    """Value semantics from `__slots__`, as a frozen dataclass has them: no
+    assignment after `__init__`, and equality, hash, pickling and repr by
+    the slot values in order, which are also the constructor's arguments."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class IntPoly(_Frozen):
     """Polynomial with integer coefficients, lowest degree first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         cs = list(coeffs)
@@ -444,8 +477,7 @@ def charpoly(M: Sequence[Sequence[int]]) -> IntPoly:
     return IntPoly([cs[k] for k in range(n, -1, -1)])
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Partial factorization of a monic integer polynomial into rational
     roots, irreducible monic quadratics, and an untouched residual."""
 
@@ -768,7 +800,8 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
     n is the lcm of the orders of the `CycNumber` values, den the lcm of
     their denominators, and `nums[k]` and `conjs[k]` are the phi(n)
     integer coordinates (powers of zeta_n, reduced modulo Phi_n) of
-    `values[k]` and of its complex conjugate, times den.  Equal values get
+    `values[k]` and of its complex conjugate, times den; for a rational
+    value, `conjs[k]` is the tuple `nums[k]` itself.  Equal values get
     equal coordinates.
 
     The cyclotomic analogue of `_integer_field`: sums of products of the
@@ -834,7 +867,8 @@ def _packed_field(values, weight: int, factors: int) -> tuple:
     With M the largest l1 norm of a coordinate vector, every coefficient
     of such a sum is within max(weight, 1) * M^factors, and the slot width
     comes from that bound; any wider slot gives the same digits.  Packing
-    is injective at any weight, so packed values compare as the values."""
+    is injective at any weight, so packed values compare as the values.
+    A rational value is its own conjugate, and its packed int is reused."""
     n, den, nums, conjs = _cyclotomic_field(values)
     M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
     B = _slot_width(max(weight, 1) * M ** factors)
@@ -843,7 +877,9 @@ def _packed_field(values, weight: int, factors: int) -> tuple:
     def coords(v: int, f: int) -> list[int]:
         return _reduce_ints(_unpack(v, B, f * (d - 1) + 1), n)
 
-    return n, den, [_pack(v, B) for v in nums], [_pack(v, B) for v in conjs], coords
+    packed = [_pack(v, B) for v in nums]
+    conj = [pv if c is v else _pack(c, B) for pv, v, c in zip(packed, nums, conjs)]
+    return n, den, packed, conj, coords
 
 
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

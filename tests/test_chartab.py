@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from collections import Counter
 from fractions import Fraction
@@ -415,7 +414,8 @@ class TestFusionFromTable:
     @pytest.mark.parametrize("order", [0, -6])
     def test_nonpositive_order_rejected(self, order):
         # the multiplicities divide by the order
-        t = dataclasses.replace(s3_table(), order=order)
+        t = s3_table()
+        t = CharacterTable(order, t.class_sizes, t.characters, t.name, t.inverse_perm)
         with pytest.raises(ValueError, match=f"group order {order} is not positive"):
             fusion_from_table(t)
 
@@ -480,19 +480,23 @@ class TestTheorem57:
             theorem57_check(cyclic_table(2))
 
     def test_lifts_and_packs_the_table_once(self, monkeypatch):
-        # one field for the whole check, and each of the k^2 values and
-        # k^2 conjugates packed once for both the validation and the
-        # multiplicities
+        # one field for the whole check, and each of the k^2 values packed
+        # once for both the validation and the multiplicities; a rational
+        # value is its own conjugate, so only irrational values pack a
+        # conjugate too: S4's table is rational, and packs 25 times
         calls = Counter()
         for name in ("_cyclotomic_field", "_pack"):
             def counted(*args, _f=getattr(scalars, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(scalars, name, counted)
-        for t in (s3_table(), a4_table(), s4_table(), cyclic_table(7)):
+        for t, packs in ((s3_table(), 9), (a4_table(), 20), (s4_table(), 25),
+                         (cyclic_table(7), 85)):
+            irrational = sum(not v.is_rational for row in t.characters for v in row)
+            assert packs == t.k ** 2 + irrational
             calls.clear()
             theorem57_check(t)
-            assert calls == {"_cyclotomic_field": 1, "_pack": 2 * t.k ** 2}
+            assert calls == {"_cyclotomic_field": 1, "_pack": packs}
 
 
 class TestCodegreeCentralizerProperty:

@@ -1,12 +1,18 @@
 import copy
+import io
 import json
 import os
+import re
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ring_oracles import cubic_ring, stdlib_dumps
@@ -34,11 +40,23 @@ from mrfw.serialize import (
     table_to_doc,
 )
 
-runner = CliRunner()
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
 
 
 def invoke(*args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+    """Run `main` in-process on `args`, with `env` over the environment."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def assert_exit(result, code, prefix):
@@ -545,9 +563,51 @@ class TestExitCodes:
              "node-cap-0", "node-cap-negative"],
     )
     def test_option_out_of_range(self, args):
-        # click rejects the value before the command body runs, so no
+        # the parser rejects the value before the command body runs, so no
         # sweep and no worker pool starts
         assert_exit(invoke("obstruct", *args), 2, "Invalid value for")
+
+
+class TestUsage:
+    def test_help_lists_every_command(self):
+        result = invoke("--help")
+        assert result.exit_code == 0, result.output
+        for name in ("check", "report", "obstruct", "gagola", "smatrix", "extend"):
+            assert re.search(rf"^ +{name} ", result.stdout, re.M), name
+
+    def test_obstruct_help_lists_every_option(self):
+        result = invoke("obstruct", "--help")
+        assert result.exit_code == 0, result.output
+        for option in ("REF", "--sweep", "--kappa-max", "--node-cap", "--jobs",
+                       "--replay"):
+            assert option in result.stdout, option
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [([], "required: COMMAND"),
+         (["bogus"], "invalid choice: 'bogus'"),
+         (["obstruct"], "provide a ring document or use --sweep")],
+        ids=["no-command", "unknown-command", "obstruct-without-ref"],
+    )
+    def test_usage_error(self, args, message):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
+        assert "Traceback" not in result.output
+
+
+def test_cold_start_loads_no_click_dataclasses_or_inspect():
+    # every command pays for what `import mrfw.cli` loads, before any work
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; import mrfw.cli, mrfw.obstruction; "
+        "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 CORPUS_DOCUMENTS = {
@@ -649,11 +709,8 @@ class TestFuzz:
             parent[path[-1]] = value
         p = tmp_path_factory.getbasetemp() / "mutated.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        result = runner.invoke(main, command + [str(p)])
+        result = invoke(*command, str(p))
         assert result.exit_code in (0, 1, 2), result.output
-        assert result.exception is None or isinstance(result.exception, SystemExit), (
-            repr(result.exception)
-        )
         assert "Traceback" not in result.output
         if command == ["obstruct", "--replay"] and path[:2] == ("payload", "witness"):
             # a changed witness is never a match; only its removal is

@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -167,7 +168,8 @@ def spellings(draw):
         c = draw(small_fractions)
         m = draw(st.integers(1, 12))
         out = [r, QuadExt(r), QuadExt(r - 2 * c, c, 4), CycNumber(m, [r]),
-               CycNumber(m, [r]).lift(3 * m)]
+               CycNumber(m, [r]).lift(3 * m), CycNumber.from_rational(r, m),
+               QuadExt(c, 1, 3) - QuadExt(c - r, 1, 3)]
         if r.denominator == 1:
             out.append(int(r))
         return out
@@ -175,7 +177,11 @@ def spellings(draw):
         p = draw(small_fractions)
         q = draw(small_fractions.filter(bool))
         D = draw(st.sampled_from([2, 3, 5, 6, 7]))
-        return [QuadExt(p, q, D), QuadExt(p, q / 2, 4 * D), QuadExt(p, q / 3, 9 * D)]
+        x = QuadExt(p, q, D)
+        # the same value reached by arithmetic on other values
+        reached = [p + q * QuadExt.sqrt(D), (x * 3 - p) / 3 + p / 3,
+                   x.inverse().inverse(), x * x / x, -(-x)]
+        return [x, QuadExt(p, q / 2, 4 * D), QuadExt(p, q / 3, 9 * D)] + reached
     m = draw(st.integers(2, 12))
     coeffs = draw(st.lists(small_fractions, min_size=1, max_size=m))
     x = CycNumber(m, coeffs)
@@ -191,6 +197,29 @@ def test_equal_values_hash_equal(values):
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+def test_intpoly_is_a_value_not_a_tuple():
+    p = IntPoly([1, 2, 0])
+    assert p == IntPoly([1, 2]) and hash(p) == hash(IntPoly([1, 2]))
+    assert p != (1, 2) and p != ((1, 2),)
+    assert repr(p) == "IntPoly(coeffs=(1, 2))"
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(TypeError):
+        len(p)
+    with pytest.raises(TypeError):
+        p + p
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+
+
+def test_rational_quadext_hashes_as_fraction():
+    # the integer formula covers a = -1 (hash -2) and a denominator that is
+    # a multiple of the hash modulus, which has no inverse modulo it
+    modulus = sys.hash_info.modulus
+    for r in (Fraction(-1), Fraction(-1, 3), Fraction(7, 2 * modulus),
+              Fraction(-5, modulus), Fraction(10**40 + 1, 3**50)):
+        assert hash(QuadExt(r)) == hash(r), r
 
 
 @given(spellings())
@@ -269,7 +298,8 @@ def assert_matches(x, want):
     p, q, D = want
     assert (x.p, x.q, x.D) == want
     assert type(x.p) is Fraction and type(x.q) is Fraction
-    assert hash(x) == (hash(p) if q == 0 else hash((p, q, D)))
+    if q == 0:
+        assert hash(x) == hash(p)
     assert str(x) == (str(p) if q == 0 else f"{p} + {q}*sqrt({D})")
 
 
