@@ -94,10 +94,6 @@ def _load(ref: str, kind: str) -> dict:
     return doc["payload"]
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(canonical_dumps(doc))
-
-
 def check(ref: str) -> None:
     """Validate a document (ring axioms or table orthogonality)."""
     doc = resolve_document(ref)
@@ -204,7 +200,6 @@ def obstruct_cmd(
     node_cap: int,
     jobs: Optional[int],
     replay: Optional[str],
-    usage_error,
 ) -> None:
     """Run the categorification obstruction pipeline."""
     if replay is not None:
@@ -231,13 +226,14 @@ def obstruct_cmd(
             "survivors": {c: table.survivors(c) for c in table.columns},
             "meaning": FEASIBLE_MEANING,
         }
-        _emit(report_doc(payload))
+        sys.stdout.write(canonical_dumps(report_doc(payload)))
         return
     if ref is None:
-        usage_error("provide a ring document or use --sweep")
+        print("error: provide a ring document or use --sweep", file=sys.stderr)
+        raise SystemExit(EXIT_OPERATIONAL)
     ring = ring_from_payload(_load(ref, "ring"))
     verdict = obstruct(ring, node_cap=node_cap)
-    _emit(report_doc(_verdict_payload(ring, verdict, node_cap)))
+    sys.stdout.write(canonical_dumps(report_doc(_verdict_payload(ring, verdict, node_cap))))
 
 
 def gagola(ref: str) -> None:
@@ -263,29 +259,26 @@ def smatrix(ref: str) -> None:
         "center": sorted(degeneracy.center),
         "svec_center": degeneracy.svec_center,
     }
-    _emit(report_doc(payload))
+    sys.stdout.write(canonical_dumps(report_doc(payload)))
 
 
 def extend(ref: str, kappa: int, label: str) -> None:
     """Corank-one extension of an integral base ring."""
     ring = ring_from_payload(_load(ref, "ring"))
-    _emit(ring_to_doc(mr_extend(ring, kappa, extra_label=label)))
+    sys.stdout.write(canonical_dumps(ring_to_doc(mr_extend(ring, kappa, extra_label=label))))
 
 
-class _IntRange(argparse.Action):
-    """An int option in [lo, hi], or at least lo when hi is None, refused
-    in the form "Invalid value for '--jobs': 0 is not in the range 1<=x<=2."."""
-
-    def __init__(self, *args, lo: int, hi: Optional[int] = None, **kwargs):
-        super().__init__(*args, type=int, **kwargs)
-        self.lo, self.hi = lo, hi
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < self.lo or (self.hi is not None and value > self.hi):
-            bounds = f"x>={self.lo}" if self.hi is None else f"{self.lo}<=x<={self.hi}"
-            parser.error(f"Invalid value for '{option_string}': {value} is not in "
-                         f"the range {bounds}.")
-        setattr(namespace, self.dest, value)
+def _int_in(option: str, lo: int, hi: Optional[int] = None):
+    """Parser of an int option that refuses a value outside [lo, hi], with
+    no upper bound when hi is None, as "Invalid value for '--jobs': ..."."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(
+                f"Invalid value for '{option}': {value} is not in the range {bounds}.")
+        return value
+    return integer
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -293,29 +286,28 @@ def _parser() -> argparse.ArgumentParser:
         prog="mrfw", description="Exact-arithmetic workbench for corank-one fusion rings."
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    subs = {}
     for run in (check, report, obstruct_cmd, gagola, smatrix, extend):
         name = run.__name__.removesuffix("_cmd")
-        subs[name] = sub = commands.add_parser(
+        sub = commands.add_parser(
             name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
         )
         sub.set_defaults(run=run)
         sub.add_argument("ref", metavar="REF", nargs="?" if name == "obstruct" else None)
-    sub = subs["obstruct"]
-    sub.set_defaults(usage_error=sub.error)
+    sub = commands.choices["obstruct"]
     sub.add_argument("--sweep", action="store_true",
                      help="classify both rank-4 bases per kappa")
-    sub.add_argument("--kappa-max", action=_IntRange, lo=0, default=60,
+    sub.add_argument("--kappa-max", type=_int_in("--kappa-max", 0), default=60,
                      help="largest kappa of a sweep (default: %(default)s)")
-    sub.add_argument("--node-cap", action=_IntRange, lo=1, default=DEFAULT_NODE_CAP,
+    sub.add_argument("--node-cap", type=_int_in("--node-cap", 1), default=DEFAULT_NODE_CAP,
                      help="Gram search node cap (default: %(default)s)")
-    sub.add_argument("--jobs", action=_IntRange, lo=1, hi=os.cpu_count() or 1,
+    sub.add_argument("--jobs", type=_int_in("--jobs", 1, os.cpu_count() or 1),
                      help="worker processes for sweeps")
     sub.add_argument("--replay", metavar="PATH",
                      help="re-run a certificate document and compare verdict and witness")
-    subs["extend"].add_argument("--kappa", type=int, required=True)
-    subs["extend"].add_argument("--label", default="Z",
-                                help="label of the new element (default: %(default)s)")
+    sub = commands.choices["extend"]
+    sub.add_argument("--kappa", type=int, required=True)
+    sub.add_argument("--label", default="Z",
+                     help="label of the new element (default: %(default)s)")
     return parser
 
 

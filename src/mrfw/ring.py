@@ -15,6 +15,7 @@ from .scalars import (
     Factorization,
     IntPoly,
     QuadExt,
+    _Frozen,
     _divide_linear,
     _integer_field,
     _quad,
@@ -38,7 +39,7 @@ class Violation(NamedTuple):
         return f"{self.axiom} at {self.indices}: {self.detail}"
 
 
-class FusionRing:
+class FusionRing(_Frozen):
     """A based ring with nonnegative integer structure constants.
 
     N[i][j][k] is the multiplicity of X_k in X_i (x) X_j; basis index 0 is
@@ -84,14 +85,6 @@ class FusionRing:
         object.__setattr__(self, "dual", tuple(dual))
         object.__setattr__(self, "_valid", None)
         object.__setattr__(self, "_fpdims", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FusionRing is immutable")
-
-    def __setstate__(self, state):
-        # pickle and copy restore the slots, cached facts included, here
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):

@@ -115,7 +115,40 @@ def _ordering(test):
     return op
 
 
-class QuadExt:
+class _Frozen:
+    """Value semantics from `__slots__`, as a frozen dataclass has them: no
+    assignment or deletion after `__init__`; equality, hash and repr by the
+    slot values in order, which are the constructor's arguments; pickle and
+    copy restore the slots.  Subclasses may define their own of each."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class QuadExt(_Frozen):
     """An element (a + b*sqrt(D)) / c of a real quadratic field, held as
     four integers kept normalized: c > 0, gcd(a, b, c) = 1, D squarefree,
     and b = 0 exactly when D = 1, so equality is structural.  Arithmetic
@@ -137,9 +170,6 @@ class QuadExt:
         _set_b(self, q.numerator * (c // q.denominator))
         _set_c(self, c)
         _set_D(self, D)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadExt is immutable")
 
     def __reduce__(self):
         return _quad, (self._a, self._b, self._c, self.D)
@@ -348,35 +378,6 @@ def _integer_field(values) -> tuple[int, dict[int, list[int]]]:
 
 # ---------------------------------------------------------------------------
 # integer polynomials
-
-
-class _Frozen:
-    """Value semantics from `__slots__`, as a frozen dataclass has them: no
-    assignment after `__init__`, and equality, hash, pickling and repr by
-    the slot values in order, which are also the constructor's arguments."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
-        return f"{type(self).__name__}({fields})"
 
 
 class IntPoly(_Frozen):
@@ -913,7 +914,7 @@ def _cyc_rational(order: int, p: int, q: int) -> "CycNumber":
     return _cyc(order, num, q)
 
 
-class CycNumber:
+class CycNumber(_Frozen):
     """An element of Q(zeta_n), stored as the canonical representative of a
     polynomial in zeta_n modulo the n-th cyclotomic polynomial.
 
@@ -935,9 +936,6 @@ class CycNumber:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CycNumber is immutable")
 
     def __reduce__(self):
         return _cyc, (self.order, self._num, self._den)

@@ -211,6 +211,18 @@ def test_intpoly_is_a_value_not_a_tuple():
         p + p
     with pytest.raises(AttributeError):
         p.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+
+
+def test_values_refuse_deletion():
+    # a deleted slot would break the value's next hash or comparison
+    x, z = QuadExt(1, 1, 2), CycNumber(3, [0, 1])
+    with pytest.raises(AttributeError):
+        del x.D
+    with pytest.raises(AttributeError):
+        del z.order
+    assert hash(x) == hash(QuadExt(1, 1, 2)) and z == CycNumber(3, [0, 1])
 
 
 def test_rational_quadext_hashes_as_fraction():
@@ -298,8 +310,7 @@ def assert_matches(x, want):
     p, q, D = want
     assert (x.p, x.q, x.D) == want
     assert type(x.p) is Fraction and type(x.q) is Fraction
-    if q == 0:
-        assert hash(x) == hash(p)
+    assert hash(x) == (hash(p) if q == 0 else hash((x._a, x._b, x._c, D)))
     assert str(x) == (str(p) if q == 0 else f"{p} + {q}*sqrt({D})")
 
 
