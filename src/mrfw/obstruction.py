@@ -278,77 +278,57 @@ def _dot(row, coeffs) -> int:
     return sum(map(operator.mul, row, coeffs))
 
 
-# binary digits of the fixed-point dimension bounds in `_images`
-_FIXED_BITS = 40
-
-
-def _fixed_point(den: int, coords: dict[int, list[int]]) -> tuple[list[int], list[int]]:
-    """Integer bounds lo[k] <= values[k] * den * 2^_FIXED_BITS <= hi[k] for
-    the `(den, coords)` of `_integer_field`, one per value, over any number
-    of quadratic fields: s = isqrt(D * 4^bits) gives s <= sqrt(D) * 2^bits
-    < s + 1."""
-    lo = [a << _FIXED_BITS for a in coords[1]]
-    hi = lo[:]
-    for D, col in coords.items():
-        if D > 1:
-            s = math.isqrt(D << (2 * _FIXED_BITS))
-            for k, b in enumerate(col):
-                if b:
-                    x, y = sorted((b * s, b * (s + 1)))
-                    lo[k] += x
-                    hi[k] += y
-    return lo, hi
-
-
-def _images(ranges, lo_dim, hi_dim, lo_rem, hi_rem, checks) -> tuple[tuple[int, ...], ...]:
+def _images(ranges, order, weight, rem, checks) -> tuple[tuple[int, ...], ...]:
     """The vectors (1,) + c, c in the box `ranges` in lexicographic order,
     that pass every exact check `_dot(c, r) == t`.
 
-    The box is walked one basis element at a time, largest dimension
-    first.  Every FP dimension is positive, so once the dimension left to
-    fill, bounded by [lo_rem, hi_rem] in fixed point, is certainly below
-    what the later coordinates must add at their least, a larger value
-    here only lowers it and the loop stops; while it is certainly above
-    what they can add at their most, the value is skipped.  Both cuts drop
-    only vectors that fail the checks, so sorting what is left gives the
-    filtered box in its order.  Taking the large dimensions first keeps
-    the small ones last, where the cuts bound them tightly: in basis order
-    the walk on C(Z_n, n - 1) visits about 2^(n-1) prefixes of the
-    invertibles, whose dimension the extra object could still make up."""
+    `weight[j]` is the sum of the `_integer_field` coordinates of basis
+    element j's dimension and `rem` that of the dimension to fill, so the
+    checks make `_dot(c, weight) == rem`.  An FP dimension is at least the
+    absolute value of its Galois conjugate (Etingof-Nikshych-Ostrik,
+    arXiv:math/0203060, section 8), so its coordinates are nonnegative
+    and every weight is a positive integer.  The box is walked one basis
+    element at a time, in `order`: once the weight left is below what the
+    later coordinates must add at their least, a larger value here only
+    lowers it and the loop stops; while it is above what they can add at
+    their most, the value is skipped.  Both cuts drop only vectors that
+    fail the checks, so sorting what is left gives the filtered box in its
+    order.  Taking the large dimensions first keeps the small ones last,
+    where the cuts bound them tightly: in basis order the walk on
+    C(Z_n, n - 1) visits about 2^(n-1) prefixes of the invertibles, whose
+    dimension the extra object could still make up."""
     m = len(ranges)
-    order = sorted(range(m), key=hi_dim.__getitem__, reverse=True)  # stable
     ranges = [ranges[t] for t in order]
-    lo_dim = [lo_dim[t] for t in order]
-    hi_dim = [hi_dim[t] for t in order]
+    weight = [weight[t] for t in order]
     need, room = [0] * (m + 1), [0] * (m + 1)
     for t in range(m - 1, -1, -1):
-        need[t] = need[t + 1] + ranges[t][0] * lo_dim[t]
-        room[t] = room[t + 1] + ranges[t][-1] * hi_dim[t]
+        need[t] = need[t + 1] + ranges[t][0] * weight[t]
+        room[t] = room[t + 1] + ranges[t][-1] * weight[t]
     out: list[tuple[int, ...]] = []
-    box = (ranges, lo_dim, hi_dim, need, room, checks, order)
-    _walk_box(box, [0] * m, 0, lo_rem, hi_rem, out)
+    box = (ranges, weight, need, room, checks, order)
+    _walk_box(box, [0] * m, 0, rem, out)
     return tuple(sorted(out))
 
 
-def _walk_box(box, vec: list[int], t: int, lo: int, hi: int, out: list) -> None:
+def _walk_box(box, vec: list[int], t: int, rem: int, out: list) -> None:
     """`_images` from walk step t on, with the basis coordinates of the
-    earlier steps fixed in vec and the dimension left to fill in [lo, hi];
-    step t sets coordinate order[t], and the box lists are in walk order.
-    A module function, not a closure, so that no reference cycle outlives
-    the call."""
-    ranges, lo_dim, hi_dim, need, room, checks, order = box
+    earlier steps fixed in vec and weight rem left to fill; step t sets
+    coordinate order[t], and the box lists are in walk order.  A module
+    function, not a closure, so that no reference cycle outlives the
+    call."""
+    ranges, weight, need, room, checks, order = box
     if t == len(ranges):
         if all(_dot(vec, r) == c for r, c in checks):
             out.append((1,) + tuple(vec))
         return
-    u = order[t]
+    u, w = order[t], weight[t]
     for x in ranges[t]:
-        lo2, hi2 = lo - x * hi_dim[t], hi - x * lo_dim[t]
-        if hi2 < need[t + 1]:
+        left = rem - x * w
+        if left < need[t + 1]:
             break
-        if lo2 <= room[t + 1]:
+        if left <= room[t + 1]:
             vec[u] = x
-            _walk_box(box, vec, t + 1, lo2, hi2, out)
+            _walk_box(box, vec, t + 1, left, out)
 
 
 def i1_dimension_system(
@@ -391,8 +371,10 @@ def i1_dimension_system(
     den, coords = _integer_field(d + data.i1_dims)
     coords[1] = coords[1][:n] + [t - den for t in coords[1][n:]]
     eqs = [(c[1:n], c[n:]) for c in coords.values()]
-    lo_fix, hi_fix = _fixed_point(den, coords)
-    lo_dim, hi_dim = lo_fix[1:n], hi_fix[1:n]
+    # the exact weights of `_images`, each target's less the unit, and its
+    # walk order: basis by decreasing FP dimension, stable
+    weight = [sum(col) for col in zip(*coords.values())]
+    order = sorted(range(n - 1), key=d[1:].__getitem__, reverse=True)
     if len(irr) == 1:
         # exactly one basis element carries the irrational part, so the
         # irrational half of each dimension equation pins its coefficient
@@ -445,7 +427,7 @@ def i1_dimension_system(
                 for j in range(1, n)
             ]
             cands = _images(
-                ranges, lo_dim, hi_dim, lo_fix[n + k], hi_fix[n + k],
+                ranges, order, weight[1:n], weight[n + k],
                 [(r, t[k]) for r, t in eqs],
             )
             if not cands:

@@ -295,9 +295,6 @@ class QuadExt(_Frozen):
 
     # -- ordering (real embedding with sqrt(D) > 0)
 
-    def _sign(self) -> int:
-        return _sign_of(self._a, self._b, self.D)
-
     def __eq__(self, other):
         if isinstance(other, CycNumber):
             # equal only as rationals, where the two hash alike

@@ -1,21 +1,29 @@
 """Unpruned reference oracles for the induced-unit system, shared by the
 tests that compare `i1_dimension_system` against them: the per-summand
-candidates as a filter over the whole coefficient box, in `QuadExt`
-arithmetic, and the tilings as a plain list from the joint enumeration
-that the library used before it counted them."""
+candidates as a filter over the whole coefficient box, one radicand at a
+time, and the tilings as a plain list from the joint enumeration that the
+library used before it counted them."""
 
 import itertools
-
-from mrfw.scalars import QuadExt
+import math
+import operator
 
 
 def images_bruteforce(dims, bounds, target):
     """Every (1,) + c, c in the box prod(range(bounds[j] + 1)) for j >= 1 in
-    lexicographic order, with 1 + sum c_j dims[j] == target."""
+    lexicographic order, with 1 + sum c_j dims[j] == target.
+
+    The sum is compared one radicand at a time, as integers over a common
+    denominator: the dimensions may lie in several quadratic fields, and
+    1, sqrt(D), sqrt(E) are linearly independent over Q."""
+    values = (*dims, target)
+    keys = sorted({1} | {v.D for v in values})
+    parts = [[v.p if k == 1 else v.q if k == v.D else 0 for v in values] for k in keys]
+    den = math.lcm(*(x.denominator for part in parts for x in part))
+    cols = [[int(x * den) for x in part] for part in parts]
+    box = ((1,) + c for c in itertools.product(*(range(b + 1) for b in bounds[1:])))
     return tuple(
-        (1,) + c
-        for c in itertools.product(*(range(b + 1) for b in bounds[1:]))
-        if sum((x * d for x, d in zip(c, dims[1:]) if x), QuadExt(1)) == target
+        v for v in box if all(sum(map(operator.mul, v, col)) == col[-1] for col in cols)
     )
 
 

@@ -40,6 +40,7 @@ from mrfw.obstruction import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    GramResult,
     GramWitness,
     classify_rank4_mr,
     codegree_matrix,
@@ -191,7 +192,7 @@ class TestCodegrees:
                     )
         p = charpoly(naive)
         assert p(0) == 0  # zero eigenvalue
-        assert all(f._sign() > 0 for f in codegrees(ring))
+        assert all(f > 0 for f in codegrees(ring))
 
 
 def commutative_rings():
@@ -486,8 +487,15 @@ class TestI1Oracles:
 
     def test_candidates_match_box_filter(self):
         # and C(Z_n, n - 1) up to n = 8, where the extra object's dimension
-        # n is walked before the invertibles'
-        extra = [(f"C(Z{n},{n - 1})", near_group(n, n - 1)) for n in (7, 8)]
+        # n is walked before the invertibles'; rings whose dimensions span
+        # several quadratic fields; and Rep(S4) extended, whose extra
+        # object has dimension 2 sqrt(6) at kappa 0 (a box of 648)
+        extra = [
+            *((f"C(Z{n},{n - 1})", near_group(n, n - 1)) for n in (7, 8)),
+            ("ising x C(Z3,0)", two_field_ring()),
+            ("ising x ising", deligne_product(ising_ring(), ising_ring())),
+            *((f"rep(s4) k={k}", mr_extend(rep_ring("s4"), k)) for k in (0, 3)),
+        ]
         for name, ring in [*rank4_and_near_group_rings(6), *extra]:
             res = i1_dimension_system(ring)
             dims, bounds = fpdims(ring).dims, induction_data(ring).H[0]
@@ -496,20 +504,40 @@ class TestI1Oracles:
                     want = images_bruteforce(dims, bounds, s.target_dim)
                     assert s.candidates == want, (name, str(s.codegree))
 
-    def test_walk_is_not_exponential_on_near_group_n_minus_1(self, monkeypatch):
-        # the walk makes 51 calls here; in basis order it made 131,089,
-        # about 2^(n+1) for the prefixes of the invertibles of C(Z16, 15)
-        ring = near_group(16, 15)
-        data = induction_data(ring)
+    @staticmethod
+    def count_walk(monkeypatch, rings):
+        """The `_walk_box` calls of `i1_dimension_system` over the rings."""
         visits = []
         walk = obstruction._walk_box
         monkeypatch.setattr(
             obstruction, "_walk_box", lambda *args: visits.append(1) or walk(*args)
         )
-        res = i1_dimension_system(ring, data)
+        for ring in rings:
+            i1_dimension_system(ring, induction_data(ring))
+        return len(visits)
+
+    def test_walk_is_not_exponential_on_near_group_n_minus_1(self, monkeypatch):
+        # in basis order the walk made 131,089 calls here, about 2^(n+1)
+        # for the prefixes of the invertibles of C(Z16, 15)
+        ring = near_group(16, 15)
+        res = i1_dimension_system(ring)
         assert res.status == FEASIBLE
         assert sum(len(s.candidates) for s in res.summands) == 17
-        assert len(visits) < 1000
+        assert self.count_walk(monkeypatch, [ring]) == 51
+
+    @pytest.mark.parametrize(
+        "rings, calls",
+        [
+            (lambda: [near_group(12, 11)], 39),
+            (lambda: [two_field_ring()], 128),
+            # both rank-4 bases for kappa 0..60 and no C(Z_n, kappa)
+            (lambda: (ring for _, ring in rank4_and_near_group_rings(0)), 979),
+        ],
+        ids=["C(Z12,11)", "ising x C(Z3,0)", "rank-4 sweep"],
+    )
+    def test_walk_calls_pinned(self, monkeypatch, rings, calls):
+        # a change of the cut or of the walk order shows as a change of count
+        assert self.count_walk(monkeypatch, rings()) == calls
 
     def test_count_and_order_match_enumeration(self):
         checked = 0
@@ -1080,6 +1108,30 @@ class TestObstruct:
     def test_node_cap_inconclusive(self):
         verdict = obstruct(z3_base_ring(3), node_cap=1)
         assert verdict.status == INCONCLUSIVE
+
+    # no ring in the corpus, the rank-4 sweep or the near-group families
+    # reaches a Gram-stage `infeasible`, so these stand in for gram_search
+    EXHAUSTED = GramResult(INFEASIBLE, None, 3, ("exhausted 0 admissible rows",))
+    CAPPED = GramResult(INCONCLUSIVE, None, 5, ("node cap 5 exceeded",))
+    NO_EXTENSION = "no induced-unit solution extends to a Gram factorization"
+
+    def test_every_solution_exhausted_is_gram_infeasible(self, monkeypatch):
+        monkeypatch.setattr(obstruction, "gram_search", lambda *args: self.EXHAUSTED)
+        verdict = obstruct(z3_base_ring(3))
+        n = len(verdict.i1.solutions)
+        assert (verdict.status, verdict.stage, verdict.witness) == (INFEASIBLE, "gram", None)
+        assert verdict.gram == (self.EXHAUSTED,) * n
+        assert verdict.steps[-n - 1:] == self.EXHAUSTED.log * n + (self.NO_EXTENSION,)
+
+    def test_capped_then_exhausted_is_gram_inconclusive(self, monkeypatch):
+        results = iter([self.CAPPED])
+        monkeypatch.setattr(
+            obstruction, "gram_search", lambda *args: next(results, self.EXHAUSTED)
+        )
+        verdict = obstruct(two_field_ring())
+        assert (verdict.status, verdict.stage, verdict.witness) == (INCONCLUSIVE, "gram", None)
+        assert verdict.gram == (self.CAPPED,) + (self.EXHAUSTED,) * 193
+        assert self.NO_EXTENSION not in verdict.steps
 
     def test_s3_base_small_sweep(self):
         # eliminated for every kappa outside {0, 5} and the multiples of 6

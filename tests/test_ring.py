@@ -382,6 +382,26 @@ class TestFPDims:
         got = fpdims(ring)
         assert list(zip(got.dims, got.exact, got.bounds)) == ref
 
+    def test_dims_have_nonnegative_field_coordinates(self):
+        # an FP dimension is at least the absolute value of its Galois
+        # conjugate, so its rational part and its sqrt(D) coefficient are
+        # both nonnegative; the induced-unit walk cuts on their sum
+        rings = [
+            *(build() for build in FPDIM_RINGS.values()),
+            *(base(k) for base in (z3_base_ring, s3_base_ring) for k in range(61)),
+            *(mr_extend(cyclic_ring(a), k) for a in range(1, 9) for k in range(2 * a + 1)),
+            deligne_product(ising_ring(), mr_extend(cyclic_ring(3), 0)),
+        ]
+        radicands = set()
+        for ring in rings:
+            fp = fpdims(ring)
+            _, coords = scalars._integer_field(
+                [d for d, exact in zip(fp.dims, fp.exact) if exact]
+            )
+            assert all(x >= 0 for col in coords.values() for x in col)
+            radicands |= coords.keys()
+        assert {2, 3, 5, 6} <= radicands
+
     def test_invertibles_need_no_charpoly(self, monkeypatch):
         seen = []
         real = ring_module._left_spectrum
