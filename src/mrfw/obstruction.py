@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .corpus import cyclic_ring, rep_s3_ring
+from .corpus import RANK3_BASES
 from .mr import mr_extend
 from .ring import (
     FusionRing,
@@ -569,7 +569,8 @@ def _free_rows(R: list[int], pos: list[list[int]], screen=None):
       - the screen's sums over its support, so the screen is integer
         arithmetic on them, with no pass over the row;
       - its support and mask; a mask depends on the support alone, so
-        it grows once per new position, whatever the entry's value."""
+        it grows at most once per new position, whatever the entry's
+        value, and only when a row there is kept or has children."""
     n = len(pos)
     Rm = [[R[p] for p in row] for row in pos]
     cols, divides = screen or ([()] * n, None)
@@ -588,15 +589,17 @@ def _free_rows(R: list[int], pos: list[list[int]], screen=None):
             Ri, si, pi = Rm[i], steps[i], pos[i]
             rest = cand[t + 1:]
             supp2 = supp + [i]
-            mask2 = mask | sum([1 << pi[j] for j in supp2])
+            mask2 = 0  # built when first needed; a built mask has bit (i, i)
             for x in range(top, 0, -1):
                 row[i] = x
                 sums2 = [*map(operator.add, sums, si[x])]
                 if rest:
                     sub = [(k, b) for k, c in rest if (b := min(c, Ri[k] // x))]
                     if sub:
+                        mask2 = mask2 or mask | sum([1 << pi[j] for j in supp2])
                         extend(sub, sums2, supp2, mask2)
                 if divides is None or divides(row, sums2):
+                    mask2 = mask2 or mask | sum([1 << pi[j] for j in supp2])
                     free.append(tuple(row))
                     masks.append(mask2)
             row[i] = 0
@@ -746,7 +749,6 @@ class ObstructionVerdict(NamedTuple):
     i1: Optional[I1Result] = None
     gram: tuple[GramResult, ...] = ()
     witness: Optional[GramWitness] = None
-    meaning: str = FEASIBLE_MEANING
 
 
 def obstruct(
@@ -839,7 +841,7 @@ def classify_rank4_mr(
     range and merge the verdicts deterministically."""
     if kappa_max < 0:
         raise ValueError("kappa_max must be nonnegative")
-    bases = {"z3-pointed": cyclic_ring(3), "rep-s3": rep_s3_ring()}
+    bases = RANK3_BASES
     for base in bases.values():
         fpdims(base)  # validated once; the cached facts pickle with the ring
     cells = [

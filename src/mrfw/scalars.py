@@ -80,6 +80,31 @@ def _parts(x) -> Optional[tuple[int, int, int, int]]:
     return None
 
 
+def _rational_hash(a: int, c: int) -> int:
+    """hash(Fraction(a, c)) for integers a and c > 0, by the formula of
+    Python's numeric hash, without building the Fraction.  Reducing a/c
+    first matters only when c is a multiple of the hash modulus."""
+    g = math.gcd(a, c)
+    if g != 1:
+        a, c = a // g, c // g
+    m = sys.hash_info.modulus
+    h = hash(abs(a)) * pow(c, -1, m) if c % m else sys.hash_info.inf
+    return hash(h if a >= 0 else -h)  # reduces mod m; -1 becomes -2
+
+
+def _power(x, n: int, one):
+    """x ** n by repeated squaring from `one`; a negative n inverts x."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
 def _quad(a: int, b: int, c: int, D: int) -> "QuadExt":
     """Internal constructor of (a + b*sqrt(D)) / c from integers, c != 0
     and D squarefree: divides out gcd(a, b, c) and makes c positive."""
@@ -282,16 +307,7 @@ class QuadExt(_Frozen):
         return QuadExt(other) * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _quad(1, 0, 1, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _quad(1, 0, 1, 1))
 
     # -- ordering (real embedding with sqrt(D) > 0)
 
@@ -306,14 +322,10 @@ class QuadExt(_Frozen):
 
     def __hash__(self):
         # the normalized integers identify an irrational value; a rational
-        # a/c hashes as the Fraction (and int) it equals, by the formula of
-        # Python's numeric hash, without building the Fraction
-        a, c = self._a, self._c
+        # a/c hashes as the Fraction (and int) it equals
         if self._b:
-            return hash((a, self._b, c, self.D))
-        m = sys.hash_info.modulus
-        h = hash(abs(a)) * pow(c, -1, m) if c % m else sys.hash_info.inf
-        return hash(h if a >= 0 else -h)  # reduces mod m; -1 becomes -2
+            return hash((self._a, self._b, self._c, self.D))
+        return _rational_hash(self._a, self._c)
 
     def _compare(self, other):
         """Sign of self - other, in integers: over the common denominator
@@ -419,18 +431,31 @@ class IntPoly(_Frozen):
         """Exact division by a monic divisor."""
         if not other.is_monic:
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = other.degree
-        out = [0] * max(len(rem) - d, 1)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                out[i - d] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * oc
-        if any(rem):
+        quotient, rem = _poly_divmod(self.coeffs, other.coeffs)
+        if rem:
             raise ValueError("division is not exact")
-        return IntPoly(out)
+        return IntPoly(quotient)
+
+
+def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of a by b over Q, both lowest degree first;
+    b's leading coefficient must be nonzero.  The remainder has no
+    trailing zeros, so it is empty exactly when b divides a.  Integer
+    coefficients stay integers when b is monic."""
+    rem = list(a)
+    d, lead = len(b) - 1, b[-1]
+    quotient = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            f = c if lead == 1 else Fraction(c, lead)
+            quotient[i - d] = f
+            for j, bj in enumerate(b, i - d):
+                rem[j] -= f * bj
+    del rem[d:]  # every entry from d up is zero now
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient, rem
 
 
 def _mat_mul(A, B):
@@ -632,7 +657,7 @@ def factor_linear_quadratic(
 def _euclid_chain(p0: list[Fraction]) -> list[list[Fraction]]:
     chain = [p0, [k * c for k, c in enumerate(p0)][1:]]
     while chain[-1]:
-        rem = _frac_poly_divmod(chain[-2], chain[-1])[1]
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -646,7 +671,7 @@ def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
     chain = _euclid_chain([Fraction(c) for c in p.coeffs])
     gcd = chain[-1]
     if len(gcd) > 1:
-        chain = _euclid_chain(_frac_poly_divmod(chain[0], gcd)[0])
+        chain = _euclid_chain(_poly_divmod(chain[0], gcd)[0])
     return chain
 
 
@@ -687,25 +712,15 @@ def largest_real_root_bounds(
 ) -> tuple[int, tuple[Fraction, Fraction]]:
     """The number of distinct real roots of a monic integer polynomial, and
     a certified enclosure (lo, hi] of the largest, both from one Sturm
-    chain: the count is its sign changes across the Cauchy bound, and the
-    enclosure comes by bisection against the sign changes at the bound."""
+    chain: `_real_root_enclosures` across the Cauchy bound isolates every
+    distinct real root, and the last of its enclosures is the largest."""
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
-    chain = _sturm_chain(p)
     bound = Fraction(1 + max(abs(c) for c in p.coeffs))
-    lo, hi = -bound, bound
-    top = _sign_changes(chain, hi)
-    count = _sign_changes(chain, lo) - top
-    if count == 0:
+    roots = _real_root_enclosures(p, -bound, bound, width)
+    if not roots:
         raise ValueError("polynomial has no real roots")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        # no root lies above hi, so a root in (mid, hi] is one above mid
-        if _sign_changes(chain, mid) > top:
-            lo = mid
-        else:
-            hi = mid
-    return count, (lo, hi)
+    return len(roots), roots[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -730,15 +745,6 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _mean_conjugate(d: int) -> Fraction:
-    """Average of the primitive d-th roots of unity, mu(d)/phi(d): minus the
-    subleading coefficient of the d-th cyclotomic polynomial over its
-    degree."""
-    phi = cyclotomic_polynomial(d)
-    return Fraction(-phi.coeffs[-2], phi.degree)
-
-
-@lru_cache(maxsize=None)
 def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Degree of Phi_n and its nonzero coefficients below the leading one,
     as (power, coefficient) pairs."""
@@ -747,10 +753,18 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _hash_weights(n: int) -> tuple[Fraction, ...]:
-    """Mean of the Galois conjugates of each basis power zeta_n^k."""
-    d = _phi_tail(n)[0]
-    return tuple(_mean_conjugate(n // math.gcd(k, n)) for k in range(d))
+def _hash_weights(n: int) -> tuple[int, tuple[int, ...]]:
+    """`(W, weights)` with weights[k] / W the mean of the Galois conjugates
+    of each basis power zeta_n^k.  zeta_n^k is a primitive d-th root of
+    unity, d = n / gcd(k, n), and the primitive d-th roots average to
+    mu(d) / phi(d), minus the subleading coefficient of Phi_d over its
+    degree; W = phi(n), which every such phi(d) divides."""
+    W = _phi_tail(n)[0]
+    weights = []
+    for k in range(W):
+        phi = cyclotomic_polynomial(n // math.gcd(k, n)).coeffs
+        weights.append(-phi[-2] * (W // (len(phi) - 1)))
+    return W, tuple(weights)
 
 
 def _reduce_ints(work: list[int], n: int) -> list[int]:
@@ -1088,16 +1102,7 @@ class CycNumber(_Frozen):
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _cyc_rational(self.order, 1, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _cyc_rational(self.order, 1, 1))
 
     # -- Galois action
 
@@ -1135,10 +1140,9 @@ class CycNumber(_Frozen):
         # when rational, so ints and Fractions hash alike, and it does not
         # change when a value is lifted to a larger order, so equal values
         # stored at different orders hash alike.
-        w = _hash_weights(self.order)
-        return hash(
-            Fraction(sum(c * wk for c, wk in zip(self._num, w) if c)) / self._den
-        )
+        W, weights = _hash_weights(self.order)
+        total = sum([c * w for c, w in zip(self._num, weights) if c])
+        return _rational_hash(total, self._den * W)
 
     def __repr__(self):
         return f"CycNumber(order={self.order}, coeffs={list(self.coeffs)})"
@@ -1148,25 +1152,6 @@ class CycNumber(_Frozen):
 _set_order = CycNumber.order.__set__
 _set_num = CycNumber._num.__set__
 _set_den = CycNumber._den.__set__
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        q[off] = f
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
 
 
 # ---------------------------------------------------------------------------

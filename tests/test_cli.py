@@ -242,6 +242,22 @@ class TestReport:
         assert "MR(a=12, kappa=4)" in result.output
         assert "integral" in result.output
 
+    def test_invalid_ring(self, tmp_path):
+        doc = ring_to_doc(mr_extend(cyclic_ring(4), 4))
+        doc["payload"]["N"][2][1][3] += 1
+        p = tmp_path / "broken.json"
+        save_document(doc, p)
+        result = invoke("report", str(p))
+        assert_exit(result, 1, "INVALID")
+        assert result.stdout == "INVALID: frobenius-reciprocity at (2, 1, 3): 2, 1, 1\n"
+
+    def test_grading_forcing(self, tmp_path):
+        p = tmp_path / "c-z4-0.json"
+        save_document(ring_to_doc(mr_extend(cyclic_ring(4), 0)), p)
+        result = invoke("report", str(p))
+        assert result.exit_code == 0, result.output
+        assert "grading forcing: kappa = 0 forces a Z_2 grading" in result.stdout.splitlines()
+
 
 class TestObstruct:
     def test_fibonacci_feasible(self):

@@ -297,6 +297,28 @@ class TestCentralizer:
             assert 0 in out
 
 
+    @pytest.mark.parametrize(
+        "n, forged, want",
+        [
+            # {0, 1} in Z3 lacks the dual 2 of 1
+            (3, {(1, 2): CycNumber.root_of_unity(3)}, [0, 1]),
+            # {0, 1, 3} in Z4 is dual-closed but lacks 1 * 1 = 2
+            (4, {(1, 2): CycNumber.from_rational(-1)}, [0, 1, 3]),
+        ],
+    )
+    def test_forged_s_matrix_centralizer_not_a_subring(self, n, forged, want):
+        data = premodular_data(cyclic_ring(n), [1] * n, [1] * n)
+        S = [list(row) for row in data.S]
+        for (x, y), value in forged.items():
+            S[x][y] = S[y][x] = value
+        data = data._replace(S=tuple(map(tuple, S)))
+        assert sorted(
+            y for y in range(n) if S[1][y] == data.dims[1] * data.dims[y]
+        ) == want
+        with pytest.raises(ValueError, match="centralizer"):
+            centralizer_of(data, [1])
+
+
 class TestDegeneracy:
     def test_fibonacci(self):
         assert degeneracy_class(fib_data()).label == NON_DEGENERATE

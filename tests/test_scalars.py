@@ -22,6 +22,8 @@ from mrfw.scalars import (
     _integer_roots,
     _pack,
     _packed_field,
+    _poly_divmod,
+    _real_root_enclosures,
     _reduce_ints,
     _sign_of,
     _slot_width,
@@ -233,6 +235,55 @@ def test_rational_quadext_hashes_as_fraction():
     for r in (Fraction(-1), Fraction(-1, 3), Fraction(7, 2 * modulus),
               Fraction(-5, modulus), Fraction(10**40 + 1, 3**50)):
         assert hash(QuadExt(r)) == hash(r), r
+
+
+@st.composite
+def cyc_any_order(draw):
+    """A CycNumber of order 1 to 60, sparse or dense, and a lift of it."""
+    n = draw(st.integers(1, 60))
+    deg = cyclotomic_polynomial(n).degree
+    coeffs = draw(st.lists(small_fractions | st.just(Fraction(0)), min_size=1, max_size=deg))
+    x = CycNumber(n, coeffs)
+    return x, x.lift(n * draw(st.integers(2, 3)))
+
+
+def galois_mean(x: CycNumber) -> Fraction:
+    """The mean of the Galois conjugates of x, from its definition."""
+    n = x.order
+    conjugates = [x.galois(k) for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    return sum(conjugates, CycNumber.from_rational(0, n)).as_fraction() / len(conjugates)
+
+
+@given(cyc_any_order())
+@settings(max_examples=60, deadline=None)
+def test_cycnumber_hashes_as_its_galois_mean(pair):
+    for x in pair:
+        assert hash(x) == hash(galois_mean(x)), x
+
+
+def test_cycnumber_hash_at_a_denominator_the_modulus_divides():
+    # no inverse of the denominator modulo the hash modulus: the inf branch;
+    # zeta_8 / modulus has mean 0 over the denominator 4 * modulus
+    modulus = sys.hash_info.modulus
+    z = CycNumber.root_of_unity(8)
+    for r in (Fraction(1, modulus), Fraction(-7, 3 * modulus)):
+        for x in (CycNumber.from_rational(r, 8), z + r, z * r, CycNumber(8, [r, r, r, r])):
+            assert hash(x) == hash(galois_mean(x)) == hash(x.lift(24)), x
+    assert hash(CycNumber.from_rational(Fraction(1, modulus), 8)) == sys.hash_info.inf
+
+
+@given(st.one_of(
+    st.builds(QuadExt, small_fractions, small_fractions, st.sampled_from([2, 3, 5, 12])),
+    st.builds(CycNumber, st.integers(1, 12), st.lists(small_fractions, min_size=1, max_size=4)),
+), st.integers(1, 5))
+@settings(deadline=None)
+def test_negative_powers_invert(x, k):
+    if x == 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** -k
+        return
+    assert x ** -k == (x ** k).inverse() == x.inverse() ** k
+    assert x ** -k * x ** k == 1 and x ** 0 == 1
 
 
 @given(spellings())
@@ -581,6 +632,46 @@ class TestIntegerRoots:
         assert tried and min(tried) > 0
 
 
+@given(
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_poly_divmod(quotient, rest, lead, remainder, fractions):
+    """a = quotient * b + remainder with deg remainder < deg b: the division
+    gives back both, and an empty remainder exactly when b divides a."""
+    b = rest + [lead]
+    remainder = remainder[:len(b) - 1]
+    if fractions:
+        quotient, b, remainder = ([Fraction(c, 3) for c in v] for v in (quotient, b, remainder))
+    a = [0] * max(len(quotient) + len(b) - 1, len(remainder))
+    for i, qi in enumerate(quotient):
+        for j, bj in enumerate(b):
+            a[i + j] += qi * bj
+    for i, r in enumerate(remainder):
+        a[i] += r
+    q, r = _poly_divmod(a, b)
+    while remainder and not remainder[-1]:
+        remainder.pop()
+    assert q == quotient and r == remainder and len(r) < len(b)
+    assert (not r) == (not any(remainder))
+    if not fractions and lead == 1:
+        assert all(type(c) is int for c in q + r)
+
+
+class TestDivexact:
+    def test_divisor_must_be_monic(self):
+        with pytest.raises(ValueError, match="divisor must be monic"):
+            IntPoly([2, 4]).divexact(IntPoly([1, 2]))
+
+    def test_inexact_division_refused(self):
+        with pytest.raises(ValueError, match="division is not exact"):
+            IntPoly([1, 0, 1]).divexact(IntPoly([-1, 1]))
+
+
 class TestSturm:
     def test_count(self):
         p = IntPoly([-3, 0, 1])  # x^2 - 3
@@ -604,6 +695,25 @@ class TestSturm:
     def test_no_real_root(self):
         with pytest.raises(ValueError, match="no real roots"):
             largest_real_root_bounds(IntPoly([1, 0, 1]))
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7), st.booleans(),
+           st.sampled_from([Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**12)]))
+    @settings(max_examples=100, deadline=None)
+    def test_largest_root_is_the_last_enclosure(self, low, square, width):
+        # the count and enclosure are those of the one bisection that
+        # isolates every root, on its dyadic grid across the Cauchy bound
+        p = IntPoly(low + [1])
+        if square:
+            p = p * p
+        bound = Fraction(1 + max(abs(c) for c in p.coeffs))
+        enclosures = _real_root_enclosures(p, -bound, bound, width)
+        if not enclosures:
+            with pytest.raises(ValueError, match="no real roots"):
+                largest_real_root_bounds(p, width)
+            return
+        count, (lo, hi) = largest_real_root_bounds(p, width)
+        assert (count, (lo, hi)) == (len(enclosures), enclosures[-1])
+        assert lo < hi and hi - lo <= width
 
 
 class TestCyclotomic:
