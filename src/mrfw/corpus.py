@@ -3,6 +3,8 @@ suite."""
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .chartab import CharacterTable
 from .mr import mr_extend
 from .ring import FusionRing
@@ -57,11 +59,11 @@ def rep_s3_ring() -> FusionRing:
 
 
 # the rank-3 integral bases of the rank-4 sweep, by column name; shared, so
-# that `mr_extend` validates each base and finds its dims once
-RANK3_BASES = {
+# that `mr_extend` validates each base and finds its dims once, and read-only
+RANK3_BASES = MappingProxyType({
     "z3-pointed": FusionRing(("1", "X", "Y"), cyclic_ring(3).N),
     "rep-s3": rep_s3_ring(),
-}
+})
 
 
 def z3_base_ring(kappa: int) -> FusionRing:

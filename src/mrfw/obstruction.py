@@ -841,12 +841,11 @@ def classify_rank4_mr(
     range and merge the verdicts deterministically."""
     if kappa_max < 0:
         raise ValueError("kappa_max must be nonnegative")
-    bases = RANK3_BASES
-    for base in bases.values():
+    for base in RANK3_BASES.values():
         fpdims(base)  # validated once; the cached facts pickle with the ring
     cells = [
         (name, base, k, node_cap)
-        for name, base in bases.items()
+        for name, base in RANK3_BASES.items()
         for k in range(kappa_max + 1)
     ]
     if jobs is not None and jobs > 1:
@@ -858,7 +857,7 @@ def classify_rank4_mr(
         statuses = list(map(_classify_cell, cells))
     results = {(name, k): status for name, k, status in statuses}
     verdicts = tuple(
-        (k, tuple(results[(name, k)] for name in bases))
+        (k, tuple(results[(name, k)] for name in RANK3_BASES))
         for k in range(kappa_max + 1)
     )
-    return ClassificationTable(kappa_max, tuple(bases), verdicts)
+    return ClassificationTable(kappa_max, tuple(RANK3_BASES), verdicts)

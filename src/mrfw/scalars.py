@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -601,7 +601,9 @@ def _real_quadratic_factors(p: IntPoly) -> tuple[list[IntPoly], IntPoly]:
         return quadratics, p
     bound = Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
     # |r| <= bound, so sum and product enclosures are narrower than 1
-    roots = _real_root_enclosures(p, -bound, bound, 1 / (4 * bound + 4))
+    chain = _sturm_chain(p)
+    span = _sturm_span(chain, -bound, bound)
+    roots = sorted(_real_root_enclosures(chain, span, 1 / (4 * bound + 4)))
     for i, (alo, ahi) in enumerate(roots):
         for blo, bhi in roots[i + 1:]:
             s = math.ceil(alo + blo)
@@ -686,25 +688,31 @@ def _sign_changes(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _sturm_span(chain, lo: Fraction, hi: Fraction):
+    """(lo, hi] with the sign changes of `chain` at both ends; their
+    difference counts the distinct real roots in (lo, hi]."""
+    return lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi)
+
+
 def _real_root_enclosures(
-    p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction
-) -> list[tuple[Fraction, Fraction]]:
+    chain, span, width: Fraction
+) -> Iterator[tuple[Fraction, Fraction]]:
     """Disjoint enclosures (l, h], h - l <= width, one for each distinct
-    real root of p in (lo, hi], in ascending order."""
-    chain = _sturm_chain(p)
-    out = []
-    todo = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+    real root in the `_sturm_span` `span` of the polynomial whose Sturm
+    chain is `chain`, yielded in descending order.  The upper half of each
+    interval is searched first, so the first enclosure costs one sign count
+    per halving and the lower roots are narrowed only if asked for."""
+    todo = [span]
     while todo:
         l, h, vl, vh = todo.pop()
         if vl == vh:
             continue
         if vl - vh == 1 and h - l <= width:
-            out.append((l, h))
+            yield l, h
             continue
         mid = (l + h) / 2
         vm = _sign_changes(chain, mid)
-        todo.extend(((mid, h, vm, vh), (l, mid, vl, vm)))
-    return out
+        todo.extend(((l, mid, vl, vm), (mid, h, vm, vh)))
 
 
 def largest_real_root_bounds(
@@ -712,15 +720,16 @@ def largest_real_root_bounds(
 ) -> tuple[int, tuple[Fraction, Fraction]]:
     """The number of distinct real roots of a monic integer polynomial, and
     a certified enclosure (lo, hi] of the largest, both from one Sturm
-    chain: `_real_root_enclosures` across the Cauchy bound isolates every
-    distinct real root, and the last of its enclosures is the largest."""
+    chain: the count is its sign changes across the Cauchy bound, and the
+    enclosure is the first that `_real_root_enclosures` yields."""
     if not p.is_monic:
         raise ValueError("polynomial must be monic")
+    chain = _sturm_chain(p)
     bound = Fraction(1 + max(abs(c) for c in p.coeffs))
-    roots = _real_root_enclosures(p, -bound, bound, width)
-    if not roots:
+    span = _sturm_span(chain, -bound, bound)
+    if span[2] == span[3]:
         raise ValueError("polynomial has no real roots")
-    return len(roots), roots[-1]
+    return span[2] - span[3], next(_real_root_enclosures(chain, span, width))
 
 
 # ---------------------------------------------------------------------------

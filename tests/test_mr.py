@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mrfw.corpus import (
+    RANK3_BASES,
     cyclic_ring,
     fibonacci_ring,
     ising_ring,
@@ -71,6 +72,8 @@ class TestMRExtend:
         assert len({id(ring) for ring in rings}) == 122
         assert all(ring._fpdims is None for ring in rings)
         assert rings[3].labels == rings[64].labels == ("1", "X", "Y", "Z")
+        with pytest.raises(TypeError):
+            RANK3_BASES["z3-pointed"] = rep_s3_ring()
 
     def test_rejects_non_integral_base(self):
         with pytest.raises(ValueError):

@@ -25,8 +25,11 @@ from mrfw.scalars import (
     _poly_divmod,
     _real_root_enclosures,
     _reduce_ints,
+    _sign_changes,
     _sign_of,
     _slot_width,
+    _sturm_chain,
+    _sturm_span,
     _unpack,
     charpoly,
     cyclotomic_polynomial,
@@ -699,21 +702,55 @@ class TestSturm:
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=7), st.booleans(),
            st.sampled_from([Fraction(1, 2), Fraction(1, 10**6), Fraction(1, 10**12)]))
     @settings(max_examples=100, deadline=None)
-    def test_largest_root_is_the_last_enclosure(self, low, square, width):
+    def test_largest_root_is_the_first_enclosure(self, low, square, width):
         # the count and enclosure are those of the one bisection that
         # isolates every root, on its dyadic grid across the Cauchy bound
         p = IntPoly(low + [1])
         if square:
             p = p * p
+        chain = _sturm_chain(p)
         bound = Fraction(1 + max(abs(c) for c in p.coeffs))
-        enclosures = _real_root_enclosures(p, -bound, bound, width)
+        span = _sturm_span(chain, -bound, bound)
+        enclosures = list(_real_root_enclosures(chain, span, width))
+        assert enclosures == sorted(enclosures, reverse=True)
         if not enclosures:
             with pytest.raises(ValueError, match="no real roots"):
                 largest_real_root_bounds(p, width)
             return
         count, (lo, hi) = largest_real_root_bounds(p, width)
-        assert (count, (lo, hi)) == (len(enclosures), enclosures[-1])
+        assert (count, (lo, hi)) == (len(enclosures), enclosures[0])
         assert lo < hi and hi - lo <= width
+        # halving towards the largest root alone stops at the same interval,
+        # unless a second root lies in it, which the enclosure then excludes
+        l, h = -bound, bound
+        top = _sign_changes(chain, h)
+        while h - l > width:
+            mid = (l + h) / 2
+            l, h = (mid, h) if _sign_changes(chain, mid) > top else (l, mid)
+        if _sign_changes(chain, l) - top == 1:
+            assert (lo, hi) == (l, h)
+        else:
+            assert l <= lo < hi <= h
+
+    def test_largest_root_narrows_only_the_largest(self, monkeypatch):
+        # twelve real roots +-sqrt(k), k = 2..7; the lower eleven are never
+        # narrowed, so the cost is one sign count per halving plus the ends
+        p = IntPoly([1])
+        for k in range(2, 8):
+            p = p * IntPoly([-k, 0, 1])
+        counts = []
+        sign_changes = scalars._sign_changes
+
+        def counting(chain, x):
+            counts.append(x)
+            return sign_changes(chain, x)
+
+        monkeypatch.setattr(scalars, "_sign_changes", counting)
+        width = Fraction(1, 10**10)
+        count, (lo, hi) = largest_real_root_bounds(p, width)
+        assert count == 12 and lo * lo < 7 <= hi * hi
+        bound = 1 + max(abs(c) for c in p.coeffs)
+        assert len(counts) <= math.ceil(math.log2(2 * bound / width)) + 4
 
 
 class TestCyclotomic:
