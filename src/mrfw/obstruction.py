@@ -189,15 +189,9 @@ class Tilings:
             if tied[i + 1]:
                 run[i] += run[i + 1]
         self._run = run
-        lo = hi = (0,) * len(bounds)
-        boxes = [(lo, hi)]
-        for cands in reversed(rows):
-            cols = tuple(zip(*cands))
-            lo = tuple(map(operator.add, lo, map(min, cols)))
-            hi = tuple(map(operator.add, hi, map(max, cols)))
-            boxes.append((lo, hi))
-        # (i, 0): the interval of summands i..; `_interval` adds the others
-        self._intervals = {(len(rows) - i, 0): box for i, box in enumerate(boxes)}
+        # past the last summand nothing is left to add; `_interval` builds
+        # every other interval on this one
+        self._intervals = {(len(rows), 0): ((0,) * len(bounds),) * 2}
         self._memo: dict[tuple, int] = {}
 
     def _interval(self, i: int, least: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -205,8 +199,9 @@ class Tilings:
         summand i takes a candidate from index `least` on."""
         box = self._intervals.get((i, least))
         if box is None:
+            # tied summands share one candidate tuple
             run = self._run[i]
-            lo, hi = self._intervals[i + run, 0]
+            lo, hi = self._interval(i + run, 0)
             cols = tuple(zip(*self.rows[i][least:]))
             box = (
                 tuple(map(operator.add, lo, map(run.__mul__, map(min, cols)))),
@@ -270,10 +265,6 @@ class I1Result(NamedTuple):
     lines: tuple[str, ...]
 
 
-def _irrational_indices(dims) -> list[int]:
-    return [j for j, d in enumerate(dims) if not d.is_rational]
-
-
 def _dot(row, coeffs) -> int:
     return sum(map(operator.mul, row, coeffs))
 
@@ -282,24 +273,23 @@ def _images(ranges, order, weight, rem, checks) -> tuple[tuple[int, ...], ...]:
     """The vectors (1,) + c, c in the box `ranges` in lexicographic order,
     that pass every exact check `_dot(c, r) == t`.
 
-    `weight[j]` is the sum of the `_integer_field` coordinates of basis
-    element j's dimension and `rem` that of the dimension to fill, so the
-    checks make `_dot(c, weight) == rem`.  An FP dimension is at least the
-    absolute value of its Galois conjugate (Etingof-Nikshych-Ostrik,
-    arXiv:math/0203060, section 8), so its coordinates are nonnegative
-    and every weight is a positive integer.  The box is walked one basis
-    element at a time, in `order`: once the weight left is below what the
-    later coordinates must add at their least, a larger value here only
-    lowers it and the loop stops; while it is above what they can add at
-    their most, the value is skipped.  Both cuts drop only vectors that
-    fail the checks, so sorting what is left gives the filtered box in its
-    order.  Taking the large dimensions first keeps the small ones last,
-    where the cuts bound them tightly: in basis order the walk on
-    C(Z_n, n - 1) visits about 2^(n-1) prefixes of the invertibles, whose
-    dimension the extra object could still make up."""
+    Box and `weight` come in walk order: `ranges[t]` and `weight[t]`, the
+    sum of its dimension's `_integer_field` coordinates, are those of basis
+    element `order[t]`; `rem` is that of the dimension to fill, so the
+    checks make `sum(c[order[t]] * weight[t]) == rem`.  An FP dimension is
+    at least the absolute value of its Galois conjugate
+    (Etingof-Nikshych-Ostrik, arXiv:math/0203060, section 8), so its
+    coordinates are nonnegative and every weight is a positive integer.
+    The box is walked one basis element at a time, in `order`: once the
+    weight left is below what the later coordinates must add at their
+    least, a larger value here only lowers it and the loop stops; while it
+    is above what they can add at their most, the value is skipped.  Both
+    cuts drop only vectors that fail the checks, so sorting what is left
+    gives the filtered box in its order.  Taking the large dimensions first
+    keeps the small ones last, where the cuts bound them tightly: in basis
+    order the walk on C(Z_n, n - 1) visits about 2^(n-1) prefixes of the
+    invertibles, whose dimension the extra object could still make up."""
     m = len(ranges)
-    ranges = [ranges[t] for t in order]
-    weight = [weight[t] for t in order]
     need, room = [0] * (m + 1), [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         need[t] = need[t + 1] + ranges[t][0] * weight[t]
@@ -365,7 +355,7 @@ def i1_dimension_system(
     d = dims.dims
     n = ring.rank
     bounds = data.H[0]
-    irr = _irrational_indices(d)
+    irr = [j for j, x in enumerate(d) if not x.is_rational]
     # 1 + sum c_j d_j == target, one scaled integer coordinate at a time:
     # per coordinate, the dims' entries and the targets' entries less 1
     den, coords = _integer_field(d + data.i1_dims)
@@ -375,6 +365,7 @@ def i1_dimension_system(
     # walk order: basis by decreasing FP dimension, stable
     weight = [sum(col) for col in zip(*coords.values())]
     order = sorted(range(n - 1), key=d[1:].__getitem__, reverse=True)
+    walk_weight = [weight[1 + t] for t in order]
     if len(irr) == 1:
         # exactly one basis element carries the irrational part, so the
         # irrational half of each dimension equation pins its coefficient
@@ -422,12 +413,12 @@ def i1_dimension_system(
         cands: tuple[tuple[int, ...], ...] = ()
         if alg and forced_ok:
             ranges = [
-                (int(forced),) if forced is not None and j == irr[0]
-                else range(bounds[j] + 1)
-                for j in range(1, n)
+                (int(forced),) if forced is not None and 1 + t == irr[0]
+                else range(bounds[1 + t] + 1)
+                for t in order
             ]
             cands = _images(
-                ranges, order, weight[1:n], weight[n + k],
+                ranges, order, walk_weight, weight[n + k],
                 [(r, t[k]) for r, t in eqs],
             )
             if not cands:

@@ -651,13 +651,9 @@ class InvertibleGroup(NamedTuple):
 def invertibles(ring: FusionRing, mr: Optional[MRData] = None) -> InvertibleGroup:
     """Group of basis elements with X (x) X^* = 1 exactly."""
     ring.require_valid()
-    n = ring.rank
-    elems = []
-    for i in range(n):
-        if all(
-            ring.N[i][ring.dual[i]][k] == (1 if k == 0 else 0) for k in range(n)
-        ):
-            elems.append(i)
+    n, N = ring.rank, ring.N
+    unit = tuple(int(k == 0) for k in range(n))
+    elems = [i for i in range(n) if N[i][ring.dual[i]] == unit]
     table = []
     for g in elems:
         row = []

@@ -1,12 +1,16 @@
 """Reference oracles for Gram factorization, shared by the tests that
 compare `gram_search` against them: an unpruned search, and the search's
-set-up in its eager form."""
+set-up in its eager form.
+
+The set-up reference checks what `_free_rows` adds to the library's
+`_dimension_screen`: its rows, their order and masks, and the screen sums
+it carries down.  A copy of the screen's formula would share its faults,
+so the formula is checked against `QuadExt` in `TestIntegerScreens`."""
 
 import itertools
 import math
 
-from mrfw.obstruction import _dot
-from mrfw.scalars import UnsupportedFieldError, _integer_field
+from mrfw.obstruction import _dimension_screen, _dot
 
 
 class OracleBudgetExceeded(Exception):
@@ -38,10 +42,12 @@ def gram_bruteforce(H, budget=200_000):
             raise OracleBudgetExceeded
         if all(R[i][j] == 0 for i in range(n) for j in range(n)):
             return True
+        # the diagonal alone rejects most rows, and R only falls along a
+        # branch, so a row rejected here is rejected at every descendant
+        allowed = [
+            w for w in allowed if all(w[i] * w[i] <= R[i][i] for i in range(n))
+        ]
         for k, w in enumerate(allowed):
-            # the diagonal alone rejects most rows; R2 would be negative there
-            if any(w[i] * w[i] > R[i][i] for i in range(n)):
-                continue
             R2 = [[R[i][j] - w[i] * w[j] for j in range(n)] for i in range(n)]
             if any(R2[i][j] < 0 for i in range(n) for j in range(n)):
                 continue
@@ -59,54 +65,23 @@ def eager_free_rows(H, fixed_rows=(), dims=None):
     R is the residual H - sum w w^T of the fixed rows as an upper triangle,
     entry (i, j) at `pos[i][j]`.  Every row is enumerated entry by entry,
     each entry bounded against all the entries before it; at each complete
-    row the screen takes one dot product per coordinate over the whole
-    row; and each admitted row's products scan all n(n+1)/2 pairs."""
+    row the library's screen gets one dot product per coordinate over the
+    whole row; and each admitted row's products scan all n(n+1)/2 pairs."""
     n = len(H)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pos = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(pairs):
         pos[i][j] = pos[j][i] = p
     R = [int(H[i][j]) - sum(w[i] * w[j] for w in fixed_rows) for i, j in pairs]
-    divides = None
-    if dims is not None:
-        den, coords = _integer_field(dims)
-        ra = coords.pop(1)
-        irr = list(coords.items())
-        ga = sum(a * a for a in ra) + sum(D * _dot(b, b) for D, b in irr)
-        gfield = [(D, 2 * _dot(ra, b)) for D, b in irr]
-        gfield = [(D, g) for D, g in gfield if g]
-        if len(gfield) > 1:
-            raise UnsupportedFieldError(
-                "global dimension spans " + " and ".join(
-                    f"sqrt({D})" for D, _ in gfield
-                )
-            )
-        gD, gb = gfield[0] if gfield else (1, 0)
-
-        def divides(row) -> bool:
-            A = _dot(row, ra)
-            D, B = gD, 0
-            for E, b in irr:
-                x = _dot(row, b)
-                if x:
-                    if B or (gb and E != gD):
-                        raise UnsupportedFieldError(
-                            f"the dimension of row {row} and the global "
-                            f"dimension span two quadratic fields"
-                        )
-                    D, B = E, x
-            P = ga * A - gb * B * D
-            Q = gb * A - ga * B
-            M = den * (A * A - B * B * D)
-            return 2 * P % M == 0 and (P * P - Q * Q * D) % (M * M) == 0
-
+    cols, divides = ((), None) if dims is None else _dimension_screen(dims)
     free = []
     prefix = [0] * n
 
     def admissible(i):
         if i == n:
             row = tuple(prefix)
-            if any(row) and (divides is None or divides(row)):
+            sums = [_dot(row, c) for c in zip(*cols)]
+            if any(row) and (divides is None or divides(row, sums)):
                 free.append(row)
             return
         top = math.isqrt(R[pos[i][i]])

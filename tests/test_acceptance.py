@@ -193,9 +193,10 @@ def test_criterion_6_property_suite():
     for ring in small:
         assert subrings(ring) == subrings_bruteforce(ring)
 
-    # Gram search vs the unpruned oracle, rank <= 4, entries <= 40
+    # Gram search vs the unpruned oracle, rank <= 4, entries <= 40; the
+    # draw is seeded, so which instances hit the oracle's budget is pinned
     rng = random.Random(20240824)
-    compared = 0
+    compared = skipped = 0
     while compared < 40:
         n = rng.randrange(2, 5)
         gen = [
@@ -214,9 +215,11 @@ def test_criterion_6_property_suite():
         try:
             expected = gram_bruteforce(H)
         except OracleBudgetExceeded:
+            skipped += 1
             continue
         assert (gram_search(H).status == FEASIBLE) == expected, H
         compared += 1
+    assert skipped == 3
 
     # codegrees of the group-representation rings are centralizer orders
     for name in ("s3", "z4", "d8", "q8", "a4"):
@@ -243,7 +246,8 @@ def test_criterion_6_property_suite():
     emit(
         6,
         True,
-        "subring oracle, Gram brute-force oracle (40 cases), codegree = "
+        f"subring oracle, Gram brute-force oracle (40 cases, {skipped} of "
+        f"{compared + skipped} over its budget), codegree = "
         "centralizer orders, 100 randomized extensions all validated",
     )
 
