@@ -8,7 +8,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .ring import FusionRing, MRData, adjoint_and_grading, fpdims, subrings
+from .ring import (
+    FusionRing,
+    MRData,
+    adjoint_and_grading,
+    fpdims,
+    mr_extra_dim,
+    subrings,
+)
 from .scalars import QuadExt, is_perfect_square
 
 INTEGRAL = "integral"
@@ -53,7 +60,7 @@ def mr_fpdim(a: int, kappa: int) -> tuple[QuadExt, QuadExt]:
     d_n = (kappa + sqrt(kappa^2 + 4a))/2, total = a + d_n^2."""
     if a < 1:
         raise ValueError("a must be positive")
-    d_n = (QuadExt(kappa) + QuadExt.sqrt(kappa * kappa + 4 * a)) * Fraction(1, 2)
+    d_n = mr_extra_dim(a, kappa)
     return d_n, QuadExt(a) + d_n * d_n
 
 

@@ -14,6 +14,7 @@ asserts that a categorification exists.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .ring import (
     Spectrum,
     detect_mr,
     fpdims,
+    mr_extra_dim,
     seed_fpdims,
     spectrum,
 )
@@ -74,10 +76,13 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     The codegrees are the formal codegrees of the ring (Ostrik,
     arXiv:0810.3242): the eigenvalues of the codegree matrix, which is
     symmetric with nonnegative integer entries, so they are real and at
-    most its largest row sum.  Raises ExactnessError when the
-    characteristic polynomial does not split into linear and quadratic
-    factors over the integers."""
-    return _codegree_spectrum(ring)[1]
+    most its largest row sum.  A commutative ring with a maximal-rank
+    subring takes them in closed form, `_mr_codegrees`.  Raises
+    ExactnessError when the characteristic polynomial does not split into
+    linear and quadratic factors over the integers."""
+    ring.require_valid()
+    cod = _mr_codegrees(ring, detect_mr(ring)) if ring.is_commutative else None
+    return cod if cod is not None else _codegree_spectrum(ring)[1]
 
 
 def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]:
@@ -92,6 +97,40 @@ def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]
     return spec, tuple(sorted(spec.factors.all_roots(), reverse=True))
 
 
+@functools.lru_cache(maxsize=64)
+def _base_codegrees(N: tuple) -> Optional[tuple[QuadExt, ...]]:
+    """The codegrees of the ring with structure constants N, from
+    `_codegree_spectrum`, or None when its polynomial does not split.
+    Keyed on the constants, not on a ring, so that every extension of one
+    base shares one entry."""
+    try:
+        return _codegree_spectrum(FusionRing([str(i) for i in range(len(N))], N))[1]
+    except ExactnessError:
+        return None
+
+
+def _mr_codegrees(ring: FusionRing, mr: Optional[MRData]) -> Optional[tuple[QuadExt, ...]]:
+    """The codegrees of a commutative ring with maximal-rank data `mr`, in
+    the closed form of `induction_data`; None when `mr` is None or the
+    codegrees of its base D do not split.  D's codegrees, memoized per
+    base, lose one copy of a = FPdim(D); the two characters extending
+    FPdim(D) by X -> l, for the roots l = d_X = `mr_extra_dim` and
+    kappa - d_X of l^2 = kappa l + a, add sum_T |chi(T)|^2 = a + l^2 =
+    2a + kappa l (Ostrik, arXiv:0810.3242)."""
+    if mr is None:
+        return None
+    base = _base_codegrees(
+        tuple(tuple(tuple(ring.N[i][j][k] for k in mr.base) for j in mr.base) for i in mr.base)
+    )
+    if base is None:
+        return None
+    cod = list(base)
+    cod.remove(mr.a)
+    d_x = mr_extra_dim(mr.a, mr.kappa)
+    cod += (2 * mr.a + mr.kappa * l for l in (d_x, mr.kappa - d_x))
+    return tuple(sorted(cod, reverse=True))
+
+
 class InductionData(NamedTuple):
     """Everything the obstruction pipeline derives before searching."""
 
@@ -100,7 +139,13 @@ class InductionData(NamedTuple):
     H: tuple[tuple[int, ...], ...]
 
 
-def induction_data(ring: FusionRing) -> InductionData:
+# the default of the `mr` arguments below: run `detect_mr`.  None, the
+# value detect_mr returns on such a ring, says there is no maximal-rank
+# subring.
+_DETECT = object()
+
+
+def induction_data(ring: FusionRing, mr: Optional[MRData] = _DETECT) -> InductionData:
     """Codegrees, induced-unit summand dimensions and the Hom matrix H of
     the objects induced to the Drinfeld center, from one matrix.
 
@@ -111,20 +156,42 @@ def induction_data(ring: FusionRing) -> InductionData:
     whose eigenvalues are the formal codegrees (Ostrik, arXiv:0810.3242,
     arXiv:1309.4822).  Raises ValueError on a noncommutative ring.
 
-    The largest codegree is the global FP dimension.  `seed_fpdims` reads
-    the FP dimensions off its eigenvector when it is a simple root, so that
-    the codegree polynomial is the only characteristic polynomial this
-    ring needs.  A repeated top codegree (a nontrivial universal grading)
-    leaves them to `fpdims`, which factors one polynomial per
-    non-invertible basis element."""
+    `mr` is the ring's `detect_mr` result, run here when not given.  On a
+    ring C with a maximal-rank subring D and extra object X, the characters
+    have a closed form: each nontrivial character of D extends by X -> 0,
+    and the FP character d of D by X -> l for both roots l of
+    l^2 = kappa l + a, a = FPdim(D).  There are no others, since
+    chi(X) != 0 makes chi(X) chi(Y) = d_Y chi(X) force chi = d on D, and
+    these n are distinct.  So the codegrees are D's with one copy of a
+    replaced by 2a + kappa l for both l (`_mr_codegrees`), and the FP
+    dimensions are d with the larger root on X (`ring.mr_dims`, cached by
+    `seed_fpdims` once certified): no characteristic polynomial of C is
+    taken, and D's codegrees are computed once per base.  Otherwise, or
+    when D's codegree polynomial does not split, the codegrees are the
+    roots of C's codegree polynomial, and when the largest is a simple root
+    `seed_fpdims` reads the FP dimensions off its eigenvector.  A repeated
+    top codegree (a nontrivial universal grading) on a ring with no
+    maximal-rank subring leaves them to `fpdims`, which factors one
+    polynomial per non-invertible basis element.
+
+    The largest codegree is the global FP dimension, sum d_i^2, and is
+    checked against the FP dimensions on every path."""
     ring.require_valid()
     if not ring.is_commutative:
         raise ValueError(
             "induction data needs a commutative ring: the Hom matrix of "
             "the induced objects is the codegree matrix only then"
         )
-    spec, cod = _codegree_spectrum(ring)
-    seed_fpdims(ring, spec, cod)
+    if mr is _DETECT:
+        mr = detect_mr(ring)
+    cod = _mr_codegrees(ring, mr)
+    if cod is None:
+        spec, cod = _codegree_spectrum(ring)
+        H = spec.matrix
+        seed_fpdims(ring, spec, cod, mr)
+    else:
+        H = codegree_matrix(ring)
+        seed_fpdims(ring, mr=mr)
     fp = fpdims(ring)
     fp.require_exact()
     # the global FP dimension sum d_i^2 must be the top codegree; over one
@@ -140,7 +207,7 @@ def induction_data(ring: FusionRing) -> InductionData:
             "largest codegree does not equal the global FP dimension"
         )
     dims = tuple(top / f for f in cod)
-    return InductionData(cod, dims, tuple(map(tuple, spec.matrix)))
+    return InductionData(cod, dims, tuple(map(tuple, H)))
 
 
 class I1Summand(NamedTuple):
@@ -324,7 +391,7 @@ def _walk_box(box, vec: list[int], t: int, rem: int, out: list) -> None:
 def i1_dimension_system(
     ring: FusionRing,
     data: Optional[InductionData] = None,
-    mr: Optional[MRData] = None,
+    mr: Optional[MRData] = _DETECT,
 ) -> I1Result:
     """Solve for the forgetful images of the summands of the induced unit.
 
@@ -336,7 +403,8 @@ def i1_dimension_system(
     is recorded in the certificate.
 
     Each summand's candidates come from `_images`, once per distinct
-    codegree; the tilings are a lazy `Tilings`."""
+    codegree; the tilings are a lazy `Tilings`.  `mr` is the ring's
+    `detect_mr` result, run here when not given."""
     ring.require_valid()
     if not ring.is_commutative:
         return I1Result(
@@ -346,10 +414,10 @@ def i1_dimension_system(
             ("ring is not commutative; multiplicity-one decomposition of "
              "the induced unit is not available",),
         )
-    if data is None:
-        data = induction_data(ring)
-    if mr is None:
+    if mr is _DETECT:
         mr = detect_mr(ring)
+    if data is None:
+        data = induction_data(ring, mr)
     dims = fpdims(ring)
     dims.require_exact()
     d = dims.dims
@@ -757,8 +825,9 @@ def obstruct(
             ("ring is not commutative; the pipeline applies only to "
              "commutative fusion rings",),
         )
+    mr = detect_mr(ring)
     try:
-        data = induction_data(ring)
+        data = induction_data(ring, mr)
     except ExactnessError as exc:
         return ObstructionVerdict(
             INCONCLUSIVE, "codegrees", (f"exactness failure: {exc}",)
@@ -766,7 +835,6 @@ def obstruct(
     steps.append(
         "codegrees: " + ", ".join(str(f) for f in data.codegrees)
     )
-    mr = detect_mr(ring)
     i1 = i1_dimension_system(ring, data, mr)
     steps.extend(i1.lines)
     if i1.status != FEASIBLE:

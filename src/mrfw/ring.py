@@ -21,6 +21,7 @@ from .scalars import (
     _quad,
     factor_linear_quadratic,
     largest_real_root_bounds,
+    squarefree_decompose,
 )
 
 
@@ -334,10 +335,11 @@ def fpdims(ring: FusionRing) -> FPDims:
     left-multiplication matrix.  Computed once per ring; later calls return
     the same object.
 
-    Two paths fill the cache: `seed_fpdims`, from the codegree spectrum
-    that `obstruction.induction_data` takes, when the top codegree is
-    simple; otherwise the first call here, with `_perron_dims`.  Both
-    give the one positive character."""
+    Two paths fill the cache: `seed_fpdims`, which `obstruction.induction_data`
+    calls with the ring's maximal-rank data or with its codegree spectrum;
+    otherwise the first call here, with `_perron_dims`.  Each caches only a
+    vector that `_is_positive_character` certifies, so all give the one
+    positive character."""
     if ring._fpdims is None:
         ring.require_valid()
         object.__setattr__(ring, "_fpdims", _perron_dims(ring))
@@ -417,17 +419,54 @@ def perron_vector(spec: Spectrum, top: QuadExt) -> tuple[QuadExt, ...]:
     )
 
 
-def seed_fpdims(ring: FusionRing, spec: Spectrum, codegrees: Sequence[QuadExt]) -> None:
-    """The cache rule, given `spectrum(ring, C)` of C = sum_T X_T X_T* and
-    its roots `codegrees` in descending order, of which FPdim(C) is the
-    largest (Ostrik, arXiv:0810.3242): if nothing is cached and it is a
-    simple root, cache `perron_vector` once `_is_positive_character`
-    certifies it, which makes it the vector `_perron_dims` would return."""
-    if ring._fpdims is None and codegrees[1:2] != codegrees[:1]:
-        dims = perron_vector(spec, codegrees[0])
-        if _is_positive_character(ring, dims):
-            n = ring.rank
-            object.__setattr__(ring, "_fpdims", FPDims(dims, (True,) * n, (None,) * n))
+def seed_fpdims(
+    ring: FusionRing,
+    spec: Optional[Spectrum] = None,
+    codegrees: Sequence[QuadExt] = (),
+    mr: Optional[MRData] = None,
+) -> None:
+    """The cache rule: if nothing is cached, cache the first of these that
+    `_is_positive_character` certifies, which makes it the vector
+    `_perron_dims` would return.
+
+    - Given the ring's maximal-rank data `mr`, the closed form `mr_dims`.
+    - Given `spectrum(ring, C)` of C = sum_T X_T X_T* and its roots
+      `codegrees` in descending order, of which FPdim(C) is the largest
+      (Ostrik, arXiv:0810.3242): when that root is simple, `perron_vector`."""
+    if ring._fpdims is None and mr is not None:
+        object.__setattr__(ring, "_fpdims", _certified(ring, mr_dims(mr)))
+    if ring._fpdims is None and spec is not None and codegrees[1:2] != codegrees[:1]:
+        object.__setattr__(ring, "_fpdims", _certified(ring, perron_vector(spec, codegrees[0])))
+
+
+def _certified(ring: FusionRing, dims: Sequence[QuadExt]) -> Optional[FPDims]:
+    """`dims` as exact FP dimensions if `_is_positive_character` certifies
+    them, else None."""
+    if not _is_positive_character(ring, dims):
+        return None
+    n = ring.rank
+    return FPDims(tuple(dims), (True,) * n, (None,) * n)
+
+
+def mr_extra_dim(a: int, kappa: int) -> QuadExt:
+    """(kappa + sqrt(kappa^2 + 4a)) / 2, the larger root of x^2 = kappa x + a:
+    the FP dimension of the extra object of C(D, kappa) with FPdim(D) = a.
+    Built from integers by `_quad`, with no rational arithmetic."""
+    s, D = squarefree_decompose(kappa * kappa + 4 * a)
+    return _quad(kappa + s, 0, 2, 1) if D == 1 else _quad(kappa, s, 2, D)
+
+
+def mr_dims(mr: MRData) -> list[QuadExt]:
+    """The FP dimensions that a maximal-rank extension forces, uncertified:
+    the base dims `mr.dims` and `mr_extra_dim` on the extra object X.
+
+    The rules X (x) Y = d_Y X for Y in the base D make d a character of D
+    (associativity of Y Z X), and X (x) X = sum d_Y Y + kappa X extends it
+    to a character of the ring exactly when d_X^2 = kappa d_X + a; the
+    larger root makes it positive, so it is FPdim."""
+    dims = [_quad(d, 0, 1, 1) for d in mr.dims]  # the basis less X, in order
+    dims.insert(mr.extra, mr_extra_dim(mr.a, mr.kappa))
+    return dims
 
 
 def _perron_dims(ring: FusionRing) -> FPDims:
@@ -441,23 +480,30 @@ def _perron_dims(ring: FusionRing) -> FPDims:
     matrix has a positive eigenvector only for its Perron root.
 
     So each invertible element (X (x) X^* = 1) gets dimension 1, with no
-    characteristic polynomial, and every other element its largest
-    extracted real root, exact in a quadratic field.  The vector is
-    accepted if `_is_positive_character` holds.  Otherwise (a Perron root
-    left in an unfactored residual, or dimensions in two different
-    quadratic fields) the non-invertible elements fall back to
-    `_elementwise_dim`, one Perron root and at most one Sturm chain at a
-    time."""
+    characteristic polynomial.  When some element is not invertible and
+    `detect_mr` finds a maximal-rank subring, the closed form `mr_dims` is
+    tried first, with no characteristic polynomial either; a ring of
+    invertibles never runs `detect_mr`.  Otherwise every non-invertible
+    element gets its largest extracted real root, exact in a quadratic
+    field.  The vector is accepted if `_is_positive_character` holds.
+    Otherwise (a Perron root left in an unfactored residual, or dimensions
+    in two different quadratic fields) the non-invertible elements fall
+    back to `_elementwise_dim`, one Perron root and at most one Sturm chain
+    at a time."""
     n, N = ring.rank, ring.N
     unit = tuple(int(k == 0) for k in range(n))
-    spectra = {
-        i: _left_spectrum(ring, i) for i in range(n) if N[i][ring.dual[i]] != unit
-    }
+    noninvertible = [i for i in range(n) if N[i][ring.dual[i]] != unit]
+    mr = detect_mr(ring) if noninvertible else None
+    fp = _certified(ring, mr_dims(mr)) if mr is not None else None
+    if fp is not None:
+        return fp
+    spectra = {i: _left_spectrum(ring, i) for i in noninvertible}
     dims = [QuadExt(1)] * n
     for i, (_, fact) in spectra.items():
         dims[i] = max(fact.all_roots(), default=QuadExt(0))
-    if _is_positive_character(ring, dims):
-        return FPDims(tuple(dims), (True,) * n, (None,) * n)
+    fp = _certified(ring, dims)
+    if fp is not None:
+        return fp
     exact = [True] * n
     bounds: list[Optional[tuple[Fraction, Fraction]]] = [None] * n
     for i, spec in spectra.items():

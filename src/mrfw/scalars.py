@@ -632,9 +632,10 @@ def factor_linear_quadratic(
     `root_bound` bounds the absolute value of every root; it defaults to
     the Cauchy bound.  The library factors characteristic polynomials in
     `ring.spectrum`, of element matrices, whose eigenvalues are bounded by
-    the largest row sum: the codegree element's once per ring, and each
-    basis element's only when the FP dimensions cannot be read off it
-    (`ring._perron_dims`).  The codegree matrix is symmetric and positive
+    the largest row sum: the codegree element's at most once per ring (on
+    a ring with a maximal-rank subring, once per base instead), and each
+    basis element's only when the FP dimensions have neither a closed form
+    nor can be read off it (`ring._perron_dims`).  The codegree matrix is symmetric and positive
     semidefinite, so every root, a formal codegree (Ostrik,
     arXiv:0810.3242), is real and positive."""
     if not p.is_monic:

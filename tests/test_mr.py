@@ -137,6 +137,17 @@ class TestMRFPDim:
         assert d_n * d_n == kappa * d_n + a
         assert total == 2 * a + (kappa * kappa + kappa * root) * Fraction(1, 2)
 
+    def test_pinned_to_the_quadext_formula(self):
+        # d_n from integers through ring.mr_extra_dim, the one shared
+        # implementation, equals the QuadExt formula it replaced; QuadExt
+        # equality compares the normalized integers
+        for a in range(1, 25):
+            for kappa in range(61):
+                d_n = (QuadExt(kappa) + QuadExt.sqrt(kappa * kappa + 4 * a)) * Fraction(1, 2)
+                got = mr_fpdim(a, kappa)
+                assert got == (d_n, QuadExt(a) + d_n * d_n), (a, kappa)
+                assert got[0] == ring_module.mr_extra_dim(a, kappa)
+
     def test_matches_ring_dims(self):
         ring = s3_base_ring(5)
         mr = detect_mr(ring)

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from gram_oracle import OracleBudgetExceeded, eager_free_rows, gram_bruteforce
 from i1_oracle import images_bruteforce, tilings_bruteforce
 from ring_oracles import (
@@ -51,7 +54,7 @@ from mrfw.obstruction import (
     obstruct,
     verify_witness,
 )
-from mrfw.ring import fpdims, global_fpdim, left_charpoly, spectrum
+from mrfw.ring import detect_mr, fpdims, global_fpdim, left_charpoly, spectrum
 from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, _mat_mul, charpoly
 
 
@@ -263,71 +266,32 @@ class TestRegularRepresentation:
         assert codegree_matrix(ring) == naive
 
 
+def spectrum_route_dims(ring):
+    """`_perron_dims` with no maximal-rank subring found: its spectrum
+    route, one characteristic polynomial per non-invertible element."""
+    with mock.patch.object(ring_module, "detect_mr", return_value=None):
+        return ring_module._perron_dims(ring)
+
+
 class TestCodegreeFPDims:
-    """`induction_data` seeds `fpdims` from the eigenvector of a simple top
+    """`induction_data` seeds `fpdims` in closed form on a ring with a
+    maximal-rank subring, else from the eigenvector of a simple top
     codegree; every other ring computes them with `_perron_dims`."""
 
     @staticmethod
     def perron_calls(monkeypatch):
-        """The ids of the rings `_perron_dims` runs on, and the original."""
+        """The ids of the rings `_perron_dims` runs on."""
         calls = []
         perron = ring_module._perron_dims
         monkeypatch.setattr(
             ring_module, "_perron_dims", lambda ring: calls.append(id(ring)) or perron(ring)
         )
-        return calls, perron
+        return calls
 
-    def test_seeded_dims_equal_perron_dims(self, monkeypatch):
-        rings = [(name, build()) for name, build in commutative_rings()]
-        rings += list(rank4_and_near_group_rings(10))
-        calls, perron = self.perron_calls(monkeypatch)
-        seeded = 0
-        for name, ring in rings:
-            try:
-                data = induction_data(ring)
-            except ExactnessError:
-                # approximate FP dims or an unresolved codegree factor
-                assert name in ("fibonacci x ising", "cubic"), name
-                continue
-            simple = data.codegrees[1:2] != data.codegrees[:1]
-            # the seeded path never reaches _perron_dims; the fallback once
-            assert calls.count(id(ring)) == (not simple), name
-            assert fpdims(ring) == perron(ring), name
-            seeded += simple
-        assert (len(rings), seeded) == (432, 394)
-
-    @pytest.mark.parametrize(
-        "build",
-        [ising_ring, functools.partial(cyclic_ring, 3), lambda: z3_base_ring(0),
-         lambda: near_group(5, 0), lambda: rep_ring("d8")],
-        ids=["ising", "z3", "z3-base-k0", "C(Z5,0)", "rep(d8)"],
-    )
-    def test_repeated_top_codegree_takes_the_fallback(self, build, monkeypatch):
-        # a nontrivial universal grading repeats the top codegree, so its
-        # eigenvector is not determined and _perron_dims computes the dims
-        ring = build()
-        calls, perron = self.perron_calls(monkeypatch)
-        cod = induction_data(ring).codegrees
-        assert cod[0] == cod[1]
-        assert calls == [id(ring)]
-        assert fpdims(ring) == perron(ring)
-
-    def test_cached_dims_are_kept(self, monkeypatch):
-        ring = near_group(5, 3)
-        before = fpdims(ring)
-        monkeypatch.setattr(
-            ring_module, "perron_vector", lambda *args: pytest.fail("recomputed")
-        )
-        induction_data(ring)
-        assert fpdims(ring) is before
-
-    @pytest.mark.parametrize("kappa, status", [(3, INFEASIBLE), (5, FEASIBLE)])
-    def test_obstruct_factors_one_charpoly(self, kappa, status, monkeypatch):
-        # C(Z5, kappa) has a simple top codegree: obstruct takes the
-        # spectrum of the codegree element, one characteristic polynomial
-        # and one factorization, and never reaches _left_spectrum, also
-        # when the Gram search reads the dims
-        ring = near_group(5, kappa)
+    @staticmethod
+    def count_spectra(monkeypatch):
+        """Counts of `spectrum` calls, characteristic polynomials and
+        factorizations from here on; `_left_spectrum` fails the test."""
         counts = {"spectrum": 0, "charpoly": 0, "factor": 0}
 
         def counting(key, f):
@@ -344,8 +308,161 @@ class TestCodegreeFPDims:
         monkeypatch.setattr(
             ring_module, "_left_spectrum", lambda *args: pytest.fail("left spectrum")
         )
-        assert obstruct(ring).status == status
+        return counts
+
+    def test_seeded_dims_equal_perron_dims(self, monkeypatch):
+        rings = [(name, build()) for name, build in commutative_rings()]
+        rings += list(rank4_and_near_group_rings(10))
+        calls = self.perron_calls(monkeypatch)
+        routes = {"closed form": 0, "eigenvector": 0, "perron": 0}
+        for name, ring in rings:
+            mr = detect_mr(ring)
+            try:
+                data = induction_data(ring)
+            except ExactnessError:
+                # approximate FP dims or an unresolved codegree factor
+                assert name in ("fibonacci x ising", "cubic"), name
+                continue
+            simple = data.codegrees[1:2] != data.codegrees[:1]
+            route = "closed form" if mr else "eigenvector" if simple else "perron"
+            # the seeded paths never reach _perron_dims; the fallback once
+            assert calls.count(id(ring)) == (route == "perron"), name
+            assert fpdims(ring) == spectrum_route_dims(ring), name
+            routes[route] += 1
+        assert len(rings) == 432
+        assert routes == {"closed form": 422, "eigenvector": 2, "perron": 6}
+
+    @pytest.mark.parametrize(
+        "build, mr",
+        [(ising_ring, True), (functools.partial(cyclic_ring, 3), False),
+         (lambda: z3_base_ring(0), True), (lambda: near_group(5, 0), True),
+         (lambda: rep_ring("d8"), True), (lambda: two_field_ring(), False)],
+        ids=["ising", "z3", "z3-base-k0", "C(Z5,0)", "rep(d8)", "ising x C(Z3,0)"],
+    )
+    def test_repeated_top_codegree_takes_the_fallback(self, build, mr, monkeypatch):
+        # a nontrivial universal grading repeats the top codegree, so its
+        # eigenvector is not determined.  A ring with a maximal-rank
+        # subring falls back on the closed form: no _perron_dims, no
+        # _left_spectrum and, once its base's codegrees are memoized, no
+        # characteristic polynomial.  Any other ring falls back on
+        # _perron_dims' spectrum route.
+        ring = build()
+        assert (detect_mr(ring) is not None) is mr
+        want = spectrum_route_dims(ring)
+        induction_data(build())  # memoizes the base's codegrees
+        calls = self.perron_calls(monkeypatch)
+        if mr:
+            counts = self.count_spectra(monkeypatch)
+        cod = induction_data(ring).codegrees
+        assert cod[0] == cod[1]
+        assert calls == ([] if mr else [id(ring)])
+        if mr:
+            assert counts == {"spectrum": 0, "charpoly": 0, "factor": 0}
+        assert fpdims(ring) == want
+
+    def test_cached_dims_are_kept(self, monkeypatch):
+        ring = near_group(5, 3)
+        before = fpdims(ring)
+        for name in ("perron_vector", "mr_dims"):
+            monkeypatch.setattr(
+                ring_module, name, lambda *args: pytest.fail("recomputed")
+            )
+        induction_data(ring)
+        assert fpdims(ring) is before
+
+    @pytest.mark.parametrize("kappa, status", [(3, INFEASIBLE), (5, FEASIBLE)])
+    def test_obstruct_factors_one_charpoly(self, kappa, status, monkeypatch):
+        # C(Z5, kappa) has a maximal-rank subring: obstruct takes the
+        # spectrum of the base's codegree element, one characteristic
+        # polynomial and one factorization, and none once the base's
+        # codegrees are memoized; it never reaches _left_spectrum, also
+        # when the Gram search reads the dims
+        obstruction._base_codegrees.cache_clear()
+        counts = self.count_spectra(monkeypatch)
+        assert obstruct(near_group(5, kappa)).status == status
         assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
+        assert obstruct(near_group(5, kappa)).status == status
+        assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
+
+    @pytest.mark.parametrize(
+        "build, detections",
+        [(lambda: near_group(5, 3), 1), (ising_ring, 1),
+         (functools.partial(cyclic_ring, 3), 1), (lambda: two_field_ring(), 2),
+         (cubic_ring, 1)],
+        ids=["C(Z5,3)", "ising", "z3", "ising x C(Z3,0)", "cubic"],
+    )
+    def test_obstruct_detects_mr_once(self, build, detections, monkeypatch):
+        # obstruct hands its detect_mr result to induction_data and i1.
+        # fpdims' _perron_dims runs it once more only on a ring with no
+        # maximal-rank subring, an element that is not invertible and a
+        # repeated top codegree: here the two-field product.  The cubic
+        # ring's codegree polynomial does not split, so it stops first
+        calls = []
+        real = ring_module.detect_mr
+        for module in (obstruction, ring_module):
+            monkeypatch.setattr(module, "detect_mr", lambda r: calls.append(r) or real(r))
+        obstruct(build(), 1000)
+        assert len(calls) == detections
+
+
+class TestMRClosedForm:
+    """The closed-form codegrees and FP dimensions of a ring with a
+    maximal-rank subring against the generic routes: the roots of the
+    whole ring's codegree polynomial, and `_perron_dims`' spectrum route."""
+
+    @staticmethod
+    def mr_rings():
+        yield from ((name, build()) for name, build in commutative_rings())
+        yield from rank4_and_near_group_rings(16)
+        for name, build in MR_CORPUS_BASES.items():
+            for kappa in range(25):
+                yield f"C({name},{kappa})", mr_extend(build(), kappa)
+        for m in range(13):
+            yield f"X^2 = 1 + {m}X", mr_extend(trivial_ring(), m)
+
+    @staticmethod
+    def check(ring, mr):
+        """Closed forms, cold and warm memo, against the generic routes."""
+        obstruction._base_codegrees.cache_clear()
+        cold = obstruction._mr_codegrees(ring, mr)
+        warm = obstruction._mr_codegrees(ring, mr)
+        assert obstruction._base_codegrees.cache_info()[:2] == (1, 1)
+        assert cold == warm == codegrees(ring) == obstruction._codegree_spectrum(ring)[1]
+        with mock.patch.object(
+            ring_module, "_left_spectrum", side_effect=AssertionError("left spectrum")
+        ):
+            dims = ring_module._perron_dims(ring)
+        assert dims == spectrum_route_dims(ring)
+        assert dims.dims == tuple(ring_module.mr_dims(mr))
+
+    def test_matches_generic_routes(self):
+        count = 0
+        for name, ring in self.mr_rings():
+            mr = detect_mr(ring)
+            if mr is not None:
+                self.check(ring, mr)
+                count += 1
+        assert count == 853
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(MR_CORPUS_BASES)), kappa=st.integers(0, 40))
+    def test_hypothesis_base_and_kappa(self, name, kappa):
+        ring = mr_extend(MR_CORPUS_BASES[name](), kappa)
+        self.check(ring, detect_mr(ring))
+
+    def test_unsplit_base_takes_the_whole_ring(self, monkeypatch):
+        # a base whose codegree polynomial does not split leaves the whole
+        # ring's, which gives the same verdict, steps and certificate
+        ring = near_group(4, 4)
+        want = obstruct(near_group(4, 4))
+        monkeypatch.setattr(obstruction, "_base_codegrees", lambda N: None)
+        calls = []
+        real = obstruction._codegree_spectrum
+        monkeypatch.setattr(
+            obstruction, "_codegree_spectrum", lambda r: calls.append(r) or real(r)
+        )
+        assert obstruct(ring) == want
+        assert calls == [ring]
 
 
 class TestInductionImages:

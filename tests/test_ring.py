@@ -403,13 +403,37 @@ class TestFPDims:
         assert {2, 3, 5, 6} <= radicands
 
     def test_invertibles_need_no_charpoly(self, monkeypatch):
+        # the extra object of C(Z5, 3) takes the closed form; on the
+        # two-field product, with no maximal-rank subring, each element
+        # that is not invertible takes one characteristic polynomial
         seen = []
         real = ring_module._left_spectrum
         monkeypatch.setattr(
             ring_module, "_left_spectrum", lambda r, i: seen.append(i) or real(r, i)
         )
         fpdims(mr_extend(cyclic_ring(5), 3))
-        assert seen == [5]
+        assert seen == []
+        fpdims(deligne_product(ising_ring(), mr_extend(cyclic_ring(3), 0)))
+        assert seen == [3, 7, 8, 9, 10, 11]
+
+    def test_invertibles_need_no_detect_mr(self, monkeypatch):
+        # a ring of invertibles has all its dims with no subring search
+        monkeypatch.setattr(
+            ring_module, "detect_mr", lambda ring: pytest.fail("detect_mr")
+        )
+        assert fpdims(cyclic_ring(20)).dims == (1,) * 20
+
+    def test_mr_closed_form_is_certified(self, monkeypatch):
+        # closed-form dims are cached only once _is_positive_character
+        # certifies them; a vector that fails falls back on the spectra
+        ring = s3_base_ring(4)
+        want = fpdims(s3_base_ring(4))
+        mr = detect_mr(ring)
+        monkeypatch.setattr(
+            ring_module, "mr_extra_dim", lambda a, kappa: QuadExt(kappa + 1)
+        )
+        assert not _is_positive_character(ring, ring_module.mr_dims(mr))
+        assert fpdims(ring) == want
 
     def test_cubic_ring_takes_the_fallback(self, monkeypatch):
         calls = []
