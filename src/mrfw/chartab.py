@@ -30,9 +30,17 @@ class CharacterTable(_Frozen):
     Rows are irreducible characters, columns are conjugacy classes, and
     column 0 is the class of the identity.  All values are cyclotomic
     numbers; the constructor coerces plain rationals.
+
+    Instances are immutable, so each fact the module derives from a table
+    is computed once and cached on it, in `_facts` (see `_fact`): the
+    table's lift to packed integer coordinates, the `validate_table`
+    problems and the `fusion_from_table` ring.  Only results are cached:
+    a check that raises runs again, and raises the same error, on every
+    call.  The cache is no part of the table's value: equality, hash and
+    repr ignore it, and pickle and copy keep it.
     """
 
-    __slots__ = ("order", "class_sizes", "characters", "name", "inverse_perm")
+    __slots__ = ("order", "class_sizes", "characters", "name", "inverse_perm", "_facts")
 
     def __init__(
         self,
@@ -48,9 +56,13 @@ class CharacterTable(_Frozen):
             tuple(tuple(_as_cyc(v) for v in row) for row in characters),
             name,
             None if inverse_perm is None else tuple(int(i) for i in inverse_perm),
+            None,
         )
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # less `_facts`
 
     @property
     def k(self) -> int:
@@ -70,7 +82,7 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
     """`(den, rows, conj, coords)`: `_packed_field` of the table's values
     for sums of products of up to `factors` of them weighted by class
     sizes, where `rows[i][c]` and `conj[i][c]` are chi_i at class c and
-    its conjugate, packed."""
+    its conjugate, packed.  Taken once per table, by `_fact`."""
     _, den, nums, conjs, coords = _packed_field(
         (v for row in t.characters for v in row),
         sum(map(abs, t.class_sizes)),
@@ -84,6 +96,21 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
     return den, rows, conj, coords
 
 
+def _fact(t: CharacterTable, compute):
+    """`compute(t, lifted)`, cached on the table under `compute` once a
+    call returns; a call that raises caches nothing.  `lifted` is the
+    table's one `_lift`, cached as `_fact(t, _lift)`, at 3 factors: wide
+    enough for the multiplicity sums, and so for every sum of fewer
+    values (`_packed_field`: a wider slot gives the same digits)."""
+    facts = t._facts
+    if facts is None:
+        facts = {_lift: _lift(t, 3)}
+        object.__setattr__(t, "_facts", facts)
+    if compute not in facts:
+        facts[compute] = compute(t, facts[_lift])
+    return facts[compute]
+
+
 def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     """Permutation sending each class to the class of inverse elements.
 
@@ -94,7 +121,7 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     otherwise).
     """
     k = t.k
-    _, rows, conj, _ = _lift(t, 1)
+    _, rows, conj, _ = _fact(t, _lift)
     if t.inverse_perm is not None:
         problem = _inverse_perm_problem(t, rows, conj)
         if problem:
@@ -142,10 +169,10 @@ def validate_table(t: CharacterTable) -> list[str]:
     consistent.  Each message names the first pair of rows or columns
     witnessing the failure of that identity.
     """
-    return _validate(t, _lift(t, 2))
+    return list(_fact(t, _validate))
 
 
-def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
+def _validate(t: CharacterTable, lifted: tuple) -> tuple[str, ...]:
     problems: list[str] = []
     k = t.k
     if sum(t.class_sizes) != t.order:
@@ -157,10 +184,10 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
             problems.append(f"class {j} size {s} does not divide order {t.order}")
     if k == 0:
         problems.append("table has no conjugacy classes")
-        return problems
+        return tuple(problems)
     if len(t.characters) != k or any(len(row) != k for row in t.characters):
         problems.append("character matrix is not square of size k")
-        return problems
+        return tuple(problems)
     if t.class_sizes[0] != 1:
         problems.append("column 0 must be the identity class of size 1")
     if any(v != 1 for v in t.characters[0]):
@@ -170,7 +197,7 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
         v = row[0]
         if not v.is_rational or v.as_fraction().denominator != 1 or v.as_fraction() <= 0:
             problems.append(f"degree of character {i} is not a positive integer")
-            return problems
+            return tuple(problems)
         degs.append(v.as_fraction())
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
@@ -195,7 +222,7 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
                 )
     if any(s <= 0 for s in t.class_sizes):
         # reported above; the centralizer orders below divide by the sizes
-        return problems
+        return tuple(problems)
     columns = list(zip(*packed))
     conj_columns = list(zip(*packed_conj))
     for c in range(k):
@@ -206,7 +233,7 @@ def _validate(t: CharacterTable, lifted: tuple) -> list[str]:
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
                 )
-    return problems
+    return tuple(problems)
 
 
 def fusion_from_table(t: CharacterTable) -> FusionRing:
@@ -217,7 +244,7 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
     weighted sum divided by the group order.  Any non-integer multiplicity
     means the table is inconsistent and raises ValueError.
     """
-    return _fusion(t, _lift(t, 3))
+    return _fact(t, _fusion)
 
 
 def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
@@ -314,12 +341,11 @@ def theorem57_check(t: CharacterTable) -> GagolaReport:
     """
     if t.order <= 2:
         raise ValueError("criterion requires group order > 2")
-    lifted = _lift(t, 3)
-    bad = _validate(t, lifted)
+    bad = _fact(t, _validate)
     if bad:
         raise ValueError(f"invalid table: {bad[0]}")
     witness = gagola_condition(t)
-    ring = _fusion(t, lifted)
+    ring = _fact(t, _fusion)
     mr = detect_mr(ring)
     gagola_holds = witness is not None
     mr_holds = mr is not None

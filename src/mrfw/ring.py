@@ -46,10 +46,11 @@ class FusionRing(_Frozen):
     N[i][j][k] is the multiplicity of X_k in X_i (x) X_j; basis index 0 is
     the unit.  The duality permutation is inferred from N[i][j][0], never
     taken on faith from a caller.  Instances are immutable, so the axiom
-    check and the FP dimensions are computed once and cached.
+    check, the FP dimensions and the `detect_mr` result are computed once
+    and cached.
     """
 
-    __slots__ = ("rank", "labels", "N", "dual", "_valid", "_fpdims")
+    __slots__ = ("rank", "labels", "N", "dual", "_valid", "_fpdims", "_mr")
 
     def __init__(self, labels: Sequence[str], N: Sequence[Sequence[Sequence[int]]]):
         n = len(labels)
@@ -86,6 +87,7 @@ class FusionRing(_Frozen):
         object.__setattr__(self, "dual", tuple(dual))
         object.__setattr__(self, "_valid", None)
         object.__setattr__(self, "_fpdims", None)
+        object.__setattr__(self, "_mr", False)  # not searched yet
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
@@ -596,7 +598,17 @@ def detect_mr(ring: FusionRing) -> Optional[MRData]:
     takes at most n - 1 closure checks, tried in the (len, sorted) order of
     `subrings`.  There is at most one such subring: if the complements of
     a != b were both closed, Frobenius reciprocity would force
-    X_a (x) X_b = 0."""
+    X_a (x) X_b = 0.
+
+    The search runs once per ring, and its result, None included, is
+    cached; an InvalidRingError is raised again on every call."""
+    if ring._mr is False:
+        object.__setattr__(ring, "_mr", _search_mr(ring))
+    return ring._mr
+
+
+def _search_mr(ring: FusionRing) -> Optional[MRData]:
+    """The search of `detect_mr`, uncached."""
     ring.require_valid()
     n = ring.rank
     for extra in range(n - 1, 0, -1):

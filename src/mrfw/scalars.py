@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -884,7 +884,7 @@ def _packed_field(values, weight: int, factors: int) -> tuple:
     sum of products of up to `factors` values, with integer weights of
     total absolute value at most `weight`, is a sum of products of ints.
     `coords(v, f)` unpacks such a sum of products of f values and reduces
-    it modulo Phi_n once.
+    it modulo Phi_n once; it is a `partial`, so the result pickles.
 
     With M the largest l1 norm of a coordinate vector, every coefficient
     of such a sum is within max(weight, 1) * M^factors, and the slot width
@@ -894,14 +894,15 @@ def _packed_field(values, weight: int, factors: int) -> tuple:
     n, den, nums, conjs = _cyclotomic_field(values)
     M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
     B = _slot_width(max(weight, 1) * M ** factors)
-    d = _phi_tail(n)[0]
-
-    def coords(v: int, f: int) -> list[int]:
-        return _reduce_ints(_unpack(v, B, f * (d - 1) + 1), n)
-
     packed = [_pack(v, B) for v in nums]
     conj = [pv if c is v else _pack(c, B) for pv, v, c in zip(packed, nums, conjs)]
-    return n, den, packed, conj, coords
+    return n, den, packed, conj, partial(_packed_coords, n, B, _phi_tail(n)[0])
+
+
+def _packed_coords(n: int, B: int, d: int, v: int, f: int) -> list[int]:
+    """`coords` of `_packed_field`: the deg(Phi_n) = d reduced coordinates
+    of a sum v of products of f values packed at slot width B."""
+    return _reduce_ints(_unpack(v, B, f * (d - 1) + 1), n)
 
 
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

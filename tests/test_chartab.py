@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfw import scalars
+from mrfw import chartab, scalars
 from mrfw.chartab import (
     CharacterTable,
     class_inverse_permutation,
@@ -396,11 +398,8 @@ class TestFusionFromTable:
         assert validate_table(t) == naive_validate(t) == []
 
     def test_irrational_multiplicity_rejected(self):
-        t = s3_table()
-        rows = [list(r) for r in t.characters]
-        rows[1][1] = CycNumber.root_of_unity(3)
         with pytest.raises(ValueError, match="irrational"):
-            fusion_from_table(CharacterTable(t.order, t.class_sizes, rows))
+            fusion_from_table(_irrational_s3())
 
     def test_negative_multiplicity_rejected(self):
         # the Klein table with its last row negated: chi1 chi2 = -chi3
@@ -480,23 +479,135 @@ class TestTheorem57:
             theorem57_check(cyclic_table(2))
 
     def test_lifts_and_packs_the_table_once(self, monkeypatch):
-        # one field for the whole check, and each of the k^2 values packed
-        # once for both the validation and the multiplicities; a rational
-        # value is its own conjugate, so only irrational values pack a
-        # conjugate too: S4's table is rational, and packs 25 times
+        # one field for every check on a table, and each of the k^2 values
+        # packed once for the validation, the multiplicities and the
+        # inverse classes; a rational value is its own conjugate, so only
+        # irrational values pack a conjugate too: S4's table is rational,
+        # and packs 25 times.  The validation and the multiplicities run
+        # once per table, however many checks read them
         calls = Counter()
-        for name in ("_cyclotomic_field", "_pack"):
-            def counted(*args, _f=getattr(scalars, name), _name=name):
+        for module, name in ((scalars, "_cyclotomic_field"), (scalars, "_pack"),
+                             (chartab, "_validate"), (chartab, "_fusion")):
+            def counted(*args, _f=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(scalars, name, counted)
+            monkeypatch.setattr(module, name, counted)
         for t, packs in ((s3_table(), 9), (a4_table(), 20), (s4_table(), 25),
                          (cyclic_table(7), 85)):
             irrational = sum(not v.is_rational for row in t.characters for v in row)
             assert packs == t.k ** 2 + irrational
             calls.clear()
-            theorem57_check(t)
-            assert calls == {"_cyclotomic_field": 1, "_pack": packs}
+            for check in CHECKS + CHECKS:
+                check(t)
+            assert calls == {"_cyclotomic_field": 1, "_pack": packs,
+                             "_validate": 1, "_fusion": 1}
+
+
+CHECKS = (validate_table, fusion_from_table, theorem57_check, class_inverse_permutation)
+
+
+def _fresh(t):
+    """The same table, with nothing cached."""
+    return CharacterTable(t.order, t.class_sizes, t.characters, t.name, t.inverse_perm)
+
+
+def _result(check, t):
+    try:
+        return check(t)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _irrational_s3():
+    """S3's table with the sign character's value at the 3-cycles
+    replaced by zeta_3."""
+    t = s3_table()
+    rows = [list(r) for r in t.characters]
+    rows[1][1] = CycNumber.root_of_unity(3)
+    return CharacterTable(t.order, t.class_sizes, rows)
+
+
+# every table the checks reject in some way: bad sizes, a bad stored
+# inverse-class permutation, an irrational or a negative multiplicity, a
+# nonpositive order, fractional multiplicities from orthogonal rows
+INVALID_TABLES = BAD_SIZE_TABLES + [
+    CharacterTable(6, [1, 2, 3], s3_table().characters, inverse_perm=(0, 2, 1)),
+    CharacterTable(6, [1, 2, 3], s3_table().characters, inverse_perm=(0, 1, 5)),
+    CharacterTable(3, [1, 1, 1], [[1, 1, 1], [1, -1, -1], [2, 0, 0]]),
+    _irrational_s3(),
+    CharacterTable(4, [1, 1, 1, 1], [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [-1, 1, 1, -1]]),
+    CharacterTable(0, [1, 2, 3], s3_table().characters),
+    CharacterTable(-6, [1, 2, 3], s3_table().characters),
+    CharacterTable(3, [1, 2], [[1, 1], [1, -1]]),
+]
+
+
+def assert_cache_matches_fresh_tables(t):
+    """Each check, called twice in each of three orders on one table,
+    returns what it returns on a fresh copy of the table, or raises the
+    same exception; the validation and the multiplicities also match
+    the per-term oracles, and only the checks that return are cached."""
+    want = {check: _result(check, _fresh(t)) for check in CHECKS}
+    orders = (CHECKS, CHECKS[::-1], (theorem57_check, class_inverse_permutation,
+                                     fusion_from_table, validate_table))
+    for order in orders:
+        table = _fresh(t)
+        for check in order + order:
+            assert _result(check, table) == want[check], check.__name__
+        cached = table._facts or {}
+        for check, fact in ((validate_table, chartab._validate),
+                            (fusion_from_table, chartab._fusion)):
+            assert (fact in cached) is not isinstance(want[check], tuple)
+    if t.inverse_perm is None:  # which the per-term oracle does not check
+        assert _outcome(validate_table, t) == _outcome(naive_validate, t)
+    if t.order > 0 and t.k <= 12:
+        assert _outcome(lambda t: fusion_from_table(t).N, t) == _outcome(_naive_ring, t)
+
+
+class TestFactCache:
+    @pytest.mark.parametrize(
+        "t",
+        [TABLE_BUILDERS[name]() for name in sorted(TABLE_BUILDERS)]
+        + [cyclic_table(n) for n in range(1, 22)]
+        + INVALID_TABLES,
+        ids=[f"corpus-{name}" for name in sorted(TABLE_BUILDERS)]
+        + [f"z{n}" for n in range(1, 22)]
+        + [f"invalid-{i}" for i in range(len(INVALID_TABLES))],
+    )
+    def test_cached_checks_match_fresh_tables(self, t):
+        assert_cache_matches_fresh_tables(t)
+        if t.name == f"z{t.k}":  # cyclic, also above the oracles' k <= 12
+            assert fusion_from_table(t).N == cyclic_ring(t.k).N
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_tables())
+    def test_cached_checks_match_fresh_perturbed_tables(self, t):
+        assert_cache_matches_fresh_tables(t)
+
+    @pytest.mark.parametrize("build", [s3_table, a4_table, lambda: cyclic_table(7)])
+    def test_warm_cache_keeps_value_semantics(self, build, monkeypatch):
+        cold, warm = build(), build()
+        for check in CHECKS:
+            check(warm)
+        assert cold._facts is None and len(warm._facts) == 3
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        lift = warm._facts[chartab._lift]
+        monkeypatch.setattr(
+            scalars, "_cyclotomic_field", lambda *args: pytest.fail("lifted again")
+        )
+        for copied in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
+            assert copied == warm and hash(copied) == hash(warm)
+            assert repr(copied) == repr(warm)
+            facts = copied._facts
+            assert facts.keys() == warm._facts.keys()
+            assert facts[chartab._lift][:3] == lift[:3]
+            # the copied unpacking gives the cached validation again
+            assert chartab._validate(copied, facts[chartab._lift]) == facts[chartab._validate]
+            assert validate_table(copied) == list(warm._facts[chartab._validate])
+            assert fusion_from_table(copied) is facts[chartab._fusion]
+            assert fusion_from_table(copied) == fusion_from_table(warm)
+            assert theorem57_check(copied) == theorem57_check(warm)
+            assert class_inverse_permutation(copied) == class_inverse_permutation(warm)
 
 
 class TestCodegreeCentralizerProperty:

@@ -385,24 +385,26 @@ class TestCodegreeFPDims:
         assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
 
     @pytest.mark.parametrize(
-        "build, detections",
-        [(lambda: near_group(5, 3), 1), (ising_ring, 1),
-         (functools.partial(cyclic_ring, 3), 1), (lambda: two_field_ring(), 2),
-         (cubic_ring, 1)],
+        "build",
+        [lambda: near_group(5, 3), ising_ring, functools.partial(cyclic_ring, 3),
+         lambda: two_field_ring(), cubic_ring],
         ids=["C(Z5,3)", "ising", "z3", "ising x C(Z3,0)", "cubic"],
     )
-    def test_obstruct_detects_mr_once(self, build, detections, monkeypatch):
-        # obstruct hands its detect_mr result to induction_data and i1.
-        # fpdims' _perron_dims runs it once more only on a ring with no
-        # maximal-rank subring, an element that is not invertible and a
-        # repeated top codegree: here the two-field product.  The cubic
-        # ring's codegree polynomial does not split, so it stops first
-        calls = []
-        real = ring_module.detect_mr
-        for module in (obstruction, ring_module):
-            monkeypatch.setattr(module, "detect_mr", lambda r: calls.append(r) or real(r))
-        obstruct(build(), 1000)
-        assert len(calls) == detections
+    def test_obstruct_detects_mr_once(self, build, monkeypatch):
+        # one subring search per ring: obstruct hands its detect_mr result
+        # to induction_data and i1, and fpdims' _perron_dims, which runs
+        # detect_mr on the two-field product (no maximal-rank subring, an
+        # element that is not invertible, a repeated top codegree), reads
+        # the cached result.  The cubic ring's codegree polynomial does not
+        # split, so it stops after the search
+        ring = build()
+        searches = []
+        search = ring_module._search_mr
+        monkeypatch.setattr(
+            ring_module, "_search_mr", lambda r: searches.append(r) or search(r)
+        )
+        obstruct(ring, 1000)
+        assert searches == [ring]
 
 
 class TestMRClosedForm:

@@ -631,6 +631,29 @@ class TestDetectMR:
             (extra,) = set(range(n)) - first
             assert (mr.base, mr.extra) == (tuple(sorted(first)), extra)
 
+    def test_searched_once_per_ring(self, monkeypatch):
+        # fpdims reads the cached result on Ising; pickle and deepcopy keep
+        # it, None included
+        searches = []
+        search = ring_module._search_mr
+        monkeypatch.setattr(
+            ring_module, "_search_mr", lambda ring: searches.append(ring) or search(ring)
+        )
+        for ring in (ising_ring(), cyclic_ring(4)):
+            mr = detect_mr(ring)
+            fpdims(ring)
+            assert detect_mr(ring) is mr
+            for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+                assert copied == ring and detect_mr(copied) == mr
+        assert searches == [ising_ring(), cyclic_ring(4)]
+
+    def test_invalid_ring_raises_on_every_call(self):
+        bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
+        for _ in range(2):
+            with pytest.raises(InvalidRingError, match="duality-normalization"):
+                detect_mr(bad)
+        assert bad._mr is False
+
     @pytest.mark.parametrize("a,kappa", [(12, 0), (12, 5), (20, 3)])
     def test_large_near_group_forced_data(self, a, kappa):
         # ranks 13 and 21
