@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .ring import FusionRing, detect_mr
-from .scalars import CycNumber, RationalLike, _Frozen, _packed_field
+from .scalars import CycNumber, RationalLike, _fact, _Frozen, _packed_field
 
 
 def _as_cyc(x: CycNumber | RationalLike) -> CycNumber:
@@ -32,12 +32,12 @@ class CharacterTable(_Frozen):
     numbers; the constructor coerces plain rationals.
 
     Instances are immutable, so each fact the module derives from a table
-    is computed once and cached on it, in `_facts` (see `_fact`): the
-    table's lift to packed integer coordinates, the `validate_table`
-    problems and the `fusion_from_table` ring.  Only results are cached:
-    a check that raises runs again, and raises the same error, on every
-    call.  The cache is no part of the table's value: equality, hash and
-    repr ignore it, and pickle and copy keep it.
+    is computed once and cached on it by `scalars._fact`: the table's lift
+    to packed integer coordinates (`_lifted`), the `validate_table`
+    problems and the `fusion_from_table` ring.  A check that raises caches
+    nothing, so it raises the same error on every call.  The cache,
+    `_facts`, is no part of the table's value: equality, hash and repr
+    ignore it, and pickle and copy keep it.
     """
 
     __slots__ = ("order", "class_sizes", "characters", "name", "inverse_perm", "_facts")
@@ -56,7 +56,7 @@ class CharacterTable(_Frozen):
             tuple(tuple(_as_cyc(v) for v in row) for row in characters),
             name,
             None if inverse_perm is None else tuple(int(i) for i in inverse_perm),
-            None,
+            {},
         )
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
@@ -82,7 +82,7 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
     """`(den, rows, conj, coords)`: `_packed_field` of the table's values
     for sums of products of up to `factors` of them weighted by class
     sizes, where `rows[i][c]` and `conj[i][c]` are chi_i at class c and
-    its conjugate, packed.  Taken once per table, by `_fact`."""
+    its conjugate, packed.  Taken once per table, by `_lifted`."""
     _, den, nums, conjs, coords = _packed_field(
         (v for row in t.characters for v in row),
         sum(map(abs, t.class_sizes)),
@@ -96,19 +96,11 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
     return den, rows, conj, coords
 
 
-def _fact(t: CharacterTable, compute):
-    """`compute(t, lifted)`, cached on the table under `compute` once a
-    call returns; a call that raises caches nothing.  `lifted` is the
-    table's one `_lift`, cached as `_fact(t, _lift)`, at 3 factors: wide
-    enough for the multiplicity sums, and so for every sum of fewer
-    values (`_packed_field`: a wider slot gives the same digits)."""
-    facts = t._facts
-    if facts is None:
-        facts = {_lift: _lift(t, 3)}
-        object.__setattr__(t, "_facts", facts)
-    if compute not in facts:
-        facts[compute] = compute(t, facts[_lift])
-    return facts[compute]
+def _lifted(t: CharacterTable) -> tuple:
+    """The table's lift, cached: taken once, at 3 factors, which is wide
+    enough for the multiplicity sums, and so for every sum of fewer values
+    (`_packed_field`: a wider slot gives the same digits)."""
+    return _fact(t, "lift", lambda t: _lift(t, 3))
 
 
 def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
@@ -121,7 +113,7 @@ def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
     otherwise).
     """
     k = t.k
-    _, rows, conj, _ = _fact(t, _lift)
+    _, rows, conj, _ = _lifted(t)
     if t.inverse_perm is not None:
         problem = _inverse_perm_problem(t, rows, conj)
         if problem:
@@ -169,10 +161,11 @@ def validate_table(t: CharacterTable) -> list[str]:
     consistent.  Each message names the first pair of rows or columns
     witnessing the failure of that identity.
     """
-    return list(_fact(t, _validate))
+    return list(_fact(t, "validate", _validate))
 
 
-def _validate(t: CharacterTable, lifted: tuple) -> tuple[str, ...]:
+def _validate(t: CharacterTable) -> tuple[str, ...]:
+    den, packed, packed_conj, coords = _lifted(t)
     problems: list[str] = []
     k = t.k
     if sum(t.class_sizes) != t.order:
@@ -201,7 +194,6 @@ def _validate(t: CharacterTable, lifted: tuple) -> tuple[str, ...]:
         degs.append(v.as_fraction())
     if sum(d * d for d in degs) != t.order:
         problems.append("sum of squared degrees does not equal the group order")
-    den, packed, packed_conj, coords = lifted
     if t.inverse_perm is not None:
         problem = _inverse_perm_problem(t, packed, packed_conj)
         if problem:
@@ -244,12 +236,12 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
     weighted sum divided by the group order.  Any non-integer multiplicity
     means the table is inconsistent and raises ValueError.
     """
-    return _fact(t, _fusion)
+    return _fact(t, "fusion", _fusion)
 
 
-def _fusion(t: CharacterTable, lifted: tuple) -> FusionRing:
+def _fusion(t: CharacterTable) -> FusionRing:
+    den, packed, packed_conj, coords = _lifted(t)
     kcount = t.k
-    den, packed, packed_conj, coords = lifted
     if t.order <= 0:
         raise ValueError(f"group order {t.order} is not positive")
     # each term is a class size times three values, each carrying den
@@ -341,11 +333,11 @@ def theorem57_check(t: CharacterTable) -> GagolaReport:
     """
     if t.order <= 2:
         raise ValueError("criterion requires group order > 2")
-    bad = _fact(t, _validate)
+    bad = validate_table(t)
     if bad:
         raise ValueError(f"invalid table: {bad[0]}")
     witness = gagola_condition(t)
-    ring = _fact(t, _fusion)
+    ring = fusion_from_table(t)
     mr = detect_mr(ring)
     gagola_holds = witness is not None
     mr_holds = mr is not None

@@ -22,16 +22,7 @@ from typing import NamedTuple, Optional
 
 from .corpus import RANK3_BASES
 from .mr import mr_extend
-from .ring import (
-    FusionRing,
-    MRData,
-    Spectrum,
-    detect_mr,
-    fpdims,
-    mr_extra_dim,
-    seed_fpdims,
-    spectrum,
-)
+from .ring import FusionRing, MRData, detect_mr, fpdims, mr_extra_dim, spectrum
 from .scalars import (
     ExactnessError,
     QuadExt,
@@ -82,11 +73,12 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
     linear and quadratic factors over the integers."""
     ring.require_valid()
     cod = _mr_codegrees(ring, detect_mr(ring)) if ring.is_commutative else None
-    return cod if cod is not None else _codegree_spectrum(ring)[1]
+    return cod if cod is not None else _codegree_spectrum(ring)
 
 
-def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]:
-    """`spectrum` of C = sum T (x) T*, and its roots in descending order."""
+def _codegree_spectrum(ring: FusionRing) -> tuple[QuadExt, ...]:
+    """The roots of the characteristic polynomial of C = sum T (x) T*,
+    from `spectrum`, in descending order."""
     ring.require_valid()
     spec = spectrum(ring, _codegree_element(ring))
     if spec.factors.residual.degree > 0:
@@ -94,7 +86,7 @@ def _codegree_spectrum(ring: FusionRing) -> tuple[Spectrum, tuple[QuadExt, ...]]
             f"codegree polynomial has an unresolved factor of degree "
             f"{spec.factors.residual.degree}"
         )
-    return spec, tuple(sorted(spec.factors.all_roots(), reverse=True))
+    return tuple(sorted(spec.factors.all_roots(), reverse=True))
 
 
 @functools.lru_cache(maxsize=64)
@@ -104,7 +96,7 @@ def _base_codegrees(N: tuple) -> Optional[tuple[QuadExt, ...]]:
     Keyed on the constants, not on a ring, so that every extension of one
     base shares one entry."""
     try:
-        return _codegree_spectrum(FusionRing([str(i) for i in range(len(N))], N))[1]
+        return _codegree_spectrum(FusionRing([str(i) for i in range(len(N))], N))
     except ExactnessError:
         return None
 
@@ -139,13 +131,7 @@ class InductionData(NamedTuple):
     H: tuple[tuple[int, ...], ...]
 
 
-# the default of the `mr` arguments below: run `detect_mr`.  None, the
-# value detect_mr returns on such a ring, says there is no maximal-rank
-# subring.
-_DETECT = object()
-
-
-def induction_data(ring: FusionRing, mr: Optional[MRData] = _DETECT) -> InductionData:
+def induction_data(ring: FusionRing) -> InductionData:
     """Codegrees, induced-unit summand dimensions and the Hom matrix H of
     the objects induced to the Drinfeld center, from one matrix.
 
@@ -156,42 +142,28 @@ def induction_data(ring: FusionRing, mr: Optional[MRData] = _DETECT) -> Inductio
     whose eigenvalues are the formal codegrees (Ostrik, arXiv:0810.3242,
     arXiv:1309.4822).  Raises ValueError on a noncommutative ring.
 
-    `mr` is the ring's `detect_mr` result, run here when not given.  On a
-    ring C with a maximal-rank subring D and extra object X, the characters
-    have a closed form: each nontrivial character of D extends by X -> 0,
-    and the FP character d of D by X -> l for both roots l of
-    l^2 = kappa l + a, a = FPdim(D).  There are no others, since
-    chi(X) != 0 makes chi(X) chi(Y) = d_Y chi(X) force chi = d on D, and
-    these n are distinct.  So the codegrees are D's with one copy of a
-    replaced by 2a + kappa l for both l (`_mr_codegrees`), and the FP
-    dimensions are d with the larger root on X (`ring.mr_dims`, cached by
-    `seed_fpdims` once certified): no characteristic polynomial of C is
-    taken, and D's codegrees are computed once per base.  Otherwise, or
-    when D's codegree polynomial does not split, the codegrees are the
-    roots of C's codegree polynomial, and when the largest is a simple root
-    `seed_fpdims` reads the FP dimensions off its eigenvector.  A repeated
-    top codegree (a nontrivial universal grading) on a ring with no
-    maximal-rank subring leaves them to `fpdims`, which factors one
-    polynomial per non-invertible basis element.
+    The codegrees come from `codegrees`, H from `codegree_matrix` and the
+    FP dimensions from `fpdims`.  On a ring C with a maximal-rank subring D
+    and extra object X, the characters have a closed form: each nontrivial
+    character of D extends by X -> 0, and the FP character d of D by X -> l
+    for both roots l of l^2 = kappa l + a, a = FPdim(D).  There are no
+    others, since chi(X) != 0 makes chi(X) chi(Y) = d_Y chi(X) force chi = d
+    on D, and these n are distinct.  So the codegrees are D's with one copy
+    of a replaced by 2a + kappa l for both l (`_mr_codegrees`), and the FP
+    dimensions are d with the larger root on X (`ring.mr_dims`): no
+    characteristic polynomial of C is taken, and D's codegrees are computed
+    once per base.
 
     The largest codegree is the global FP dimension, sum d_i^2, and is
-    checked against the FP dimensions on every path."""
+    checked against the FP dimensions."""
     ring.require_valid()
     if not ring.is_commutative:
         raise ValueError(
             "induction data needs a commutative ring: the Hom matrix of "
             "the induced objects is the codegree matrix only then"
         )
-    if mr is _DETECT:
-        mr = detect_mr(ring)
-    cod = _mr_codegrees(ring, mr)
-    if cod is None:
-        spec, cod = _codegree_spectrum(ring)
-        H = spec.matrix
-        seed_fpdims(ring, spec, cod, mr)
-    else:
-        H = codegree_matrix(ring)
-        seed_fpdims(ring, mr=mr)
+    cod = codegrees(ring)
+    H = codegree_matrix(ring)
     fp = fpdims(ring)
     fp.require_exact()
     # the global FP dimension sum d_i^2 must be the top codegree; over one
@@ -391,7 +363,7 @@ def _walk_box(box, vec: list[int], t: int, rem: int, out: list) -> None:
 def i1_dimension_system(
     ring: FusionRing,
     data: Optional[InductionData] = None,
-    mr: Optional[MRData] = _DETECT,
+    mr: Optional[MRData] = None,
 ) -> I1Result:
     """Solve for the forgetful images of the summands of the induced unit.
 
@@ -404,7 +376,7 @@ def i1_dimension_system(
 
     Each summand's candidates come from `_images`, once per distinct
     codegree; the tilings are a lazy `Tilings`.  `mr` is the ring's
-    `detect_mr` result, run here when not given."""
+    `detect_mr` result; None runs it here."""
     ring.require_valid()
     if not ring.is_commutative:
         return I1Result(
@@ -414,10 +386,10 @@ def i1_dimension_system(
             ("ring is not commutative; multiplicity-one decomposition of "
              "the induced unit is not available",),
         )
-    if mr is _DETECT:
+    if mr is None:
         mr = detect_mr(ring)
     if data is None:
-        data = induction_data(ring, mr)
+        data = induction_data(ring)
     dims = fpdims(ring)
     dims.require_exact()
     d = dims.dims
@@ -825,9 +797,8 @@ def obstruct(
             ("ring is not commutative; the pipeline applies only to "
              "commutative fusion rings",),
         )
-    mr = detect_mr(ring)
     try:
-        data = induction_data(ring, mr)
+        data = induction_data(ring)
     except ExactnessError as exc:
         return ObstructionVerdict(
             INCONCLUSIVE, "codegrees", (f"exactness failure: {exc}",)
@@ -835,7 +806,7 @@ def obstruct(
     steps.append(
         "codegrees: " + ", ".join(str(f) for f in data.codegrees)
     )
-    i1 = i1_dimension_system(ring, data, mr)
+    i1 = i1_dimension_system(ring, data)
     steps.extend(i1.lines)
     if i1.status != FEASIBLE:
         return ObstructionVerdict(i1.status, "i1", tuple(steps), data, i1)

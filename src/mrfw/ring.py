@@ -15,8 +15,8 @@ from .scalars import (
     Factorization,
     IntPoly,
     QuadExt,
+    _fact,
     _Frozen,
-    _divide_linear,
     _integer_field,
     _quad,
     factor_linear_quadratic,
@@ -47,10 +47,12 @@ class FusionRing(_Frozen):
     the unit.  The duality permutation is inferred from N[i][j][0], never
     taken on faith from a caller.  Instances are immutable, so the axiom
     check, the FP dimensions and the `detect_mr` result are computed once
-    and cached.
+    and cached on the ring by `scalars._fact`, in `_facts`, which
+    equality, hash and repr ignore and pickle and copy keep.  A call that
+    raises caches nothing.
     """
 
-    __slots__ = ("rank", "labels", "N", "dual", "_valid", "_fpdims", "_mr")
+    __slots__ = ("rank", "labels", "N", "dual", "_facts")
 
     def __init__(self, labels: Sequence[str], N: Sequence[Sequence[Sequence[int]]]):
         n = len(labels)
@@ -85,9 +87,7 @@ class FusionRing(_Frozen):
         object.__setattr__(self, "labels", tuple(str(s) for s in labels))
         object.__setattr__(self, "N", tensor)
         object.__setattr__(self, "dual", tuple(dual))
-        object.__setattr__(self, "_valid", None)
-        object.__setattr__(self, "_fpdims", None)
-        object.__setattr__(self, "_mr", False)  # not searched yet
+        object.__setattr__(self, "_facts", {})
 
     def __eq__(self, other):
         if not isinstance(other, FusionRing):
@@ -122,9 +122,7 @@ class FusionRing(_Frozen):
 
         The check runs once per (immutable) ring; every call returns a
         fresh list, so callers may modify it."""
-        if self._valid is None:
-            object.__setattr__(self, "_valid", tuple(self._first_violations()))
-        return list(self._valid)
+        return list(_fact(self, "validate", lambda r: tuple(r._first_violations())))
 
     def _first_violations(self):
         """The first violation of each failing axiom, in reporting order."""
@@ -334,18 +332,9 @@ class GradingData(NamedTuple):
 
 def fpdims(ring: FusionRing) -> FPDims:
     """Exact FP dimension of each basis element: the Perron root of its
-    left-multiplication matrix.  Computed once per ring; later calls return
-    the same object.
-
-    Two paths fill the cache: `seed_fpdims`, which `obstruction.induction_data`
-    calls with the ring's maximal-rank data or with its codegree spectrum;
-    otherwise the first call here, with `_perron_dims`.  Each caches only a
-    vector that `_is_positive_character` certifies, so all give the one
-    positive character."""
-    if ring._fpdims is None:
-        ring.require_valid()
-        object.__setattr__(ring, "_fpdims", _perron_dims(ring))
-    return ring._fpdims
+    left-multiplication matrix, from `_perron_dims`.  Computed once per
+    ring; later calls return the same object."""
+    return _fact(ring, "fpdims", _perron_dims)
 
 
 class Spectrum(NamedTuple):
@@ -354,24 +343,23 @@ class Spectrum(NamedTuple):
     matrix: list[list[int]]  # element_matrix(y)
     poly: IntPoly  # its characteristic polynomial chi_y
     factors: Factorization  # of chi_y, roots bounded by the largest row sum
-    powers: tuple[list[int], ...]  # y^0 .. y^(n-1) in the basis
 
 
 def spectrum(ring: FusionRing, y: Sequence[int]) -> Spectrum:
     """Left multiplication by y = sum_i y_i X_i on a valid ring; every
     characteristic polynomial the library factors is taken here."""
     M = ring.element_matrix(y)
-    poly, powers = _power_traces(ring, M)
-    return Spectrum(M, poly, factor_linear_quadratic(poly, max(map(sum, M))), powers)
+    poly = _power_traces(ring, M)
+    return Spectrum(M, poly, factor_linear_quadratic(poly, max(map(sum, M))))
 
 
 def left_charpoly(ring: FusionRing, y: Sequence[int]) -> IntPoly:
     """det(xI - M) for M = ring.element_matrix(y), unfactored."""
-    return _power_traces(ring, ring.element_matrix(y))[0]
+    return _power_traces(ring, ring.element_matrix(y))
 
 
-def _power_traces(ring: FusionRing, M: list[list[int]]) -> tuple[IntPoly, tuple]:
-    """det(xI - M) for M = ring.element_matrix(y), and y^0 .. y^(n-1).
+def _power_traces(ring: FusionRing, M: list[list[int]]) -> IntPoly:
+    """det(xI - M) for M = ring.element_matrix(y).
 
     Left multiplication is a representation of the associative ring, so
     M^k = element_matrix(y^k), and the trace of element_matrix(z) is
@@ -384,61 +372,15 @@ def _power_traces(ring: FusionRing, M: list[list[int]]) -> tuple[IntPoly, tuple]
     tau = [sum(plane[j][j] for j in range(n)) for plane in ring.N]
     cols = list(zip(*M))
     power = [int(k == 0) for k in range(n)]
-    powers, sums, cs = [], [], [1]  # sums[k - 1] = p_k, cs[k] = coeff of x^(n-k)
+    sums, cs = [], [1]  # sums[k - 1] = p_k, cs[k] = coeff of x^(n-k)
     for k in range(1, n + 1):
-        powers.append(power)
         power = [sum(map(operator.mul, power, col)) for col in cols]
         sums.append(sum(map(operator.mul, tau, power)))
         q, r = divmod(-sum(map(operator.mul, cs, reversed(sums))), k)
         if r:
             raise ArithmeticError("charpoly produced a non-integer coefficient")
         cs.append(q)
-    return IntPoly(cs[::-1]), tuple(powers)
-
-
-def perron_vector(spec: Spectrum, top: QuadExt) -> tuple[QuadExt, ...]:
-    """The coordinates of q(y), q = chi_y / (x - top), scaled to d_0 = 1:
-    the FP vector when `top` = FPdim(y) is a simple root of chi_y.
-
-    The regular element R = sum_i d_i X_i has y R = FPdim(y) R, and
-    (y - top) q(y) = chi_y(y) = 0, where q(y) != 0 because the minimal
-    polynomial of y has the simple root `top`; so q(y) is a multiple of R
-    (q(M) e_0 when M is symmetric, as for the codegree element).  q runs
-    in integer coordinates over one denominator, and
-    q(y) = sum_k q_k y^k costs O(n^2) per coordinate."""
-    _, coords = _integer_field(_divide_linear(spec.poly.coeffs, top)[0])
-    vecs = {D: [sum(map(operator.mul, col, z)) for z in zip(*spec.powers)]
-            for D, col in coords.items()}
-    # `top` lies in one field, so at most one radicand besides 1; then
-    # d_i = (a_i + b_i sqrt D) (a_0 - b_0 sqrt D) / (a_0^2 - b_0^2 D)
-    rational = vecs.pop(1)
-    D, root = next(iter(vecs.items()), (1, [0] * len(rational)))
-    a0, b0 = rational[0], root[0]
-    norm = a0 * a0 - b0 * b0 * D
-    return tuple(
-        _quad(a * a0 - b * b0 * D, b * a0 - a * b0, norm, D)
-        for a, b in zip(rational, root)
-    )
-
-
-def seed_fpdims(
-    ring: FusionRing,
-    spec: Optional[Spectrum] = None,
-    codegrees: Sequence[QuadExt] = (),
-    mr: Optional[MRData] = None,
-) -> None:
-    """The cache rule: if nothing is cached, cache the first of these that
-    `_is_positive_character` certifies, which makes it the vector
-    `_perron_dims` would return.
-
-    - Given the ring's maximal-rank data `mr`, the closed form `mr_dims`.
-    - Given `spectrum(ring, C)` of C = sum_T X_T X_T* and its roots
-      `codegrees` in descending order, of which FPdim(C) is the largest
-      (Ostrik, arXiv:0810.3242): when that root is simple, `perron_vector`."""
-    if ring._fpdims is None and mr is not None:
-        object.__setattr__(ring, "_fpdims", _certified(ring, mr_dims(mr)))
-    if ring._fpdims is None and spec is not None and codegrees[1:2] != codegrees[:1]:
-        object.__setattr__(ring, "_fpdims", _certified(ring, perron_vector(spec, codegrees[0])))
+    return IntPoly(cs[::-1])
 
 
 def _certified(ring: FusionRing, dims: Sequence[QuadExt]) -> Optional[FPDims]:
@@ -472,26 +414,29 @@ def mr_dims(mr: MRData) -> list[QuadExt]:
 
 
 def _perron_dims(ring: FusionRing) -> FPDims:
-    """FP dimensions, certified at once as the positive character.
+    """FP dimensions of a valid ring, certified at once as the positive
+    character: the one route behind `fpdims`.
 
     FPdim is the unique character of a fusion ring that is positive on the
     basis (Etingof-Nikshych-Ostrik, arXiv:math/0203060, section 8; EGNO,
     Tensor Categories, section 3.3): a positive d with
     d_i d_j = sum_k N_ij^k d_k is a positive eigenvector of every
     left-multiplication matrix, with eigenvalue d_i, and a nonnegative
-    matrix has a positive eigenvector only for its Perron root.
+    matrix has a positive eigenvector only for its Perron root.  So:
 
-    So each invertible element (X (x) X^* = 1) gets dimension 1, with no
-    characteristic polynomial.  When some element is not invertible and
-    `detect_mr` finds a maximal-rank subring, the closed form `mr_dims` is
-    tried first, with no characteristic polynomial either; a ring of
-    invertibles never runs `detect_mr`.  Otherwise every non-invertible
-    element gets its largest extracted real root, exact in a quadratic
-    field.  The vector is accepted if `_is_positive_character` holds.
-    Otherwise (a Perron root left in an unfactored residual, or dimensions
-    in two different quadratic fields) the non-invertible elements fall
-    back to `_elementwise_dim`, one Perron root and at most one Sturm chain
-    at a time."""
+    - each invertible element (X (x) X^* = 1) gets dimension 1, with no
+      characteristic polynomial, and a ring of invertibles stops there,
+      with no `detect_mr`;
+    - when `detect_mr` finds a maximal-rank subring, the closed form
+      `mr_dims`, with no characteristic polynomial either;
+    - otherwise every non-invertible element gets its largest extracted
+      real root, exact in a quadratic field;
+    - a vector is accepted if `_is_positive_character` holds.  When the
+      last one fails (a Perron root left in an unfactored residual, or
+      dimensions in two different quadratic fields), the non-invertible
+      elements fall back to `_elementwise_dim`, one Perron root and at
+      most one Sturm chain at a time."""
+    ring.require_valid()
     n, N = ring.rank, ring.N
     unit = tuple(int(k == 0) for k in range(n))
     noninvertible = [i for i in range(n) if N[i][ring.dual[i]] != unit]
@@ -564,11 +509,6 @@ def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:
     return True
 
 
-def global_fpdim(ring: FusionRing) -> QuadExt:
-    """Sum of squared FP dimensions; requires exact dims."""
-    return fpdims(ring).total()
-
-
 def subrings(ring: FusionRing) -> list[frozenset[int]]:
     """All unital, dual- and tensor-closed basis subsets, as a join
     lattice: start from the trivial subring and close each subring found
@@ -602,9 +542,7 @@ def detect_mr(ring: FusionRing) -> Optional[MRData]:
 
     The search runs once per ring, and its result, None included, is
     cached; an InvalidRingError is raised again on every call."""
-    if ring._mr is False:
-        object.__setattr__(ring, "_mr", _search_mr(ring))
-    return ring._mr
+    return _fact(ring, "detect_mr", _search_mr)
 
 
 def _search_mr(ring: FusionRing) -> Optional[MRData]:

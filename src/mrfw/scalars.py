@@ -173,6 +173,19 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _fact(obj: _Frozen, key: str, compute):
+    """`compute(obj)`, cached under `key` in the `_facts` dict of the
+    immutable `obj`: computed on first use, and nothing is cached when the
+    call raises, so it raises again on every call.  The owner keeps
+    `_facts` out of its equality, hash and repr; pickle and copy keep it.
+    Keys are fixed names, not the compute functions, so that the cache
+    holds only values."""
+    facts = obj._facts
+    if key not in facts:
+        facts[key] = compute(obj)
+    return facts[key]
+
+
 class QuadExt(_Frozen):
     """An element (a + b*sqrt(D)) / c of a real quadratic field, held as
     four integers kept normalized: c > 0, gcd(a, b, c) = 1, D squarefree,

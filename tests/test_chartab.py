@@ -554,10 +554,10 @@ def assert_cache_matches_fresh_tables(t):
         table = _fresh(t)
         for check in order + order:
             assert _result(check, table) == want[check], check.__name__
-        cached = table._facts or {}
-        for check, fact in ((validate_table, chartab._validate),
-                            (fusion_from_table, chartab._fusion)):
-            assert (fact in cached) is not isinstance(want[check], tuple)
+        for check, key in ((validate_table, "validate"), (fusion_from_table, "fusion")):
+            assert (key in table._facts) is not isinstance(want[check], tuple)
+        cold = _fresh(t)
+        assert table == cold and hash(table) == hash(cold) and repr(table) == repr(cold)
     if t.inverse_perm is None:  # which the per-term oracle does not check
         assert _outcome(validate_table, t) == _outcome(naive_validate, t)
     if t.order > 0 and t.k <= 12:
@@ -589,9 +589,9 @@ class TestFactCache:
         cold, warm = build(), build()
         for check in CHECKS:
             check(warm)
-        assert cold._facts is None and len(warm._facts) == 3
+        assert cold._facts == {} and set(warm._facts) == {"lift", "validate", "fusion"}
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
-        lift = warm._facts[chartab._lift]
+        lift = warm._facts["lift"]
         monkeypatch.setattr(
             scalars, "_cyclotomic_field", lambda *args: pytest.fail("lifted again")
         )
@@ -600,11 +600,11 @@ class TestFactCache:
             assert repr(copied) == repr(warm)
             facts = copied._facts
             assert facts.keys() == warm._facts.keys()
-            assert facts[chartab._lift][:3] == lift[:3]
+            assert facts["lift"][:3] == lift[:3]
             # the copied unpacking gives the cached validation again
-            assert chartab._validate(copied, facts[chartab._lift]) == facts[chartab._validate]
-            assert validate_table(copied) == list(warm._facts[chartab._validate])
-            assert fusion_from_table(copied) is facts[chartab._fusion]
+            assert chartab._validate(copied) == facts["validate"]
+            assert validate_table(copied) == list(warm._facts["validate"])
+            assert fusion_from_table(copied) is facts["fusion"]
             assert fusion_from_table(copied) == fusion_from_table(warm)
             assert theorem57_check(copied) == theorem57_check(warm)
             assert class_inverse_permutation(copied) == class_inverse_permutation(warm)

@@ -70,7 +70,7 @@ class TestMRExtend:
         rings = [build(k) for build in (z3_base_ring, s3_base_ring) for k in range(61)]
         assert len(calls) <= 2
         assert len({id(ring) for ring in rings}) == 122
-        assert all(ring._fpdims is None for ring in rings)
+        assert all("fpdims" not in ring._facts for ring in rings)
         assert rings[3].labels == rings[64].labels == ("1", "X", "Y", "Z")
         with pytest.raises(TypeError):
             RANK3_BASES["z3-pointed"] = rep_s3_ring()

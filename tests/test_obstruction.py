@@ -54,8 +54,8 @@ from mrfw.obstruction import (
     obstruct,
     verify_witness,
 )
-from mrfw.ring import detect_mr, fpdims, global_fpdim, left_charpoly, spectrum
-from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, _mat_mul, charpoly
+from mrfw.ring import detect_mr, fpdims, left_charpoly, spectrum
+from mrfw.scalars import ExactnessError, QuadExt, UnsupportedFieldError, charpoly
 
 
 def s3_group_ring():
@@ -137,7 +137,7 @@ class TestCodegrees:
         ],
     )
     def test_largest_codegree_is_global_dim(self, ring):
-        assert codegrees(ring)[0] == global_fpdim(ring)
+        assert codegrees(ring)[0] == fpdims(ring).total()
 
     def test_two_quadratic_pairs(self):
         # (x^2 - 20x + 80)^2 (x^2 - 10x + 20): codegrees of Fibonacci
@@ -155,7 +155,7 @@ class TestCodegrees:
         # a = FPdim(D) replaced by a + l^2 for both roots l of
         # x^2 - kappa x - a; the other characters vanish on the extra object
         base = MR_CORPUS_BASES[name]()
-        a = global_fpdim(base)
+        a = fpdims(base).total()
         rest = list(codegrees(base))
         rest.remove(a)
         for kappa in range(13):
@@ -241,12 +241,6 @@ class TestRegularRepresentation:
             spec = spectrum(ring, obstruction._codegree_element(ring))
             assert spec.matrix == H, name
             assert spec.poly == charpoly(H), name
-            # the powers the eigenvector is formed from: y^k = e_0 H^k
-            Hk = [[int(i == j) for j in range(n)] for i in range(n)]
-            for k, power in enumerate(spec.powers):
-                assert power == Hk[0], (name, k)
-                Hk = _mat_mul(Hk, H)
-            assert len(spec.powers) == n, name
             count += 1
         assert count == 192
 
@@ -274,9 +268,9 @@ def spectrum_route_dims(ring):
 
 
 class TestCodegreeFPDims:
-    """`induction_data` seeds `fpdims` in closed form on a ring with a
-    maximal-rank subring, else from the eigenvector of a simple top
-    codegree; every other ring computes them with `_perron_dims`."""
+    """`induction_data` reads the FP dimensions from `fpdims`, whose one
+    route `_perron_dims` takes the closed form on a ring with a
+    maximal-rank subring and Perron roots on every other ring."""
 
     @staticmethod
     def perron_calls(monkeypatch):
@@ -314,23 +308,21 @@ class TestCodegreeFPDims:
         rings = [(name, build()) for name, build in commutative_rings()]
         rings += list(rank4_and_near_group_rings(10))
         calls = self.perron_calls(monkeypatch)
-        routes = {"closed form": 0, "eigenvector": 0, "perron": 0}
+        routes = {"closed form": 0, "perron": 0}
         for name, ring in rings:
             mr = detect_mr(ring)
             try:
-                data = induction_data(ring)
+                induction_data(ring)
             except ExactnessError:
                 # approximate FP dims or an unresolved codegree factor
                 assert name in ("fibonacci x ising", "cubic"), name
                 continue
-            simple = data.codegrees[1:2] != data.codegrees[:1]
-            route = "closed form" if mr else "eigenvector" if simple else "perron"
-            # the seeded paths never reach _perron_dims; the fallback once
-            assert calls.count(id(ring)) == (route == "perron"), name
+            # every ring reaches _perron_dims once, through fpdims
+            assert calls.count(id(ring)) == 1, name
             assert fpdims(ring) == spectrum_route_dims(ring), name
-            routes[route] += 1
+            routes["closed form" if mr else "perron"] += 1
         assert len(rings) == 432
-        assert routes == {"closed form": 422, "eigenvector": 2, "perron": 6}
+        assert routes == {"closed form": 422, "perron": 8}
 
     @pytest.mark.parametrize(
         "build, mr",
@@ -340,12 +332,11 @@ class TestCodegreeFPDims:
         ids=["ising", "z3", "z3-base-k0", "C(Z5,0)", "rep(d8)", "ising x C(Z3,0)"],
     )
     def test_repeated_top_codegree_takes_the_fallback(self, build, mr, monkeypatch):
-        # a nontrivial universal grading repeats the top codegree, so its
-        # eigenvector is not determined.  A ring with a maximal-rank
-        # subring falls back on the closed form: no _perron_dims, no
-        # _left_spectrum and, once its base's codegrees are memoized, no
-        # characteristic polynomial.  Any other ring falls back on
-        # _perron_dims' spectrum route.
+        # a nontrivial universal grading repeats the top codegree.  Each
+        # ring runs _perron_dims once; with a maximal-rank subring it
+        # takes the closed form: no _left_spectrum and, once its base's
+        # codegrees are memoized, no characteristic polynomial.  Any other
+        # ring takes _perron_dims' spectrum route.
         ring = build()
         assert (detect_mr(ring) is not None) is mr
         want = spectrum_route_dims(ring)
@@ -355,7 +346,7 @@ class TestCodegreeFPDims:
             counts = self.count_spectra(monkeypatch)
         cod = induction_data(ring).codegrees
         assert cod[0] == cod[1]
-        assert calls == ([] if mr else [id(ring)])
+        assert calls == [id(ring)]
         if mr:
             assert counts == {"spectrum": 0, "charpoly": 0, "factor": 0}
         assert fpdims(ring) == want
@@ -363,7 +354,7 @@ class TestCodegreeFPDims:
     def test_cached_dims_are_kept(self, monkeypatch):
         ring = near_group(5, 3)
         before = fpdims(ring)
-        for name in ("perron_vector", "mr_dims"):
+        for name in ("_perron_dims", "mr_dims"):
             monkeypatch.setattr(
                 ring_module, name, lambda *args: pytest.fail("recomputed")
             )
@@ -391,12 +382,11 @@ class TestCodegreeFPDims:
         ids=["C(Z5,3)", "ising", "z3", "ising x C(Z3,0)", "cubic"],
     )
     def test_obstruct_detects_mr_once(self, build, monkeypatch):
-        # one subring search per ring: obstruct hands its detect_mr result
-        # to induction_data and i1, and fpdims' _perron_dims, which runs
-        # detect_mr on the two-field product (no maximal-rank subring, an
-        # element that is not invertible, a repeated top codegree), reads
-        # the cached result.  The cubic ring's codegree polynomial does not
-        # split, so it stops after the search
+        # one subring search per ring: codegrees, fpdims' _perron_dims and
+        # i1 all read the ring's cached detect_mr result, also on the
+        # two-field product (no maximal-rank subring, an element that is
+        # not invertible, a repeated top codegree).  The cubic ring's
+        # codegree polynomial does not split, so it stops after the search
         ring = build()
         searches = []
         search = ring_module._search_mr
@@ -429,7 +419,7 @@ class TestMRClosedForm:
         cold = obstruction._mr_codegrees(ring, mr)
         warm = obstruction._mr_codegrees(ring, mr)
         assert obstruction._base_codegrees.cache_info()[:2] == (1, 1)
-        assert cold == warm == codegrees(ring) == obstruction._codegree_spectrum(ring)[1]
+        assert cold == warm == codegrees(ring) == obstruction._codegree_spectrum(ring)
         with mock.patch.object(
             ring_module, "_left_spectrum", side_effect=AssertionError("left spectrum")
         ):
@@ -527,7 +517,7 @@ class TestInductionImages:
         ring = s3_base_ring(4)
         FI = codegree_matrix(ring)
         d = fpdims(ring).dims
-        total = global_fpdim(ring)
+        total = fpdims(ring).total()
         for U in range(ring.rank):
             acc = QuadExt(0)
             for W in range(ring.rank):

@@ -37,7 +37,6 @@ from mrfw.ring import (
     adjoint_and_grading,
     detect_mr,
     fpdims,
-    global_fpdim,
     invertibles,
     subrings,
     _elementwise_dim,
@@ -523,19 +522,24 @@ class TestFPDims:
 
     @pytest.mark.parametrize("build", [fibonacci_ring, lambda: z3_base_ring(1), rep_s3_ring])
     def test_pickle_and_deepcopy_keep_cached_dims(self, build):
-        ring = build()
+        # the cache is no part of the ring's value: a warm ring equals, hashes
+        # and prints as a cold one, and its copies keep the cached facts
+        ring, cold = build(), build()
         dims = fpdims(ring)
+        assert cold._facts == {} and set(ring._facts) == {"validate", "detect_mr", "fpdims"}
+        assert ring == cold and hash(ring) == hash(cold) and repr(ring) == repr(cold)
         for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
             assert copied == ring and hash(copied) == hash(ring)
             assert copied.dual == ring.dual and copied.is_valid
-            assert copied._fpdims == dims and fpdims(copied) is copied._fpdims
-            assert [hash(d) for d in copied._fpdims.dims] == [hash(d) for d in dims.dims]
+            cached = copied._facts["fpdims"]
+            assert cached == dims and fpdims(copied) is cached
+            assert [hash(d) for d in cached.dims] == [hash(d) for d in dims.dims]
 
     def test_global_fpdim(self):
-        assert global_fpdim(fibonacci_ring()) == (5 + QuadExt.sqrt(5)) * Fraction(1, 2)
-        assert global_fpdim(cyclic_ring(2)).as_fraction() == 2
+        assert fpdims(fibonacci_ring()).total() == (5 + QuadExt.sqrt(5)) * Fraction(1, 2)
+        assert fpdims(cyclic_ring(2)).total().as_fraction() == 2
         expected = 3 + (7 + QuadExt.sqrt(13)) * Fraction(1, 2)
-        assert global_fpdim(z3_base_ring(1)) == expected
+        assert fpdims(z3_base_ring(1)).total() == expected
 
 
 class TestSubrings:
@@ -648,11 +652,17 @@ class TestDetectMR:
         assert searches == [ising_ring(), cyclic_ring(4)]
 
     def test_invalid_ring_raises_on_every_call(self):
+        # a call that raises caches nothing: only the axiom check, which
+        # returns its violations, is cached, and the cache leaves the
+        # ring's value alone
         bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
         for _ in range(2):
-            with pytest.raises(InvalidRingError, match="duality-normalization"):
-                detect_mr(bad)
-        assert bad._mr is False
+            for fact in (detect_mr, fpdims):
+                with pytest.raises(InvalidRingError, match="duality-normalization"):
+                    fact(bad)
+        assert set(bad._facts) == {"validate"}
+        cold = FusionRing(bad.labels, bad.N)
+        assert bad == cold and hash(bad) == hash(cold) and repr(bad) == repr(cold)
 
     @pytest.mark.parametrize("a,kappa", [(12, 0), (12, 5), (20, 3)])
     def test_large_near_group_forced_data(self, a, kappa):
