@@ -27,6 +27,7 @@ from .scalars import (
     ExactnessError,
     QuadExt,
     UnsupportedFieldError,
+    _fact,
     _integer_field,
 )
 
@@ -50,9 +51,20 @@ def codegree_matrix(ring: FusionRing) -> list[list[int]]:
 
     Reciprocity gives transpose(M_T) = M_T*, so M is the matrix of left
     multiplication by the one ring element C = sum T (x) T*, also on a
-    noncommutative ring, and is built as `element_matrix(C)`."""
+    noncommutative ring, and is built as `element_matrix(C)`, once per
+    ring: every call returns a fresh copy of the rows `_codegree_rows`
+    keeps."""
+    return [list(row) for row in _codegree_rows(ring)]
+
+
+def _codegree_rows(ring: FusionRing) -> tuple[tuple[int, ...], ...]:
+    """The codegree matrix of a valid ring as a tuple of rows, cached on the
+    ring; `codegrees` and `induction_data` both read it."""
     ring.require_valid()
-    return ring.element_matrix(_codegree_element(ring))
+    return _fact(
+        ring, "codegree_matrix",
+        lambda r: tuple(map(tuple, r.element_matrix(_codegree_element(r)))),
+    )
 
 
 def _codegree_element(ring: FusionRing) -> list[int]:
@@ -78,9 +90,8 @@ def codegrees(ring: FusionRing) -> tuple[QuadExt, ...]:
 
 def _codegree_spectrum(ring: FusionRing) -> tuple[QuadExt, ...]:
     """The roots of the characteristic polynomial of C = sum T (x) T*,
-    from `spectrum`, in descending order."""
-    ring.require_valid()
-    spec = spectrum(ring, _codegree_element(ring))
+    from `spectrum` of the codegree matrix, in descending order."""
+    spec = spectrum(ring, _codegree_rows(ring))
     if spec.factors.residual.degree > 0:
         raise ExactnessError(
             f"codegree polynomial has an unresolved factor of degree "
@@ -163,7 +174,7 @@ def induction_data(ring: FusionRing) -> InductionData:
             "the induced objects is the codegree matrix only then"
         )
     cod = codegrees(ring)
-    H = codegree_matrix(ring)
+    H = _codegree_rows(ring)
     fp = fpdims(ring)
     fp.require_exact()
     # the global FP dimension sum d_i^2 must be the top codegree; over one
@@ -179,7 +190,7 @@ def induction_data(ring: FusionRing) -> InductionData:
             "largest codegree does not equal the global FP dimension"
         )
     dims = tuple(top / f for f in cod)
-    return InductionData(cod, dims, tuple(map(tuple, H)))
+    return InductionData(cod, dims, H)
 
 
 class I1Summand(NamedTuple):

@@ -45,11 +45,12 @@ class FusionRing(_Frozen):
 
     N[i][j][k] is the multiplicity of X_k in X_i (x) X_j; basis index 0 is
     the unit.  The duality permutation is inferred from N[i][j][0], never
-    taken on faith from a caller.  Instances are immutable, so the axiom
-    check, the FP dimensions and the `detect_mr` result are computed once
-    and cached on the ring by `scalars._fact`, in `_facts`, which
-    equality, hash and repr ignore and pickle and copy keep.  A call that
-    raises caches nothing.
+    taken on faith from a caller.  Instances are immutable, so the sparse
+    index of the structure constants, commutativity, the axiom check, the
+    FP dimensions and the `detect_mr` result are computed once and cached
+    on the ring by `scalars._fact`, in `_facts`, which equality, hash and
+    repr ignore and pickle and copy keep.  A call that raises caches
+    nothing.
     """
 
     __slots__ = ("rank", "labels", "N", "dual", "_facts")
@@ -161,9 +162,7 @@ class FusionRing(_Frozen):
                                        f"{N[i][j][k]}, {N[dual[i]][k][j]}, {N[k][dual[j]][i]}")
                              for i, j, k in cube()
                              if not N[i][j][k] == N[dual[i]][k][j] == N[k][dual[j]][i])
-        supp = [
-            [[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in N
-        ]
+        supp = self.sparse
         if not self._associative_on_generators(supp, left_unit):
             yield from first(self._associativity_violations(supp, range(n)))
 
@@ -205,8 +204,8 @@ class FusionRing(_Frozen):
     def _associativity_violations(self, supp, rows):
         """For i in `rows` and all j, k, in index order, compare
         (X_i X_j) X_k with X_i (X_j X_k) as sparse vectors built from the
-        nonzero structure constants `supp`, at the smallest differing basis
-        index l."""
+        nonzero structure constants `supp`, the `sparse` index, at the
+        smallest differing basis index l."""
         n = self.rank
         for i in rows:
             for j, k in itertools.product(range(n), repeat=2):
@@ -235,8 +234,16 @@ class FusionRing(_Frozen):
 
     @property
     def is_commutative(self) -> bool:
-        n, N = self.rank, self.N
-        return all(N[i][j] == N[j][i] for i in range(n) for j in range(i + 1, n))
+        """X_i X_j = X_j X_i for all i, j; computed once per ring."""
+        return _fact(self, "is_commutative", _commutes)
+
+    @property
+    def sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """The nonzero structure constants: sparse[i][j] holds the pairs
+        (k, N_ij^k) with N_ij^k != 0, in ascending k.  Built once per ring;
+        the axiom check, closures, the grading, the invertibles and the
+        FP-dimension certificate read it instead of scanning rows of N."""
+        return _fact(self, "sparse", _sparse_index)
 
     # -- basic constructions
 
@@ -255,7 +262,8 @@ class FusionRing(_Frozen):
         return self.element_matrix([int(k == i) for k in range(self.rank)])
 
     def support(self, i: int, j: int) -> list[int]:
-        return [k for k in range(self.rank) if self.N[i][j][k] > 0]
+        """The k with N_ij^k > 0, in ascending order."""
+        return [k for k, c in self.sparse[i][j] if c > 0]
 
     def closure(self, seed: Sequence[int]) -> frozenset[int]:
         """Smallest basis subset containing the seed that is unital, closed
@@ -270,20 +278,35 @@ class FusionRing(_Frozen):
         sides by itself and by every element taken before it, so each pair
         is expanded once.  The elements of `closed` count as taken already:
         their products stay inside it, so no pair within it is expanded."""
-        N, dual = self.N, self.dual
+        S, dual = self.sparse, self.dual
         cur = {*closed, *seed}
         todo, done = list(seed - closed), list(closed)
         while todo:
             i = todo.pop()
             done.append(i)
             for j in done:
-                for row in (N[i][j], N[j][i]):
-                    for k, c in enumerate(row):
-                        if c and k not in cur:
+                for terms in (S[i][j], S[j][i]):
+                    for k, _ in terms:
+                        if k not in cur:
                             new = {k, dual[k]} - cur
                             cur |= new
                             todo += new
         return frozenset(cur)
+
+
+def _commutes(ring: FusionRing) -> bool:
+    """The comparison behind `FusionRing.is_commutative`."""
+    n, N = ring.rank, ring.N
+    return all(N[i][j] == N[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def _sparse_index(ring: FusionRing):
+    """The index behind `FusionRing.sparse`, built from lists, which is
+    quicker than nesting generators."""
+    return tuple([
+        tuple([tuple([(k, c) for k, c in enumerate(row) if c]) for row in plane])
+        for plane in ring.N
+    ])
 
 
 class FPDims(NamedTuple):
@@ -340,17 +363,16 @@ def fpdims(ring: FusionRing) -> FPDims:
 class Spectrum(NamedTuple):
     """Left multiplication by a ring element y, from `spectrum`."""
 
-    matrix: list[list[int]]  # element_matrix(y)
-    poly: IntPoly  # its characteristic polynomial chi_y
+    poly: IntPoly  # the characteristic polynomial chi_y
     factors: Factorization  # of chi_y, roots bounded by the largest row sum
 
 
-def spectrum(ring: FusionRing, y: Sequence[int]) -> Spectrum:
-    """Left multiplication by y = sum_i y_i X_i on a valid ring; every
-    characteristic polynomial the library factors is taken here."""
-    M = ring.element_matrix(y)
+def spectrum(ring: FusionRing, M: Sequence[Sequence[int]]) -> Spectrum:
+    """Left multiplication by a ring element y on a valid ring, given as
+    its matrix M = ring.element_matrix(y); every characteristic polynomial
+    the library factors is taken here."""
     poly = _power_traces(ring, M)
-    return Spectrum(M, poly, factor_linear_quadratic(poly, max(map(sum, M))))
+    return Spectrum(poly, factor_linear_quadratic(poly, max(map(sum, M))))
 
 
 def left_charpoly(ring: FusionRing, y: Sequence[int]) -> IntPoly:
@@ -358,7 +380,7 @@ def left_charpoly(ring: FusionRing, y: Sequence[int]) -> IntPoly:
     return _power_traces(ring, ring.element_matrix(y))
 
 
-def _power_traces(ring: FusionRing, M: list[list[int]]) -> IntPoly:
+def _power_traces(ring: FusionRing, M: Sequence[Sequence[int]]) -> IntPoly:
     """det(xI - M) for M = ring.element_matrix(y).
 
     Left multiplication is a representation of the associative ring, so
@@ -458,11 +480,10 @@ def _perron_dims(ring: FusionRing) -> FPDims:
     return FPDims(tuple(dims), tuple(exact), tuple(bounds))
 
 
-def _left_spectrum(ring: FusionRing, i: int) -> tuple[IntPoly, Factorization]:
-    """Characteristic polynomial of X_i's left-multiplication matrix and its
-    factorization, from `spectrum`."""
-    spec = spectrum(ring, [int(k == i) for k in range(ring.rank)])
-    return spec.poly, spec.factors
+def _left_spectrum(ring: FusionRing, i: int) -> Spectrum:
+    """Characteristic polynomial of X_i's left-multiplication matrix, whose
+    rows are the plane N[i], and its factorization."""
+    return spectrum(ring, ring.N[i])
 
 
 def _elementwise_dim(
@@ -472,7 +493,15 @@ def _elementwise_dim(
     has no more distinct real roots than the extracted factors, which share
     no root with the residual (integer roots and real quadratic factors are
     deflated with multiplicity), so the largest was extracted; otherwise
-    the chain's certified enclosure of the largest real root."""
+    the chain's certified enclosure of the largest real root.
+
+    This Sturm route is reached only by `fpdims` on a ring whose FP
+    dimensions are not all quadratic, such as SU(2)_5 or the cubic ring
+    XX = 1 + Y, XY = X + Y, YY = 1 + X + Y: no ring C(D, kappa) and no
+    corpus ring is one.  From the CLI only `report` reaches it, and then
+    stops with the operational error "approximate Frobenius-Perron
+    dimensions"; `check` of a ring only validates it, and `obstruct`
+    stops at the codegree stage first."""
     roots = fact.all_roots()
     if fact.residual.degree > 0:
         count, bounds = largest_real_root_bounds(poly, Fraction(1, 10**10))
@@ -493,17 +522,15 @@ def _is_positive_character(ring: FusionRing, dims: Sequence[QuadExt]) -> bool:
         return False
     D = max(coords)
     pairs = list(zip(coords[1], coords[D] if D > 1 else [0] * len(dims)))
-    n, N = ring.rank, ring.N
+    n, S = ring.rank, ring.sparse
     commutative = ring.is_commutative
     for i, (ai, bi) in enumerate(pairs):
         for j in range(i if commutative else 0, n):
             aj, bj = pairs[j]
-            row = N[i][j]
             sa = sb = 0
-            for k, c in enumerate(row):
-                if c:
-                    sa += c * pairs[k][0]
-                    sb += c * pairs[k][1]
+            for k, c in S[i][j]:
+                sa += c * pairs[k][0]
+                sb += c * pairs[k][1]
             if ai * aj + bi * bj * D != den * sa or ai * bj + bi * aj != den * sb:
                 return False
     return True
@@ -580,13 +607,11 @@ def adjoint_and_grading(ring: FusionRing) -> GradingData:
     """Adjoint subring (closure of all X (x) X^*) and the universal grading
     it induces; components of rank 1 are flagged."""
     ring.require_valid()
-    n = ring.rank
-    adjoint = ring.closure(
-        [k for i in range(n) for k in ring.support(i, ring.dual[i])]
-    )
+    n, S, dual = ring.rank, ring.sparse, ring.dual
+    adjoint = ring.closure([k for i in range(n) for k, _ in S[i][dual[i]]])
 
     def related(i: int, j: int) -> bool:
-        return any(k in adjoint for k in ring.support(i, ring.dual[j]))
+        return any(k in adjoint for k, _ in S[i][dual[j]])
 
     components: list[set[int]] = []
     for i in range(n):
@@ -608,12 +633,7 @@ def adjoint_and_grading(ring: FusionRing) -> GradingData:
     for ca in comps:
         row = []
         for cb in comps:
-            targets = {
-                index_of[k]
-                for i in ca
-                for j in cb
-                for k in ring.support(i, j)
-            }
+            targets = {index_of[k] for i in ca for j in cb for k, _ in S[i][j]}
             if len(targets) != 1:
                 raise InvalidRingError("grading components do not multiply to one component")
             row.append(targets.pop())
@@ -647,17 +667,17 @@ class InvertibleGroup(NamedTuple):
 def invertibles(ring: FusionRing, mr: Optional[MRData] = None) -> InvertibleGroup:
     """Group of basis elements with X (x) X^* = 1 exactly."""
     ring.require_valid()
-    n, N = ring.rank, ring.N
+    n, N, S = ring.rank, ring.N, ring.sparse
     unit = tuple(int(k == 0) for k in range(n))
     elems = [i for i in range(n) if N[i][ring.dual[i]] == unit]
     table = []
     for g in elems:
         row = []
         for h in elems:
-            supp = ring.support(g, h)
-            if len(supp) != 1 or supp[0] not in elems:
+            terms = S[g][h]
+            if len(terms) != 1 or terms[0][0] not in elems:
                 raise InvalidRingError("invertibles are not closed")
-            row.append(supp[0])
+            row.append(terms[0][0])
         table.append(tuple(row))
     fixes = None
     if mr is not None:

@@ -317,7 +317,8 @@ class QuadExt(_Frozen):
         return NotImplemented if o is None else self * _quad(*o).inverse()
 
     def __rtruediv__(self, other):
-        return QuadExt(other) * self.inverse()
+        o = _parts(other)
+        return NotImplemented if o is None else _quad(*o) * self.inverse()
 
     def __pow__(self, n: int):
         return _power(self, n, _quad(1, 0, 1, 1))
@@ -1077,7 +1078,8 @@ class CycNumber(_Frozen):
         return self._add(o, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def _scale(self, p: int, q: int) -> "CycNumber":
         """self * p/q, for integers p and q != 0."""
@@ -1123,7 +1125,8 @@ class CycNumber(_Frozen):
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         return _power(self, n, _cyc_rational(self.order, 1, 1))

@@ -1,4 +1,5 @@
-"""Test-side helpers shared by several test modules: the exhaustive subring
+"""Test-side helpers shared by several test modules: the dense row scans
+that the sparse structure-constant index replaced, the exhaustive subring
 oracle that `subrings` is compared against, the forgetful images of the
 induced objects that `codegree_matrix` is compared against, a ring whose FP
 dimensions lie outside every quadratic field, a noncommutative ring with
@@ -9,6 +10,91 @@ import itertools
 import json
 
 from mrfw.ring import FusionRing
+from mrfw.scalars import UnsupportedFieldError
+
+
+def dense_supp(ring):
+    """The nonzero (k, N_ij^k) of each pair (i, j), in ascending k, by a
+    scan of the whole row: the reference for `FusionRing.sparse`."""
+    return [[[(m, c) for m, c in enumerate(row) if c] for row in plane] for plane in ring.N]
+
+
+def dense_support(ring, i, j):
+    """The k with N_ij^k > 0, by a scan of the whole row."""
+    return [k for k in range(ring.rank) if ring.N[i][j][k] > 0]
+
+
+def dense_close(ring, closed, seed):
+    """`FusionRing._close` scanning whole rows: the closure of
+    closed | seed, each pair of taken elements expanded once."""
+    N, dual = ring.N, ring.dual
+    cur = {*closed, *seed}
+    todo, done = list(seed - closed), list(closed)
+    while todo:
+        i = todo.pop()
+        done.append(i)
+        for j in done:
+            for row in (N[i][j], N[j][i]):
+                for k, c in enumerate(row):
+                    if c and k not in cur:
+                        new = {k, dual[k]} - cur
+                        cur |= new
+                        todo += new
+    return frozenset(cur)
+
+
+def dense_is_positive_character(ring, dims):
+    """`ring._is_positive_character` scanning whole rows, with exact
+    QuadExt arithmetic in place of integer coordinates: d_0 = 1, every
+    d_i > 0 and d_i d_j = sum_k N_ij^k d_k for every ordered pair."""
+    n, N = ring.rank, ring.N
+    try:
+        return dims[0] == 1 and all(d > 0 for d in dims) and all(
+            dims[i] * dims[j] == sum(c * dims[k] for k, c in enumerate(N[i][j]) if c)
+            for i in range(n) for j in range(n)
+        )
+    except UnsupportedFieldError:  # dimensions in two quadratic fields
+        return False
+
+
+def dense_grading(ring):
+    """The adjoint subring, the universal grading's components (unit
+    component first) and their group table, from `dense_support`."""
+    ring.require_valid()
+    n, dual = ring.rank, ring.dual
+    seed = {k for i in range(n) for k in dense_support(ring, i, dual[i])}
+    adjoint = dense_close(ring, frozenset(), {0, *seed, *(dual[k] for k in seed)})
+    components = []
+    for i in range(n):
+        for comp in components:
+            rep = next(iter(comp))
+            if any(k in adjoint for k in dense_support(ring, i, dual[rep])):
+                comp.add(i)
+                break
+        else:
+            components.append({i})
+    comps = sorted((frozenset(c) for c in components), key=lambda c: (0 not in c, sorted(c)))
+    index_of = {i: ci for ci, comp in enumerate(comps) for i in comp}
+    table = tuple(
+        tuple(
+            {index_of[k] for i in ca for j in cb for k in dense_support(ring, i, j)}.pop()
+            for cb in comps
+        )
+        for ca in comps
+    )
+    return adjoint, tuple(comps), table
+
+
+def dense_invertibles(ring):
+    """The X with X (x) X* = 1 and their products, from `dense_support`."""
+    ring.require_valid()
+    n, N = ring.rank, ring.N
+    unit = tuple(int(k == 0) for k in range(n))
+    elems = tuple(i for i in range(n) if N[i][ring.dual[i]] == unit)
+    table = tuple(
+        tuple(dense_support(ring, g, h)[0] for h in elems) for g in elems
+    )
+    return elems, table
 
 
 def subrings_bruteforce(ring):
@@ -21,7 +107,7 @@ def subrings_bruteforce(ring):
             s = frozenset((0,) + extra)
             if any(ring.dual[i] not in s for i in s):
                 continue
-            if all(set(ring.support(i, j)) <= s for i in s for j in s):
+            if all(set(dense_support(ring, i, j)) <= s for i in s for j in s):
                 out.append(s)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 

@@ -45,6 +45,7 @@ from mrfw.obstruction import (
     INFEASIBLE,
     GramResult,
     GramWitness,
+    Tilings,
     classify_rank4_mr,
     codegree_matrix,
     codegrees,
@@ -238,9 +239,8 @@ class TestRegularRepresentation:
                 assert M == [list(row) for row in ring.N[i]] == ring.left_matrix(i)
                 assert left_charpoly(ring, y) == charpoly(M), (name, i)
             H = codegree_matrix(ring)
-            spec = spectrum(ring, obstruction._codegree_element(ring))
-            assert spec.matrix == H, name
-            assert spec.poly == charpoly(H), name
+            assert H == ring.element_matrix(obstruction._codegree_element(ring)), name
+            assert spectrum(ring, H).poly == charpoly(H), name
             count += 1
         assert count == 192
 
@@ -374,6 +374,28 @@ class TestCodegreeFPDims:
         assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
         assert obstruct(near_group(5, kappa)).status == status
         assert counts == {"spectrum": 1, "charpoly": 1, "factor": 1}
+
+    @pytest.mark.parametrize(
+        "build", [functools.partial(cyclic_ring, 3), lambda: rep_ring("s4"), lambda: two_field_ring()],
+        ids=["z3", "rep(s4)", "ising x C(Z3,0)"],
+    )
+    def test_codegree_matrix_built_once(self, build, monkeypatch):
+        # with no maximal-rank subring, the codegree spectrum and
+        # induction_data's H read one matrix, cached on the ring; each
+        # codegree_matrix call returns its own copy of it
+        built = []
+        element = obstruction._codegree_element
+        monkeypatch.setattr(
+            obstruction, "_codegree_element", lambda r: built.append(r) or element(r)
+        )
+        ring = build()
+        assert detect_mr(ring) is None
+        H = induction_data(ring).H
+        assert len(built) == 1
+        M = codegree_matrix(ring)
+        assert M == [list(row) for row in H]
+        M[0][0] += 1
+        assert codegree_matrix(ring) == [list(row) for row in H] and len(built) == 1
 
     @pytest.mark.parametrize(
         "build",
@@ -687,6 +709,20 @@ class TestI1Oracles:
                 for pick in (min, max)
             )
             assert tilings._interval(i, least) == want, (i, least)
+
+    def test_tilings_compare_by_value(self):
+        # equality and hash read the rows, ties and bounds, not the count
+        # memo or the interval cache that counting fills
+        ring = near_group(6, 6)
+        warm = i1_dimension_system(ring).solutions
+        count = len(warm)
+        cold = Tilings(warm.rows, warm.tied, warm.bounds)
+        assert warm._memo and not cold._memo
+        assert warm == cold == i1_dimension_system(ring).solutions
+        assert hash(warm) == hash(cold) and len({warm, cold}) == 1
+        assert len(cold) == count and list(cold) == list(warm)
+        other = Tilings(warm.rows, warm.tied, tuple(b + 1 for b in warm.bounds))
+        assert warm != other and warm != (warm.rows, warm.tied, warm.bounds)
 
     def test_ising_su2_4_pinned(self):
         # 9942 tilings, counted without listing them; obstruct reads only

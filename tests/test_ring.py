@@ -10,9 +10,20 @@ from hypothesis import strategies as st
 from ring_oracles import (
     cubic_ring,
     deligne_product,
+    dense_close,
+    dense_grading,
+    dense_invertibles,
+    dense_is_positive_character,
+    dense_supp,
+    dense_support,
     haagerup_izumi_ring,
     su2_ring,
     subrings_bruteforce,
+)
+from test_obstruction import (
+    commutative_rings,
+    noncommutative_rings,
+    rank4_and_near_group_rings,
 )
 
 from mrfw.corpus import (
@@ -526,7 +537,9 @@ class TestFPDims:
         # and prints as a cold one, and its copies keep the cached facts
         ring, cold = build(), build()
         dims = fpdims(ring)
-        assert cold._facts == {} and set(ring._facts) == {"validate", "detect_mr", "fpdims"}
+        assert cold._facts == {} and set(ring._facts) == {
+            "sparse", "validate", "detect_mr", "is_commutative", "fpdims"
+        }
         assert ring == cold and hash(ring) == hash(cold) and repr(ring) == repr(cold)
         for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
             assert copied == ring and hash(copied) == hash(ring)
@@ -652,15 +665,15 @@ class TestDetectMR:
         assert searches == [ising_ring(), cyclic_ring(4)]
 
     def test_invalid_ring_raises_on_every_call(self):
-        # a call that raises caches nothing: only the axiom check, which
-        # returns its violations, is cached, and the cache leaves the
-        # ring's value alone
+        # a call that raises caches nothing: only the sparse index and the
+        # axiom check, which returns its violations, are cached, and the
+        # cache leaves the ring's value alone
         bad = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]])
         for _ in range(2):
             for fact in (detect_mr, fpdims):
                 with pytest.raises(InvalidRingError, match="duality-normalization"):
                     fact(bad)
-        assert set(bad._facts) == {"validate"}
+        assert set(bad._facts) == {"sparse", "validate"}
         cold = FusionRing(bad.labels, bad.N)
         assert bad == cold and hash(bad) == hash(cold) and repr(bad) == repr(cold)
 
@@ -715,3 +728,124 @@ class TestInvertibles:
         group = invertibles(rep_s3_ring())
         assert group.elements == (0, 2)
         assert group.table[1][1] == 0
+
+
+def index_rings():
+    """The rings the sparse index is checked on: `commutative_rings()` (the
+    corpus among them), `rank4_and_near_group_rings(16)` and the
+    noncommutative rings."""
+    for name, build in commutative_rings():
+        yield name, build()
+    yield from rank4_and_near_group_rings(16)
+    for name, build in noncommutative_rings():
+        yield name, build()
+
+
+def perturbed_rings():
+    """Invalid rings that keep Frobenius reciprocity: one orbit of entries
+    raised by one, which mostly breaks associativity, or lowered to -1.  A
+    raised orbit that leaves the ring valid (C(D, kappa + 1)) is skipped
+    by `dense_validate`."""
+    for name in ("fibonacci", "ising", "rep-s3", "z3-base-k3", "s3-base-k5"):
+        ring = CORPUS[name]
+        n = ring.rank
+        for i, j, k in ((n - 1, n - 1, n - 1), (1, n - 1, n - 1)):
+            for target in (None, -1):
+                N = [[list(row) for row in plane] for plane in ring.N]
+                for a, b, c in frobenius_orbit(ring, i, j, k):
+                    N[a][b][c] = N[a][b][c] + 1 if target is None else target
+                mutant = FusionRing(ring.labels, N)
+                if dense_validate(mutant):
+                    yield f"{name} {(i, j, k)} -> {target or '+1'}", mutant
+
+
+class TestSparseIndex:
+    """`FusionRing.sparse` against the dense row scans it replaced, kept in
+    `ring_oracles`: every analysis that reads the index gives what those
+    scans give, on valid, noncommutative and invalid rings."""
+
+    @staticmethod
+    def analyses(ring):
+        """validate, support, the closure of each element, subrings,
+        detect_mr, fpdims and the positive-character check on a fresh copy
+        of `ring`; a fact that raises InvalidRingError gives its message."""
+        ring = FusionRing(ring.labels, ring.N)
+        n = ring.rank
+        out = {
+            "validate": ring.validate(),
+            "support": [[ring.support(i, j) for j in range(n)] for i in range(n)],
+            "closure": [ring.closure((i,)) for i in range(n)],
+        }
+        for fact in (subrings, detect_mr, fpdims):
+            try:
+                out[fact.__name__] = fact(ring)
+            except InvalidRingError as exc:
+                out[fact.__name__] = str(exc)
+        if isinstance(out["fpdims"], ring_module.FPDims):
+            out["character"] = ring_module._is_positive_character(ring, out["fpdims"].dims)
+        return out
+
+    @classmethod
+    def dense_analyses(cls, ring, monkeypatch):
+        """`analyses` with the dense scans of `ring_oracles` in place of
+        the index and of every routine that reads it."""
+        with monkeypatch.context() as m:
+            m.setattr(FusionRing, "sparse", property(dense_supp))
+            m.setattr(FusionRing, "support", dense_support)
+            m.setattr(FusionRing, "_close", dense_close)
+            m.setattr(ring_module, "_is_positive_character", dense_is_positive_character)
+            return cls.analyses(ring)
+
+    @staticmethod
+    def structure(ring):
+        """Grading and invertibles as plain data, or the error's message."""
+        try:
+            g = adjoint_and_grading(ring)
+            group = invertibles(ring)
+        except InvalidRingError as exc:
+            return str(exc)
+        return (g.adjoint, g.components, g.table), (group.elements, group.table)
+
+    @staticmethod
+    def dense_structure(ring):
+        try:
+            return dense_grading(ring), dense_invertibles(ring)
+        except InvalidRingError as exc:
+            return str(exc)
+
+    def test_index_is_the_nonzero_entries(self):
+        for name, ring in [*index_rings(), *perturbed_rings()]:
+            assert [[list(row) for row in plane] for plane in ring.sparse] == dense_supp(ring), name
+            assert ring.sparse is ring._facts["sparse"]
+
+    def test_valid_rings_match_dense_scans(self, monkeypatch):
+        count = 0
+        for name, ring in index_rings():
+            assert self.analyses(ring) == self.dense_analyses(ring, monkeypatch), name
+            assert self.structure(ring) == self.dense_structure(ring), name
+            count += 1
+        assert count == 602
+
+    def test_perturbed_rings_match_dense_scans(self, monkeypatch):
+        axioms, count = set(), 0
+        for name, ring in perturbed_rings():
+            report = ring.validate()
+            axioms |= {v.axiom for v in report}
+            assert report == dense_validate(ring), name
+            assert self.analyses(ring) == self.dense_analyses(ring, monkeypatch), name
+            assert self.structure(ring) == self.dense_structure(ring), name
+            count += 1
+        assert count == 14 and {"nonnegativity", "associativity"} <= axioms
+
+    def test_negative_entries_are_indexed_not_supported(self):
+        ring = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [1, -1]]])
+        assert ring.sparse[1][1] == ((0, 1), (1, -1))
+        assert ring.support(1, 1) == [0] == dense_support(ring, 1, 1)
+
+    def test_pickle_and_deepcopy_keep_the_index(self):
+        ring = z3_base_ring(2)
+        index = ring.sparse
+        for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert copied._facts["sparse"] == index
+            assert copied.sparse is copied._facts["sparse"]
+            assert copied == ring and hash(copied) == hash(ring)

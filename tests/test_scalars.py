@@ -120,6 +120,18 @@ class TestQuadExt:
         assert phi / phi == QuadExt(1)
         assert (phi * phi) / phi == phi
 
+    def test_reflected_division(self):
+        # int and Fraction divided by a QuadExt reach __rtruediv__
+        phi = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
+        assert 1 / phi == phi - 1 == phi.inverse()
+        assert Fraction(2, 3) / phi == (phi - 1) * Fraction(2, 3)
+        assert (5 / QuadExt(2)).as_fraction() == Fraction(5, 2)
+        assert hash(4 / QuadExt(2)) == hash(2)
+        with pytest.raises(ZeroDivisionError):
+            1 / QuadExt(0)
+        with pytest.raises(TypeError, match="for /: 'float' and 'QuadExt'"):
+            1.5 / phi
+
 
 quad_values = st.builds(
     QuadExt,
@@ -778,6 +790,22 @@ class TestCyclotomic:
         z = CycNumber.root_of_unity(7)
         x = 2 + 3 * z - z ** 5
         assert x * x.inverse() == 1
+
+    def test_reflected_subtraction_and_division(self):
+        # int and Fraction on the left reach __rsub__ and __rtruediv__
+        z = CycNumber.root_of_unity(5)
+        assert 1 - z == -(z - 1) and (1 - z) + z == 1
+        assert Fraction(1, 2) - z == -z + Fraction(1, 2)
+        assert 3 - CycNumber.root_of_unity(1) * 3 == 0
+        assert 2 / z == 2 * z ** 4 and (2 / z) * z == 2
+        assert Fraction(1, 3) / (z + 2) == (z + 2).inverse() * Fraction(1, 3)
+        assert hash(1 - z * 0) == hash(1) and hash(6 / (CycNumber.root_of_unity(1) * 2)) == hash(3)
+        with pytest.raises(ZeroDivisionError):
+            1 / (z - z)
+        with pytest.raises(TypeError, match="for -: 'float' and 'CycNumber'"):
+            1.5 - z
+        with pytest.raises(TypeError, match="for /: 'float' and 'CycNumber'"):
+            1.5 / z
 
     def test_mixed_orders(self):
         i = CycNumber.root_of_unity(4)
