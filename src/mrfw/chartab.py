@@ -103,36 +103,6 @@ def _lifted(t: CharacterTable) -> tuple:
     return _fact(t, "lift", lambda t: _lift(t, 3))
 
 
-def class_inverse_permutation(t: CharacterTable) -> tuple[int, ...]:
-    """Permutation sending each class to the class of inverse elements.
-
-    Inferred from the identity chi(g^-1) = conj(chi(g)): the inverse class
-    of column j is the unique column matching the conjugated column j in
-    every character.  An explicit permutation stored on the table wins,
-    once it is checked to be a permutation with that property (ValueError
-    otherwise).
-    """
-    k = t.k
-    _, rows, conj, _ = _lifted(t)
-    if t.inverse_perm is not None:
-        problem = _inverse_perm_problem(t, rows, conj)
-        if problem:
-            raise ValueError(problem)
-        return t.inverse_perm
-    columns: dict[tuple, list[int]] = {}
-    for m in range(k):
-        columns.setdefault(tuple(rows[i][m] for i in range(k)), []).append(m)
-    perm: list[int] = []
-    for j in range(k):
-        matches = columns.get(tuple(conj[i][j] for i in range(k)), [])
-        if len(matches) != 1:
-            raise ValueError(
-                f"class {j} has {len(matches)} inverse-class candidates"
-            )
-        perm.append(matches[0])
-    return tuple(perm)
-
-
 def _inverse_perm_problem(t: CharacterTable, rows: list, conj: list) -> Optional[str]:
     """What is wrong with the table's stored inverse-class permutation, at
     the first bad class: it is not a permutation of the k classes, or

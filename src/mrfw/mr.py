@@ -205,10 +205,6 @@ class PrimalityCertificate(NamedTuple):
     subring_ranks: tuple[int, ...]  # proper nontrivial subring ranks
     lines: tuple[str, ...]
 
-    @property
-    def is_vacuous(self) -> bool:
-        return not self.subring_ranks
-
 
 def prime_rank_check(ring: FusionRing, mr: MRData) -> PrimalityCertificate:
     """Arithmetic certificate that no proper nontrivial subring rank r can

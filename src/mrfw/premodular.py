@@ -71,16 +71,6 @@ class PremodularData(NamedTuple):
     S: tuple[tuple[CycNumber, ...], ...]
 
 
-def smatrix(
-    ring: FusionRing,
-    dims: Sequence[ScalarLike],
-    twists: Sequence[ScalarLike],
-) -> list[list[CycNumber]]:
-    """S-matrix by the balancing equation, entry-wise and exact: the rows
-    of `premodular_data(ring, dims, twists).S`, which validates the input."""
-    return [list(r) for r in premodular_data(ring, dims, twists).S]
-
-
 def premodular_data(
     ring: FusionRing,
     dims: Sequence[ScalarLike],

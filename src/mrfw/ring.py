@@ -107,8 +107,12 @@ class FusionRing(_Frozen):
         """Axiom check; an empty list means valid.
 
         Reports the first violation, in index order, of each axiom.  Each
-        axiom is first tested on whole arrays; its ordered scan runs only
+        axiom is first tested on the whole ring; its ordered scan runs only
         when that test fails, so the report is the exhaustive scan's.
+        Nonnegativity and Frobenius reciprocity are tested on the `sparse`
+        index, in time linear in the number of nonzero entries: the
+        smallest indexed value (negative entries are indexed), and
+        `_reciprocal`'s matches and counts.
 
         Associativity is tested on a generating set.  W, the set of x with
         (x a) b = x (a b) for all a, b, is a subspace, and a subalgebra:
@@ -120,6 +124,10 @@ class FusionRing(_Frozen):
         index order, skipping rows already known to be in W; once W holds
         the whole basis the ring is associative.  On C(Z_a, kappa) only
         g and the extra element are checked: 2 n^2 triples, not n^3.
+        A triple (i, j, k) where X_i X_j = X_m and X_j X_k = X_m' are
+        single terms with coefficient 1 is settled by comparing two index
+        entries, those of X_m X_k and X_i X_m'; every other triple builds
+        both sides as sparse vectors.
 
         The check runs once per (immutable) ring; every call returns a
         fresh list, so callers may modify it."""
@@ -127,10 +135,11 @@ class FusionRing(_Frozen):
 
     def _first_violations(self):
         """The first violation of each failing axiom, in reporting order."""
-        n, N, dual = self.rank, self.N, self.dual
-        identity = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+        n, N, dual, supp = self.rank, self.N, self.dual, self.sparse
+        zeros = (0,) * n
+        identity = tuple(zeros[:j] + (1,) + zeros[j + 1:] for j in range(n))
         left_unit = N[0] == identity
-        units = [[N[i][j][0] for j in range(n)] for i in range(n)]
+        units = [[row[0] for row in plane] for plane in N]
 
         def first(stream):
             return itertools.islice(stream, 1)
@@ -138,7 +147,9 @@ class FusionRing(_Frozen):
         def cube():
             return itertools.product(range(n), repeat=3)
 
-        if min(map(min, itertools.chain.from_iterable(N))) < 0:
+        # negative entries are nonzero, so the index holds them all
+        nonzeros = itertools.chain.from_iterable(itertools.chain.from_iterable(supp))
+        if min(map(operator.itemgetter(1), nonzeros), default=0) < 0:
             yield from first(Violation("nonnegativity", (i, j, k), "negative")
                              for i, j, k in cube() if N[i][j][k] < 0)
         if not left_unit:
@@ -152,17 +163,11 @@ class FusionRing(_Frozen):
                          for i, row in enumerate(units) if row.count(1) != 1 or sum(row) != 1)
         yield from first(Violation("duality-involution", (i,), f"dual map {dual}")
                          for i in range(n) if dual[dual[i]] != i or dual[0] != 0)
-        # N_ij^k = N_{i* k}^j: plane i is the transpose of plane i*, and
-        # N_ij^k = N_{k j*}^i: column slice j is the transpose of slice j*
-        columns = [tuple(plane[j] for plane in N) for j in range(n)]
-        if any(N[i] != tuple(zip(*N[dual[i]])) for i in range(n)) or any(
-            columns[j] != tuple(zip(*columns[dual[j]])) for j in range(n)
-        ):
+        if not _reciprocal(self):
             yield from first(Violation("frobenius-reciprocity", (i, j, k),
                                        f"{N[i][j][k]}, {N[dual[i]][k][j]}, {N[k][dual[j]][i]}")
                              for i, j, k in cube()
                              if not N[i][j][k] == N[dual[i]][k][j] == N[k][dual[j]][i])
-        supp = self.sparse
         if not self._associative_on_generators(supp, left_unit):
             yield from first(self._associativity_violations(supp, range(n)))
 
@@ -205,23 +210,36 @@ class FusionRing(_Frozen):
         """For i in `rows` and all j, k, in index order, compare
         (X_i X_j) X_k with X_i (X_j X_k) as sparse vectors built from the
         nonzero structure constants `supp`, the `sparse` index, at the
-        smallest differing basis index l."""
+        smallest differing basis index l.
+
+        When X_i X_j = X_m and X_j X_k = X_m' are single basis terms with
+        coefficient 1, the two sides are the index entries supp[m][k] and
+        supp[i][m']; equal entries (ascending and nonzero, so equal as
+        vectors) pass the pair without building a vector."""
         n = self.rank
         for i in rows:
-            for j, k in itertools.product(range(n), repeat=2):
-                lhs: dict[int, int] = {}
-                rhs: dict[int, int] = {}
-                for m, c in supp[i][j]:
-                    for l, e in supp[m][k]:
-                        lhs[l] = lhs.get(l, 0) + c * e
-                for m, c in supp[j][k]:
-                    for l, e in supp[i][m]:
-                        rhs[l] = rhs.get(l, 0) + c * e
-                if lhs != rhs:
-                    for l in sorted(lhs.keys() | rhs.keys()):
-                        a, b = lhs.get(l, 0), rhs.get(l, 0)
-                        if a != b:
-                            yield Violation("associativity", (i, j, k, l), f"{a} != {b}")
+            Si = supp[i]
+            for j in range(n):
+                ij, Sj = Si[j], supp[j]
+                m_ij = ij[0][0] if len(ij) == 1 and ij[0][1] == 1 else None
+                for k in range(n):
+                    jk = Sj[k]
+                    if (m_ij is not None and len(jk) == 1 and jk[0][1] == 1
+                            and supp[m_ij][k] == Si[jk[0][0]]):
+                        continue
+                    lhs: dict[int, int] = {}
+                    rhs: dict[int, int] = {}
+                    for m, c in ij:
+                        for l, e in supp[m][k]:
+                            lhs[l] = lhs.get(l, 0) + c * e
+                    for m, c in jk:
+                        for l, e in Si[m]:
+                            rhs[l] = rhs.get(l, 0) + c * e
+                    if lhs != rhs:
+                        for l in sorted(lhs.keys() | rhs.keys()):
+                            a, b = lhs.get(l, 0), rhs.get(l, 0)
+                            if a != b:
+                                yield Violation("associativity", (i, j, k, l), f"{a} != {b}")
 
     @property
     def is_valid(self) -> bool:
@@ -298,6 +316,31 @@ def _commutes(ring: FusionRing) -> bool:
     """The comparison behind `FusionRing.is_commutative`."""
     n, N = ring.rank, ring.N
     return all(N[i][j] == N[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def _reciprocal(ring: FusionRing) -> bool:
+    """Frobenius reciprocity, N_ij^k = N_{i* k}^j = N_{k j*}^i, tested on
+    the `sparse` index: plane i must be the transpose of plane i*, and
+    column slice j the transpose of slice j*.  Every nonzero (i, j, k, c)
+    must be matched by N[i*][k][j] == c == N[k][j*][i], and each plane and
+    slice must have as many nonzeros as its dual's.  Transposition is
+    injective, so the matches map the nonzeros of plane i one-to-one onto
+    those of plane i*, which equal counts make all of them; likewise for
+    slices.  `dual` need not be an involution."""
+    N, supp, dual = ring.N, ring.sparse, ring.dual
+    counts = [list(map(len, Si)) for Si in supp]
+    planes = list(map(sum, counts))
+    slices = list(map(sum, zip(*counts)))
+    if any(planes[i] != planes[d] or slices[i] != slices[d] for i, d in enumerate(dual)):
+        return False
+    for i, Si in enumerate(supp):
+        Ndi = N[dual[i]]
+        for j, terms in enumerate(Si):
+            dj = dual[j]
+            for k, c in terms:
+                if not Ndi[k][j] == c == N[k][dj][i]:
+                    return False
+    return True
 
 
 def _sparse_index(ring: FusionRing):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mrfw import chartab, scalars
 from mrfw.chartab import (
     CharacterTable,
-    class_inverse_permutation,
     fusion_from_table,
     gagola_condition,
     theorem57_check,
@@ -23,7 +22,6 @@ from mrfw.corpus import (
     cyclic_ring,
     cyclic_table,
     d8_table,
-    klein_table,
     q8_table,
     rep_s3_ring,
     s3_table,
@@ -75,39 +73,24 @@ class TestValidateTable:
         assert s4_table().centralizer_orders == (24, 4, 8, 3, 4)
 
 
+def with_inverse_perm(t, perm):
+    """The table `t` with `perm` stored as its inverse-class permutation."""
+    return CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=perm)
+
+
 class TestInversePermutation:
+    """A permutation stored on the table is checked by `validate_table`."""
+
     def test_cyclic(self):
-        assert class_inverse_permutation(cyclic_table(4)) == (0, 3, 2, 1)
-        assert class_inverse_permutation(cyclic_table(5)) == (0, 4, 3, 2, 1)
+        assert validate_table(with_inverse_perm(cyclic_table(4), (0, 3, 2, 1))) == []
+        assert validate_table(with_inverse_perm(cyclic_table(5), (0, 4, 3, 2, 1))) == []
 
     def test_real_tables_fixed(self):
         for t in (s3_table(), d8_table(), q8_table(), s4_table()):
-            perm = class_inverse_permutation(t)
-            assert perm == tuple(range(t.k))
+            assert validate_table(with_inverse_perm(t, tuple(range(t.k)))) == []
 
     def test_a4_swaps_threecycles(self):
-        assert class_inverse_permutation(a4_table()) == (0, 1, 3, 2)
-
-    def test_two_equal_columns_rejected(self):
-        # columns 1 and 2 are equal and real, so each is a candidate for the
-        # inverse class of both
-        t = CharacterTable(3, [1, 1, 1], [[1, 1, 1], [1, -1, -1], [2, 0, 0]])
-        with pytest.raises(ValueError, match="class 1 has 2 inverse-class candidates"):
-            class_inverse_permutation(t)
-
-    def test_no_candidate_rejected(self):
-        # conj(zeta_3) = zeta_3^2 occurs in no column
-        w = CycNumber.root_of_unity(3)
-        t = CharacterTable(3, [1, 1, 1], [[1, 1, 1], [1, w, 2], [1, 1, 3]])
-        with pytest.raises(ValueError, match="class 1 has 0 inverse-class candidates"):
-            class_inverse_permutation(t)
-
-    def test_explicit_perm_wins(self):
-        t = klein_table()
-        t2 = CharacterTable(
-            t.order, t.class_sizes, t.characters, inverse_perm=(0, 1, 2, 3)
-        )
-        assert class_inverse_permutation(t2) == (0, 1, 2, 3)
+        assert validate_table(with_inverse_perm(a4_table(), (0, 1, 3, 2))) == []
 
     @pytest.mark.parametrize(
         "perm,problem",
@@ -124,8 +107,6 @@ class TestInversePermutation:
         t = s3_table()
         bad = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=perm)
         assert validate_table(bad) == [problem]
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            class_inverse_permutation(bad)
         with pytest.raises(ValueError, match=re.escape(f"invalid table: {problem}")):
             theorem57_check(bad)
 
@@ -143,8 +124,6 @@ class TestInversePermutation:
         # apart, so the message is the one the true sizes give
         for sizes in (table.class_sizes, [0] * table.k):
             bad = CharacterTable(table.order, sizes, table.characters, inverse_perm=perm)
-            with pytest.raises(ValueError, match=re.escape(problem)):
-                class_inverse_permutation(bad)
             assert problem in validate_table(bad)
 
     def test_explicit_perm_checked_against_conjugates(self):
@@ -152,7 +131,6 @@ class TestInversePermutation:
         t = cyclic_table(3)
         good = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=(0, 2, 1))
         assert validate_table(good) == []
-        assert class_inverse_permutation(good) == (0, 2, 1)
         bad = CharacterTable(t.order, t.class_sizes, t.characters, inverse_perm=(0, 1, 2))
         assert validate_table(bad) == [
             "inverse_perm sends class 1 to 1, not to its inverse class"
@@ -480,8 +458,8 @@ class TestTheorem57:
 
     def test_lifts_and_packs_the_table_once(self, monkeypatch):
         # one field for every check on a table, and each of the k^2 values
-        # packed once for the validation, the multiplicities and the
-        # inverse classes; a rational value is its own conjugate, so only
+        # packed once for the validation and the multiplicities; a
+        # rational value is its own conjugate, so only
         # irrational values pack a conjugate too: S4's table is rational,
         # and packs 25 times.  The validation and the multiplicities run
         # once per table, however many checks read them
@@ -503,7 +481,7 @@ class TestTheorem57:
                              "_validate": 1, "_fusion": 1}
 
 
-CHECKS = (validate_table, fusion_from_table, theorem57_check, class_inverse_permutation)
+CHECKS = (validate_table, fusion_from_table, theorem57_check)
 
 
 def _fresh(t):
@@ -548,8 +526,7 @@ def assert_cache_matches_fresh_tables(t):
     same exception; the validation and the multiplicities also match
     the per-term oracles, and only the checks that return are cached."""
     want = {check: _result(check, _fresh(t)) for check in CHECKS}
-    orders = (CHECKS, CHECKS[::-1], (theorem57_check, class_inverse_permutation,
-                                     fusion_from_table, validate_table))
+    orders = (CHECKS, CHECKS[::-1], (theorem57_check, validate_table, fusion_from_table))
     for order in orders:
         table = _fresh(t)
         for check in order + order:
@@ -607,7 +584,6 @@ class TestFactCache:
             assert fusion_from_table(copied) is facts["fusion"]
             assert fusion_from_table(copied) == fusion_from_table(warm)
             assert theorem57_check(copied) == theorem57_check(warm)
-            assert class_inverse_permutation(copied) == class_inverse_permutation(warm)
 
 
 class TestCodegreeCentralizerProperty:

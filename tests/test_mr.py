@@ -257,7 +257,7 @@ class TestPrimeRankCheck:
 
     def test_fibonacci_vacuous(self):
         ring = fibonacci_ring()
-        assert prime_rank_check(ring, detect_mr(ring)).is_vacuous
+        assert prime_rank_check(ring, detect_mr(ring)).subring_ranks == ()
 
     def test_s3_base(self):
         ring = s3_base_ring(1)

@@ -26,7 +26,6 @@ from mrfw.premodular import (
     centralizer_of,
     degeneracy_class,
     premodular_data,
-    smatrix,
     tannakian_row_obstruction,
 )
 from mrfw.ring import FusionRing, InvalidRingError, detect_mr, fpdims
@@ -47,26 +46,24 @@ def z2_modular_data():
 
 class TestSMatrix:
     def test_fibonacci(self):
-        S = smatrix(fibonacci_ring(), [1, PHI], [1, Z5 ** 2])
-        assert S[0] == [CycNumber.from_rational(1), PHI]
+        S = fib_data().S
+        assert S[0] == (CycNumber.from_rational(1), PHI)
         assert S[1][0] == PHI
         assert S[1][1] == -1
 
     def test_fibonacci_quadratic_dims_embedded(self):
         phi_q = (1 + QuadExt.sqrt(5)) * Fraction(1, 2)
-        assert smatrix(fibonacci_ring(), [1, phi_q], [1, Z5 ** 2]) == smatrix(
-            fibonacci_ring(), [1, PHI], [1, Z5 ** 2]
-        )
+        assert premodular_data(fibonacci_ring(), [1, phi_q], [1, Z5 ** 2]).S == fib_data().S
 
     def test_pointed_z2_fourth_root(self):
         for theta in (I4, I4 ** 3):
-            S = smatrix(cyclic_ring(2), [1, 1], [1, theta])
-            assert S == [[1, 1], [1, -1]]
+            S = premodular_data(cyclic_ring(2), [1, 1], [1, theta]).S
+            assert S == ((1, 1), (1, -1))
 
     def test_trivial_twists_give_dim_products(self):
         ring = rep_s3_ring()
         d = [1, 2, 1]
-        S = smatrix(ring, d, [1, 1, 1])
+        S = premodular_data(ring, d, [1, 1, 1]).S
         for i in range(3):
             for j in range(3):
                 assert S[i][j] == d[i] * d[j]
@@ -96,19 +93,19 @@ class TestSMatrix:
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="multiplicative"):
-            smatrix(fibonacci_ring(), [1, 2], [1, 1])
+            premodular_data(fibonacci_ring(), [1, 2], [1, 1])
 
     def test_rejects_nonunit_twist(self):
         with pytest.raises(ValueError, match="root of unity"):
-            smatrix(cyclic_ring(2), [1, 1], [1, 2])
+            premodular_data(cyclic_ring(2), [1, 1], [1, 2])
         with pytest.raises(ValueError, match="unit"):
-            smatrix(cyclic_ring(2), [1, 1], [-1, 1])
+            premodular_data(cyclic_ring(2), [1, 1], [-1, 1])
 
     def test_rejects_invalid_ring(self):
         # Z_2 with the unit rows swapped: basis element 0 is not a unit
         ring = FusionRing(["1", "g"], [[[0, 1], [1, 0]], [[1, 0], [0, 1]]])
         with pytest.raises(InvalidRingError):
-            smatrix(ring, [1, 1], [1, 1])
+            premodular_data(ring, [1, 1], [1, 1])
 
     def test_ising_every_twist_is_modular(self):
         # the near-group C(Z_2, 0) with dims (1, 1, sqrt 2) and theta_g = -1:
@@ -186,7 +183,8 @@ class TestConductorBound:
 
 def reference_smatrix(ring, dims, twists):
     """The balancing equation summed term by term in CycNumber arithmetic,
-    after the per-pair multiplicativity check: the oracle for `smatrix`."""
+    after the per-pair multiplicativity check: the oracle for the S-matrix
+    of `premodular_data`."""
     n = ring.rank
     d = [_to_cyc(x) for x in dims]
     t = [_to_cyc(x) for x in twists]
@@ -243,7 +241,6 @@ REFERENCE_CASES = {name: rest for name, *rest in reference_cases()}
 def test_smatrix_matches_per_term_reference(name):
     ring, dims, twists = REFERENCE_CASES[name]
     want = reference_smatrix(ring, dims, twists)
-    assert smatrix(ring, dims, twists) == want
     data = premodular_data(ring, dims, twists)
     assert data.S == tuple(tuple(row) for row in want)
     assert data.dims == tuple(_to_cyc(x) for x in dims)
@@ -267,7 +264,7 @@ def test_multiplicativity_message_matches_reference(ring, dims):
     with pytest.raises(ValueError) as want:
         reference_smatrix(ring, dims, twists)
     with pytest.raises(ValueError) as got:
-        smatrix(ring, dims, twists)
+        premodular_data(ring, dims, twists)
     assert str(got.value) == str(want.value)
 
 
@@ -422,7 +419,8 @@ def laplace_det(M):
 
 def pointed_smatrix(n):
     zeta = CycNumber.root_of_unity(n)
-    return smatrix(cyclic_ring(n), [1] * n, [zeta ** (k * k) for k in range(n)])
+    data = premodular_data(cyclic_ring(n), [1] * n, [zeta ** (k * k) for k in range(n)])
+    return [list(row) for row in data.S]
 
 
 def random_cyc_matrix(rng, size, order):

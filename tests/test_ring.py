@@ -155,6 +155,14 @@ def frobenius_orbit(ring, i, j, k):
     return orbit
 
 
+def one_term_products(ring):
+    """The (i, j, m) with X_i X_j = X_m and i, j, m not the unit: the
+    pairs the associativity scan compares by index lookup."""
+    n, S = ring.rank, ring.sparse
+    return [(i, j, S[i][j][0][0]) for i in range(1, n) for j in range(1, n)
+            if len(S[i][j]) == 1 and S[i][j][0][0] != 0 and S[i][j][0][1] == 1]
+
+
 # rings for the comparison with dense_validate: the corpus and C(Z_a,
 # kappa), a <= 12, where the generating set {g, extra} leaves most rows
 # unchecked
@@ -165,18 +173,30 @@ VALIDATE_RINGS = {
 }
 
 
+# the rings of VALIDATE_RINGS up to rank 7, where every mutant of a kind
+# can be compared with dense_validate
+SMALL_VALIDATE_RINGS = {name: ring for name, ring in VALIDATE_RINGS.items() if ring.rank <= 7}
+
+
 @st.composite
 def ring_mutants(draw):
     """A ring of VALIDATE_RINGS with one or two entries moved by 1..5 either
     way, with a whole Frobenius orbit moved (so that only associativity can
-    fail), or with the planes of a non-self-dual X_i and X_i* swapped."""
+    fail), with the planes of a non-self-dual X_i and X_i* swapped, with a
+    one-term product X_i X_j = X_m of non-units raised to 2 X_m along its
+    whole orbit (only associativity can fail, and single-term pairs must
+    not pass on it), or with two different entries of one row swapped
+    (every plane and slice keeps its nonzero count)."""
     ring = VALIDATE_RINGS[draw(st.sampled_from(sorted(VALIDATE_RINGS)))]
     n = ring.rank
     N = [[list(row) for row in plane] for plane in ring.N]
     index = st.integers(0, n - 1)
     delta = st.integers(1, 5).flatmap(lambda d: st.sampled_from([d, -d]))
     pairs = [i for i in range(n) if ring.dual[i] != i]
-    kind = draw(st.sampled_from(["entries", "orbit"] + ["swap"] * bool(pairs)))
+    singles = one_term_products(ring)
+    rows = [(i, j) for i in range(n) for j in range(n) if len(set(ring.N[i][j])) > 1]
+    kind = draw(st.sampled_from(["entries", "orbit"] + ["swap"] * bool(pairs)
+                                + ["scaled"] * bool(singles) + ["row swap"] * bool(rows)))
     if kind == "swap":
         i = draw(st.sampled_from(pairs))
         N[i], N[ring.dual[i]] = N[ring.dual[i]], N[i]
@@ -184,6 +204,15 @@ def ring_mutants(draw):
         d = draw(delta)
         for i, j, k in frobenius_orbit(ring, draw(index), draw(index), draw(index)):
             N[i][j][k] += d
+    elif kind == "scaled":
+        for i, j, k in frobenius_orbit(ring, *draw(st.sampled_from(singles))):
+            N[i][j][k] = 2
+    elif kind == "row swap":
+        i, j = draw(st.sampled_from(rows))
+        row = N[i][j]
+        a = draw(index)
+        b = draw(st.sampled_from([k for k in range(n) if row[k] != row[a]]))
+        row[a], row[b] = row[b], row[a]
     else:
         for _ in range(draw(st.integers(1, 2))):
             N[draw(index)][draw(index)][draw(index)] += draw(delta)
@@ -324,6 +353,66 @@ class TestValidate:
         report = FusionRing(ring.labels, N).validate()
         assert [v.axiom for v in report] == ["associativity"]
         assert report == dense_validate(FusionRing(ring.labels, N))
+
+    def test_scaled_one_term_products_fail_associativity_only(self):
+        # X_i X_j = 2 X_m along a whole Frobenius orbit keeps every other
+        # axiom; the pairs compared by index lookup must not pass it
+        count = 0
+        for name, ring in SMALL_VALIDATE_RINGS.items():
+            for t in one_term_products(ring):
+                N = [[list(row) for row in plane] for plane in ring.N]
+                for i, j, k in frobenius_orbit(ring, *t):
+                    N[i][j][k] = 2
+                mutant = FusionRing(ring.labels, N)
+                report = mutant.validate()
+                assert report == dense_validate(mutant), (name, t)
+                assert [v.axiom for v in report] == ["associativity"], (name, t)
+                count += 1
+        assert count == 238
+
+    def test_row_swaps_break_reciprocity(self):
+        # two different entries of one row swapped: every plane and slice
+        # keeps its nonzero count, so only the matches can catch it
+        count = 0
+        for name, ring in SMALL_VALIDATE_RINGS.items():
+            n = ring.rank
+            for i, j in itertools.product(range(n), repeat=2):
+                row = ring.N[i][j]
+                for a, b in itertools.combinations(range(n), 2):
+                    if row[a] != row[b]:
+                        N = [[list(r) for r in plane] for plane in ring.N]
+                        N[i][j][a], N[i][j][b] = row[b], row[a]
+                        mutant = FusionRing(ring.labels, N)
+                        report = mutant.validate()
+                        assert report == dense_validate(mutant), (name, i, j, a, b)
+                        assert "frobenius-reciprocity" in {v.axiom for v in report}
+                        count += 1
+        assert count == 2160
+
+    @pytest.mark.parametrize(
+        "N,violation",
+        [
+            # dual = (0, 0): plane 0 and slice 0 have three nonzeros, plane 1
+            # and slice 1, which must be their transposes, one each
+            ([[[1, 1], [1, 0]], [[1, 0], [0, 0]]], ((0, 1, 1), "0, 0, 1")),
+            # dual = (1, 1): the planes have three nonzeros each, but slice 0
+            # has two and slice 1, its transpose, four
+            ([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], ((0, 0, 0), "0, 0, 1")),
+        ],
+    )
+    def test_reciprocity_counts_catch_a_dual_that_is_not_injective(self, N, violation):
+        # every nonzero has its matches; only the counts show the failure
+        ring = FusionRing(["e", "x"], N)
+        report = ring.validate()
+        assert report == dense_validate(ring)
+        assert Violation("frobenius-reciprocity", *violation) in report
+
+    def test_explicit_zero_sum_is_no_violation(self):
+        # (x x) y = y y + z y = y - y sums to an explicit 0 at y, and
+        # x (x y) = 0: the vectors agree, so the row of x passes
+        ring = self.nilpotent_ring(yy=1)
+        assert list(ring._associativity_violations(ring.sparse, (1,))) == []
+        assert ring.validate() == dense_validate(ring)
 
 
 class TestLeftMatrix:
