@@ -79,11 +79,11 @@ class CharacterTable(_Frozen):
 
 
 def _lift(t: CharacterTable, factors: int) -> tuple:
-    """`(den, rows, conj, coords)`: `_packed_field` of the table's values
+    """`(den, rows, conj, rational)`: `_packed_field` of the table's values
     for sums of products of up to `factors` of them weighted by class
     sizes, where `rows[i][c]` and `conj[i][c]` are chi_i at class c and
     its conjugate, packed.  Taken once per table, by `_lifted`."""
-    _, den, nums, conjs, coords = _packed_field(
+    _, den, nums, conjs, _, rational = _packed_field(
         (v for row in t.characters for v in row),
         sum(map(abs, t.class_sizes)),
         factors,
@@ -93,13 +93,13 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
         rows.append(nums[at:at + len(row)])
         conj.append(conjs[at:at + len(row)])
         at += len(row)
-    return den, rows, conj, coords
+    return den, rows, conj, rational
 
 
 def _lifted(t: CharacterTable) -> tuple:
     """The table's lift, cached: taken once, at 3 factors, which is wide
     enough for the multiplicity sums, and so for every sum of fewer values
-    (`_packed_field`: a wider slot gives the same digits)."""
+    (`_packed_field`: a wider slot reads the same sums)."""
     return _fact(t, "lift", lambda t: _lift(t, 3))
 
 
@@ -119,11 +119,6 @@ def _inverse_perm_problem(t: CharacterTable, rows: list, conj: list) -> Optional
     return None
 
 
-def _is_integer(acc: list[int], value: int) -> bool:
-    """Whether reduced coordinates `acc` are those of the integer `value`."""
-    return acc[0] == value and not any(acc[1:])
-
-
 def validate_table(t: CharacterTable) -> list[str]:
     """Check the defining identities of a character table exactly.
 
@@ -135,7 +130,7 @@ def validate_table(t: CharacterTable) -> list[str]:
 
 
 def _validate(t: CharacterTable) -> tuple[str, ...]:
-    den, packed, packed_conj, coords = _lifted(t)
+    den, packed, packed_conj, rational = _lifted(t)
     problems: list[str] = []
     k = t.k
     if sum(t.class_sizes) != t.order:
@@ -177,8 +172,7 @@ def _validate(t: CharacterTable) -> tuple[str, ...]:
     for i in range(k):
         for j in range(i, k):
             want = t.order if i == j else 0
-            acc = coords(sum(map(mul, sized[j], packed[i])), 2)
-            if not _is_integer(acc, want * den2):
+            if rational(sum(map(mul, sized[j], packed[i]))) != want * den2:
                 problems.append(
                     f"row orthogonality fails for characters ({i}, {j})"
                 )
@@ -190,8 +184,7 @@ def _validate(t: CharacterTable) -> tuple[str, ...]:
     for c in range(k):
         for d in range(c, k):
             want = t.order // t.class_sizes[c] if c == d else 0
-            acc = coords(sum(map(mul, conj_columns[d], columns[c])), 2)
-            if not _is_integer(acc, want * den2):
+            if rational(sum(map(mul, conj_columns[d], columns[c]))) != want * den2:
                 problems.append(
                     f"column orthogonality fails for classes ({c}, {d})"
                 )
@@ -210,7 +203,7 @@ def fusion_from_table(t: CharacterTable) -> FusionRing:
 
 
 def _fusion(t: CharacterTable) -> FusionRing:
-    den, packed, packed_conj, coords = _lifted(t)
+    den, packed, packed_conj, rational = _lifted(t)
     kcount = t.k
     if t.order <= 0:
         raise ValueError(f"group order {t.order} is not positive")
@@ -223,19 +216,19 @@ def _fusion(t: CharacterTable) -> FusionRing:
     # reported is the same as in a full (i, j, m) scan
     for i in range(kcount):
         for j in range(i, kcount):
-            # chi_i chi_j unreduced, so each multiplicity is reduced once
+            # chi_i chi_j unreduced, so each multiplicity is one remainder
             products = list(map(mul, packed[i], packed[j]))
             for m in range(kcount):
-                acc = coords(sum(map(mul, sized[m], products)), 3)
-                if any(acc[1:]):
+                acc = rational(sum(map(mul, sized[m], products)))
+                if acc is None:
                     raise ValueError(
                         f"multiplicity ({i}, {j}, {m}) is irrational"
                     )
-                q, r = divmod(acc[0], scale)
+                q, r = divmod(acc, scale)
                 if r or q < 0:
                     raise ValueError(
                         f"multiplicity ({i}, {j}, {m}) = "
-                        f"{Fraction(acc[0], scale)} is not a nonnegative integer"
+                        f"{Fraction(acc, scale)} is not a nonnegative integer"
                     )
                 N[i][j][m] = N[j][i][m] = q
     labels = [f"chi{i + 1}" for i in range(kcount)]

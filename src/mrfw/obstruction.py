@@ -122,9 +122,13 @@ def _mr_codegrees(ring: FusionRing, mr: Optional[MRData]) -> Optional[tuple[Quad
     2a + kappa l (Ostrik, arXiv:0810.3242)."""
     if mr is None:
         return None
-    base = _base_codegrees(
-        tuple(tuple(tuple(ring.N[i][j][k] for k in mr.base) for j in mr.base) for i in mr.base)
-    )
+    # D's basis is every index but mr.extra, in order, so its constants are
+    # N with that index sliced out at each level
+    e = mr.extra
+    base = _base_codegrees(tuple(
+        tuple(row[:e] + row[e + 1:] for row in plane[:e] + plane[e + 1:])
+        for plane in ring.N[:e] + ring.N[e + 1:]
+    ))
     if base is None:
         return None
     cod = list(base)

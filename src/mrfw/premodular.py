@@ -88,8 +88,8 @@ def premodular_data(
     (ValueError) before any value is embedded: dense arithmetic in
     Q(zeta_m) takes seconds per entry at m = 10205.  The sums run in
     integer coordinates over one denominator, packed into one int each by
-    one `_packed_field` call and reduced once; a twist's inverse is its
-    complex conjugate.
+    one `_packed_field` call, and each sum is read off from one remainder
+    modulo Phi_m(2^B); a twist's inverse is its complex conjugate.
     """
     ring.require_valid()
     n = ring.rank
@@ -122,7 +122,7 @@ def premodular_data(
     # den * Sum_k N_ij^k d_k - d_i d_j and theta_i^-1 theta_j^-1 *
     # Sum_k N_ij^k theta_k d_k are within (rowsum + 1) * M^3
     rowsum = max(sum(Nij) for Ni in ring.N for Nij in Ni)
-    m, den, nums, conjs, coords = _packed_field(
+    m, den, nums, conjs, coords, rational = _packed_field(
         d + [a * b for a, b in zip(t, d)] + t, rowsum + 1, 3
     )
     pd, ptd, pinv = nums[:n], nums[n : 2 * n], conjs[2 * n :]
@@ -132,10 +132,10 @@ def premodular_data(
         for j in range(n):
             Nij = ring.N[i][j]
             diff = den * sum(map(mul, Nij, pd)) - pd[i] * pd[j]
-            if diff and any(coords(diff, 2)):
+            if rational(diff) != 0:
                 raise ValueError(f"dimensions are not multiplicative at ({i}, {j})")
             acc = pinv[i] * pinv[j] * sum(map(mul, Nij, ptd))
-            row.append(_cyc(m, coords(acc, 3), den ** 3))
+            row.append(_cyc(m, coords(acc), den ** 3))
         S.append(tuple(row))
     return PremodularData(ring, tuple(d), tuple(t), tuple(S))
 

@@ -177,9 +177,10 @@ class FusionRing(_Frozen):
         the whole basis.
 
         `known` is the part of W's basis found so far.  A worklist, as in
-        `_close`, expands each pair of its elements once; a product with two
-        or more terms outside `known` is kept in `pending` and looked at
-        again when the worklist runs dry."""
+        `_close`, expands each pair of its elements once; a one-term product
+        puts its term in `known` at once, and a product with two or more
+        terms is kept in `pending` and looked at again, against the grown
+        `known`, when the worklist runs dry."""
         n = self.rank
         known = {0} if left_unit else set()
         todo, done, pending = list(known), [], []
@@ -194,7 +195,13 @@ class FusionRing(_Frozen):
                 i = todo.pop()
                 done.append(i)
                 for j in done:
-                    pending += (supp[i][j], supp[j][i])
+                    for terms in (supp[i][j], supp[j][i]):
+                        if len(terms) > 1:
+                            pending.append(terms)
+                        elif terms and terms[0][0] not in known:
+                            m = terms[0][0]
+                            known.add(m)
+                            todo.append(m)
                 if not todo:
                     waiting, pending = pending, []
                     for terms in waiting:

@@ -862,27 +862,40 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
 def _pack(coords, B: int) -> int:
     """Integer coordinates as one int, the polynomial evaluated at 2^B
     (Kronecker substitution): a product of packed values packs the
-    polynomial product, and a sum of them packs the sum.  `_unpack`
-    recovers every coefficient of absolute value below 2^(B-1)."""
+    polynomial product, and a sum of them packs the sum.
+    `_unpack_remainder` recovers every coefficient below 2^(B-1)."""
     v = 0
     for c in reversed(coords):
         v = (v << B) + c
     return v
 
 
-def _slot_width(bound: int) -> int:
-    """A slot width B for packed sums whose every coefficient is within
-    `bound` in absolute value."""
-    return bound.bit_length() + 2
+@lru_cache(maxsize=None)
+def _reduction_growth(n: int) -> int:
+    """The largest |coefficient| of x^u mod Phi_n over u < n, which x^n = 1
+    makes every power: x^u itself below deg(Phi_n), then x times the one
+    before, reduced."""
+    low = cyclotomic_polynomial(n).coeffs[:-1]
+    row, most = [-c for c in low], 1
+    for _ in range(len(low), n):
+        most = max(most, *map(abs, row))
+        top = row.pop()
+        row.insert(0, 0)
+        if top:
+            row = [a - top * c for a, c in zip(row, low)]
+    return most
 
 
-def _unpack(v: int, B: int, length: int) -> list[int]:
-    """The first `length` signed B-bit digits of a packed value: each low
-    slot r, less 2^B when r >= 2^(B-1), after which (v - r) >> B is the
-    rest."""
+def _unpack_remainder(P: int, B: int, d: int, v: int) -> list[int]:
+    """`coords` of `_packed_field`: the first d signed B-bit digits of
+    the symmetric remainder of v modulo P: each low slot r, less 2^B when
+    r >= 2^(B-1), after which (v - r) >> B is the rest."""
+    v %= P
+    if v > P >> 1:
+        v -= P
     mask, half, top = (1 << B) - 1, 1 << (B - 1), 1 << B
     out = []
-    for _ in range(length):
+    for _ in range(d):
         r = v & mask
         v >>= B
         if r >= half:
@@ -893,30 +906,46 @@ def _unpack(v: int, B: int, length: int) -> list[int]:
 
 
 def _packed_field(values, weight: int, factors: int) -> tuple:
-    """`(n, den, nums, conjs, coords)`: `_cyclotomic_field` of the values
-    with every coordinate vector packed (`_pack`) into one int, so that a
-    sum of products of up to `factors` values, with integer weights of
-    total absolute value at most `weight`, is a sum of products of ints.
-    `coords(v, f)` unpacks such a sum of products of f values and reduces
-    it modulo Phi_n once; it is a `partial`, so the result pickles.
+    """`(n, den, nums, conjs, coords, rational)`: `_cyclotomic_field` of
+    the values with every coordinate vector packed (`_pack`).  A sum S of
+    products of up to `factors` values, with integer weights of total
+    absolute value at most `weight`, is then a sum of products of ints,
+    S(2^B), and r = S mod Phi_n is read from the symmetric remainder of
+    S(2^B) modulo P = Phi_n(2^B): `coords(v)` gives r's d = deg(Phi_n)
+    coordinates, and `rational(v)` the integer r is, or None.  Both are
+    `partial`s, so the result pickles.
 
-    With M the largest l1 norm of a coordinate vector, every coefficient
-    of such a sum is within max(weight, 1) * M^factors, and the slot width
-    comes from that bound; any wider slot gives the same digits.  Packing
-    is injective at any weight, so packed values compare as the values.
-    A rational value is its own conjugate, and its packed int is reused."""
+    With M the largest l1 norm of a coordinate vector, S has l1 norm at
+    most U = max(weight, 1) M^factors, and r sums S_k (x^(k mod n) mod
+    Phi_n), so every |r_t| <= U H < 2^(B-2), H = `_reduction_growth(n)`,
+    and |r(2^B)| < 2^(B-2) 2^(Bd) / (2^B - 1) <= 2^(Bd) / 3.  The lower
+    coefficients of Phi_n are those of x^d - Phi_n = x^d mod Phi_n, so
+    within H, and 2^B >= 4H + 4 when U >= 1 (else r = 0), so P > 2^(Bd)
+    2/3 > 2 |r(2^B)|.  Phi_n divides S - r, so r(2^B) is the symmetric
+    remainder of S(2^B) modulo P (which is odd: Phi_n(0) = +-1), and its
+    digits, each below 2^(B-1), unpack to r; r is rational iff |r(2^B)| <
+    2^(B-1).  A wider slot reads the same sums.  Packing is injective at
+    any weight, so packed values compare as the values; a rational value
+    is its own conjugate, and its packed int is reused."""
     n, den, nums, conjs = _cyclotomic_field(values)
     M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
-    B = _slot_width(max(weight, 1) * M ** factors)
+    B = (max(weight, 1) * M ** factors * _reduction_growth(n)).bit_length() + 2
     packed = [_pack(v, B) for v in nums]
     conj = [pv if c is v else _pack(c, B) for pv, v, c in zip(packed, nums, conjs)]
-    return n, den, packed, conj, partial(_packed_coords, n, B, _phi_tail(n)[0])
+    P = cyclotomic_polynomial(n)(1 << B)
+    return (n, den, packed, conj, partial(_unpack_remainder, P, B, _phi_tail(n)[0]),
+            partial(_remainder_rational, P, 1 << (B - 1)))
 
 
-def _packed_coords(n: int, B: int, d: int, v: int, f: int) -> list[int]:
-    """`coords` of `_packed_field`: the deg(Phi_n) = d reduced coordinates
-    of a sum v of products of f values packed at slot width B."""
-    return _reduce_ints(_unpack(v, B, f * (d - 1) + 1), n)
+def _remainder_rational(P: int, top: int, v: int) -> Optional[int]:
+    """`rational` of `_packed_field`: the symmetric remainder of v modulo
+    P, or None unless it is below top = 2^(B-1) in absolute value; P >=
+    2 top - 1, so a residue below top is its own symmetric remainder."""
+    r = v % P
+    if r < top:
+        return r
+    r -= P
+    return r if r > -top else None
 
 
 def _content_free(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

@@ -441,6 +441,12 @@ class TestMRClosedForm:
         cold = obstruction._mr_codegrees(ring, mr)
         warm = obstruction._mr_codegrees(ring, mr)
         assert obstruction._base_codegrees.cache_info()[:2] == (1, 1)
+        # the memo's key is the base's constants, read at the base's indices
+        base = mr.base
+        obstruction._base_codegrees(
+            tuple(tuple(tuple(ring.N[i][j][k] for k in base) for j in base) for i in base)
+        )
+        assert obstruction._base_codegrees.cache_info()[:2] == (2, 1)
         assert cold == warm == codegrees(ring) == obstruction._codegree_spectrum(ring)
         with mock.patch.object(
             ring_module, "_left_spectrum", side_effect=AssertionError("left spectrum")

@@ -141,6 +141,40 @@ def dense_validate(ring):
     return [found[0] for found in axioms if found]
 
 
+def generator_rows(ring):
+    """The row sets `validate` runs its associativity scan on, with W's
+    known part recomputed as a least fixpoint after each checked row: X_0
+    under the left unit law, each checked row, and every X_k that is the
+    one nonzero term outside the known part of a product of two known
+    elements.  Rows are checked in index order, skipping known ones; a
+    failing row (by a scan of dense rows), or W short of the whole basis,
+    ends in the full scan."""
+    n, N = ring.rank, ring.N
+    known = {0} if all(N[0][j][k] == (j == k) for j in range(n) for k in range(n)) else set()
+    rows = []
+    for s in range(n):
+        if s in known:
+            continue
+        rows.append((s,))
+        for j, k in itertools.product(range(n), repeat=2):
+            lhs, rhs = [0] * n, [0] * n  # (X_s X_j) X_k and X_s (X_j X_k)
+            for m in range(n):
+                if N[s][j][m]:
+                    lhs = [a + N[s][j][m] * b for a, b in zip(lhs, N[m][k])]
+                if N[j][k][m]:
+                    rhs = [a + N[j][k][m] * b for a, b in zip(rhs, N[s][m])]
+            if lhs != rhs:
+                return rows + [tuple(range(n))]
+        known.add(s)
+        new = {s}
+        while new:
+            outside = ({k for k in range(n) if N[i][j][k] and k not in known}
+                       for i in known for j in known)
+            new = set().union(*(terms for terms in outside if len(terms) == 1))
+            known |= new
+    return rows if len(known) == n else rows + [tuple(range(n))]
+
+
 def frobenius_orbit(ring, i, j, k):
     """The entries N_ij^k is tied to by Frobenius reciprocity:
     (i, j, k) ~ (i*, k, j) ~ (k, j*, i)."""
@@ -291,8 +325,13 @@ class TestValidate:
     def test_mutants_match_dense_oracle(self, mutant):
         assert mutant.validate() == dense_validate(mutant)
 
+    @settings(max_examples=200, deadline=None)
+    @given(ring_mutants())
+    def test_mutants_check_the_fixpoint_rows(self, mutant):
+        assert self.checked_rows(mutant)[0] == generator_rows(mutant)
+
     @staticmethod
-    def checked_rows(ring, monkeypatch):
+    def checked_rows(ring):
         """The row sets the associativity scan is run on by validate()."""
         rows = []
         scan = FusionRing._associativity_violations
@@ -301,8 +340,9 @@ class TestValidate:
             rows.append(tuple(checked))
             return scan(self, supp, checked)
 
-        monkeypatch.setattr(FusionRing, "_associativity_violations", spy)
-        report = ring.validate()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(FusionRing, "_associativity_violations", spy)
+            report = ring.validate()
         return rows, report
 
     @staticmethod
@@ -318,15 +358,15 @@ class TestValidate:
         return FusionRing(["1", "x", "y", "z"], N)
 
     @pytest.mark.parametrize("a", [2, 5, 12])
-    def test_near_group_checks_two_rows(self, a, monkeypatch):
+    def test_near_group_checks_two_rows(self, a):
         # g generates the pointed part; the extra element needs its own row
-        rows, report = self.checked_rows(mr_extend(cyclic_ring(a), a), monkeypatch)
+        rows, report = self.checked_rows(mr_extend(cyclic_ring(a), a))
         assert (rows, report) == ([(1,), (a,)], [])
 
-    def test_product_with_two_new_terms_waits(self, monkeypatch):
+    def test_product_with_two_new_terms_waits(self):
         # x x = y + z puts y + z in W, not y or z; once the row of y is
         # checked, z follows from x x without a check of its own
-        rows, report = self.checked_rows(self.nilpotent_ring(), monkeypatch)
+        rows, report = self.checked_rows(self.nilpotent_ring())
         assert rows == [(1,), (2,)]
         assert not any(v.axiom == "associativity" for v in report)
 
@@ -925,6 +965,17 @@ class TestSparseIndex:
             assert self.structure(ring) == self.dense_structure(ring), name
             count += 1
         assert count == 14 and {"nonnegativity", "associativity"} <= axioms
+
+    def test_generating_set_rows_are_the_fixpoint_rows(self):
+        # one-term products join W's known part as soon as they are built,
+        # the rest when the worklist runs dry: the same least fixpoint
+        # before each row, so the same rows are checked
+        count = 0
+        for name, ring in [*index_rings(), *perturbed_rings()]:
+            fresh = FusionRing(ring.labels, ring.N)
+            assert TestValidate.checked_rows(fresh)[0] == generator_rows(ring), name
+            count += 1
+        assert count == 602 + 14
 
     def test_negative_entries_are_indexed_not_supported(self):
         ring = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [1, -1]]])

@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,12 +26,12 @@ from mrfw.scalars import (
     _poly_divmod,
     _real_root_enclosures,
     _reduce_ints,
+    _reduction_growth,
     _sign_changes,
     _sign_of,
-    _slot_width,
     _sturm_chain,
     _sturm_span,
-    _unpack,
+    _unpack_remainder,
     charpoly,
     cyclotomic_polynomial,
     embed_quadratic,
@@ -988,8 +989,10 @@ def test_cyclotomic_field_matches_fraction_oracle(drawn):
 @pytest.mark.parametrize("n", FIELD_ORDERS)
 @pytest.mark.parametrize("B", [2, 3, 17, 64, 65, 200])
 def test_pack_unpack_round_trip_at_extreme_digits(n, B):
-    # as many digits as a packed multiplicity sum has, each at the largest
-    # magnitude a B-bit slot holds, in every sign pattern the slots meet
+    # as many digits as an unreduced multiplicity sum has, each at the
+    # largest magnitude a B-bit slot holds, in every sign pattern the slots
+    # meet; modulo 2^(B length) + 1, more than twice any such packed int,
+    # the symmetric remainder is the packed int itself
     length = 3 * (len(_phi(n)) - 1) - 2
     top = (1 << (B - 1)) - 1
     patterns = [
@@ -1001,7 +1004,8 @@ def test_pack_unpack_round_trip_at_extreme_digits(n, B):
         [-1] * length,
     ]
     for digits in patterns:
-        assert _unpack(_pack(digits, B), B, length) == digits
+        P = (1 << (B * length)) + 1
+        assert _unpack_remainder(P, B, length, _pack(digits, B)) == digits
 
 
 @given(
@@ -1010,15 +1014,17 @@ def test_pack_unpack_round_trip_at_extreme_digits(n, B):
 )
 @settings(max_examples=100, deadline=None)
 def test_packed_sum_matches_cyc_dot(n, pool):
-    # a sum of products of packed vectors, unpacked and reduced once, is
-    # the per-term sum when B is chosen from the l1 bound of the factors
+    # the remainder of a sum of products of packed vectors modulo
+    # Phi_n(2^B) unpacks to the reduced per-term sum when B is chosen from
+    # the l1 bound of the factors times the reduction growth
     d = len(_phi(n)) - 1
     vecs = [tuple(pool[(k + j) % len(pool)] for j in range(d)) for k in range(6)]
     xs, ys = vecs[:3], vecs[3:]
     M = max(sum(map(abs, v)) for v in vecs)
-    B = _slot_width(len(xs) * M * M)
+    B = (len(xs) * M * M * _reduction_growth(n)).bit_length() + 2
     packed = sum(_pack(x, B) * _pack(y, B) for x, y in zip(xs, ys))
-    assert _reduce_ints(_unpack(packed, B, 2 * d - 1), n) == _cyc_dot(n, xs, ys)
+    P = cyclotomic_polynomial(n)(1 << B)
+    assert _unpack_remainder(P, B, d, packed) == _cyc_dot(n, xs, ys)
 
 
 @st.composite
@@ -1054,7 +1060,7 @@ def test_packed_field_sums_match_per_term(drawn):
     # every coefficient of the sum is within the bound the slots are cut to
     values, factors, terms = drawn
     weight = sum(abs(w) for w, _ in terms)
-    n, den, nums, conjs, coords = _packed_field(values, weight, factors)
+    n, den, nums, conjs, coords, rational = _packed_field(values, weight, factors)
     plain = _cyclotomic_field(values)
     assert (n, den) == plain[:2]
     packed = 0
@@ -1062,7 +1068,8 @@ def test_packed_field_sums_match_per_term(drawn):
         for i, c in picks:
             w *= (conjs if c else nums)[i]
         packed += w
-    got = coords(packed, factors)
+    got = coords(packed)
+    assert rational(packed) == (None if any(got[1:]) else got[0])
     if factors == 2:
         xs, ys = [], []
         for w, ((i, c), (j, e)) in terms:
@@ -1088,12 +1095,164 @@ def test_packed_field_keeps_values_apart_at_weight_zero(drawn, repeat):
     # 2-bit slots the example's 1 and -3 + zeta_4 would both pack to 1
     values = [CycNumber(n, xs) for n, xs in drawn]
     values += values[:repeat]
-    _, _, nums, conjs, _ = _packed_field(values, 0, 1)
+    _, _, nums, conjs, _, _ = _packed_field(values, 0, 1)
     everything = values + [v.conjugate() for v in values]
     packed = nums + conjs
     for a, pa in zip(everything, packed):
         for b, pb in zip(everything, packed):
             assert (pa == pb) == (a == b), (a, b)
+
+
+# every order up to 60, and the orders whose Phi_n has a coefficient
+# outside {-1, 0, 1}, up to 385
+NONFLAT_ORDERS = (105, 165, 195, 210, 385)
+REMAINDER_ORDERS = tuple(range(1, 61)) + NONFLAT_ORDERS
+
+
+def test_nonflat_orders_have_a_large_coefficient():
+    for n in REMAINDER_ORDERS:
+        height = max(map(abs, cyclotomic_polynomial(n).coeffs))
+        assert (height > 1) == (n in NONFLAT_ORDERS), n
+
+
+def _reduced_powers(n, count):
+    """x^u mod Phi_n for u < count, each x times the one before, reduced
+    by the library's reduction."""
+    rows, row = [], [1]
+    for _ in range(count):
+        row = _reduce_ints(row, n)
+        rows.append(row)
+        row = [0] + row
+    return rows
+
+
+@pytest.mark.parametrize("n", REMAINDER_ORDERS)
+def test_reduction_growth_matches_reduced_powers(n):
+    # the largest |coefficient| of x^u mod Phi_n, u < n, each power also
+    # reduced on its own; the lower coefficients of Phi_n are within it
+    rows = _reduced_powers(n, n)
+    assert rows == [_reduce_ints([0] * u + [1], n) for u in range(n)]
+    growth = max(abs(c) for row in rows for c in row)
+    assert _reduction_growth(n) == growth
+    assert max(map(abs, cyclotomic_polynomial(n).coeffs)) <= growth
+
+
+@pytest.mark.parametrize("n", REMAINDER_ORDERS)
+def test_remainder_reads_every_power_at_the_bound(n):
+    # +-U x^u has l1 norm U = 2^61 - 1, at the top of its binade, for every
+    # u < 2n (the powers from n on fold first); at B from U times the
+    # growth, its remainder unpacks to +-U (x^u mod Phi_n), every
+    # coefficient below 2^(B-2)
+    d = len(cyclotomic_polynomial(n).coeffs) - 1
+    U = (1 << 61) - 1
+    B = (U * _reduction_growth(n)).bit_length() + 2
+    P = cyclotomic_polynomial(n)(1 << B)
+    for u, row in enumerate(_reduced_powers(n, 2 * n)):
+        for sign in (1, -1):
+            want = [sign * U * c for c in row]
+            assert max(map(abs, want)) < 1 << (B - 2)
+            assert _unpack_remainder(P, B, d, sign * U << (B * u)) == want
+
+
+def _check_read_off(values, factors, terms, weight=None):
+    """Pack `values` by `_packed_field` and check both read-offs of the
+    sum of `terms` (an integer weight and `factors` picks of a value or of
+    its conjugate) against the per-term `CycNumber` sum, and for two
+    factors against `_cyc_dot`; returns the `CycNumber` sum.  The weight
+    passed defaults to the sum of the absolute weights."""
+    if weight is None:
+        weight = sum(abs(w) for w, _ in terms)
+    n, den, nums, conjs, coords, rational = _packed_field(values, weight, factors)
+    packed, total = 0, CycNumber.from_rational(0, n)
+    for w, picks in terms:
+        p, x = w, CycNumber.from_rational(w, n)
+        for i, c in picks:
+            p *= (conjs if c else nums)[i]
+            x = x * (values[i].conjugate() if c else values[i])
+        packed += p
+        total = total + x
+    want = [c * den ** factors for c in total.lift(n).coeffs]
+    assert coords(packed) == want
+    B = coords.args[1]
+    assert max(map(abs, want)) < 1 << (B - 2)
+    assert rational(packed) == (None if any(want[1:]) else want[0])
+    if factors == 2:
+        plain = _cyclotomic_field(values)
+        xs = [[w * a for a in plain[2 + c][i]] for w, ((i, c), _) in terms]
+        ys = [plain[2 + e][j] for _, (_, (j, e)) in terms]
+        assert coords(packed) == _cyc_dot(n, xs, ys)
+    return total
+
+
+@pytest.mark.parametrize("n", REMAINDER_ORDERS)
+def test_remainder_reads_sums_at_every_order(n):
+    # random values over Q(zeta_n) with denominators, zeta_n and a
+    # rational; per factor count, random weighted products, a sum that is
+    # the integer 7 * 3^(f-2) (zeta conj(zeta) = 1), and one that cancels
+    rng = random.Random(n)
+    d = len(cyclotomic_polynomial(n).coeffs) - 1
+
+    def value():
+        return CycNumber(n, [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 7]))
+                             for _ in range(d)])
+
+    zeta, three = CycNumber.root_of_unity(n), CycNumber.from_rational(3)
+    values = [value(), value(), zeta, three, value()]
+    for factors in (1, 2, 3):
+        terms = [(rng.randint(-10 ** 6, 10 ** 6),
+                  [(rng.randrange(len(values)), rng.random() < 0.5) for _ in range(factors)])
+                 for _ in range(4)]
+        total = _check_read_off(values, factors, terms)
+        assert total.is_rational == (n <= 2)
+        if factors > 1:
+            integer = [(7, [(2, False), (2, True), (3, False)][:factors])]
+            assert _check_read_off(values, factors, integer) == 7 * 3 ** (factors - 2)
+        w, picks = terms[0]
+        assert _check_read_off(values, factors, [(w, picks), (-w, picks)]) == 0
+
+
+@pytest.mark.parametrize("n", REMAINDER_ORDERS)
+def test_remainder_reads_sums_at_the_bound(n):
+    # one value c zeta^(d-1) and its conjugate: a product of f of either
+    # is c^f times a single power of zeta, and one weight of absolute
+    # value `weight` puts the unreduced sum's l1 norm at the bound, on a
+    # power at or above deg(Phi_n) when f > 1
+    d = len(cyclotomic_polynomial(n).coeffs) - 1
+    values = [CycNumber(n, [0] * (d - 1) + [10 ** 20 + 7])]
+    for factors in (1, 2, 3):
+        for w in (10 ** 6, -(10 ** 6)):
+            for conj in (False, True):
+                _check_read_off(values, factors, [(w, [(0, conj)] * factors)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 105])
+def test_remainder_reads_sums_at_weight_zero(n):
+    # weight 0 cuts slots for one unweighted product of `factors` values
+    rng = random.Random(n)
+    d = len(cyclotomic_polynomial(n).coeffs) - 1
+    values = [CycNumber(n, [rng.randint(-99, 99) for _ in range(d)]) for _ in range(2)]
+    for factors in (1, 2, 3):
+        picks = [(k % 2, k == 1) for k in range(factors)]
+        _check_read_off(values, factors, [(1, picks)], weight=0)
+
+
+def test_packed_field_slot_holds_the_reduction_growth():
+    # at n = 385, zeta^a for 145 < a < 240 and its conjugate zeta^(385 - a)
+    # are single coordinates, so M = 1, and U (zeta^153 zeta^154), U =
+    # 2^40 - 1, has l1 norm U; x^307 mod Phi_385 has a coefficient +-3, the
+    # growth, so the reduced sum has one of 3U > 2^41, which a slot cut
+    # from U alone (B = 42) cannot hold
+    values = [CycNumber.root_of_unity(385) ** a for a in (153, 154)]
+    assert _reduction_growth(385) == 3
+    U = (1 << 40) - 1
+    total = _check_read_off(values, 2, [(U, [(0, False), (1, False)])])
+    assert max(abs(c) for c in total.coeffs) == 3 * U
+
+
+def test_remainder_reads_an_empty_value_list():
+    n, den, nums, conjs, coords, rational = _packed_field([], 0, 3)
+    assert (n, den, nums, conjs) == (1, 1, [], [])
+    assert coords(0) == [0] and rational(0) == 0
 
 
 def test_cyc_mixed_orders_lift_to_lcm():
