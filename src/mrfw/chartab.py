@@ -83,7 +83,7 @@ def _lift(t: CharacterTable, factors: int) -> tuple:
     for sums of products of up to `factors` of them weighted by class
     sizes, where `rows[i][c]` and `conj[i][c]` are chi_i at class c and
     its conjugate, packed.  Taken once per table, by `_lifted`."""
-    _, den, nums, conjs, _, rational = _packed_field(
+    _, den, nums, conjs, _, rational, _ = _packed_field(
         (v for row in t.characters for v in row),
         sum(map(abs, t.class_sizes)),
         factors,

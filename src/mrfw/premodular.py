@@ -7,19 +7,17 @@ S-matrix entry for a pair of objects is
 
 computed exactly over a common cyclotomic field.  On top of it this module
 computes centralizers of subsets (objects whose S-entries against the
-subset factor as products of dimensions), classifies the degeneracy of the
-whole ring, and runs the row-degeneracy argument ruling out a trivial twist
-on an invertible that fixes the corank-one extra object.
+subset factor as products of dimensions) and classifies the degeneracy of
+the whole ring, with the determinant of S where the center is trivial.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .mr import MRData
-from .ring import FusionRing, invertibles
+from .ring import FusionRing
 from .scalars import (
     MAX_CYCLOTOMIC_ORDER,
     CycNumber,
@@ -57,9 +55,11 @@ def _order(x) -> int:
 
 
 def _is_root_of_unity(x: CycNumber) -> bool:
-    if x.is_zero:
-        return False
-    return (x ** (2 * x.order)) == 1
+    """x is an algebraic integer (denominator 1: the power basis of
+    Z[zeta_m] is an integral basis) with x * conj(x) = 1.  Conjugation is
+    central in the abelian Galois group, so |sigma(x)|^2 = sigma(x conj(x))
+    = 1 for every sigma, and by Kronecker x is a root of unity."""
+    return x._den == 1 and x * x.conjugate() == 1
 
 
 class PremodularData(NamedTuple):
@@ -122,7 +122,7 @@ def premodular_data(
     # den * Sum_k N_ij^k d_k - d_i d_j and theta_i^-1 theta_j^-1 *
     # Sum_k N_ij^k theta_k d_k are within (rowsum + 1) * M^3
     rowsum = max(sum(Nij) for Ni in ring.N for Nij in Ni)
-    m, den, nums, conjs, coords, rational = _packed_field(
+    m, den, nums, conjs, coords, rational, _ = _packed_field(
         d + [a * b for a, b in zip(t, d)] + t, rowsum + 1, 3
     )
     pd, ptd, pinv = nums[:n], nums[n : 2 * n], conjs[2 * n :]
@@ -160,31 +160,52 @@ def centralizer_of(data: PremodularData, subset: Iterable[int]) -> frozenset[int
 
 
 def _det(M: Sequence[Sequence[CycNumber]]) -> CycNumber:
-    """Determinant by Gaussian elimination over the common cyclotomic field
-    of the entries: O(n^3) multiplications and one inverse per pivot."""
+    """Determinant over the common cyclotomic field Q(zeta_m) of the
+    entries, as one integer determinant modulo P = Phi_m(2^B): no inverse
+    and no conjugate is taken in the field.
+
+    Over the common denominator den, A = den M has integer coordinates,
+    and det(A) = den^n det(M) = Sum_sigma sign(sigma) Prod_i A_{i,sigma(i)}
+    is a sum of n! products of n entries, of total weight n!.  So at the
+    slots of `_packed_field(entries, n!, n)`, `coords` reads det(A) from
+    any integer congruent modulo P to its packed value, such as the
+    determinant of the packed matrix (packing is a ring map).  That is
+    taken over Z/PZ by row operations of determinant +-1: a swap negates
+    it; a unit pivot clears its column with one `pow(p, -1, P)`; a column
+    with no unit (zero, or a prime of P divides every entry) is cleared
+    row by row by [[x, y], [-b/g, a/g]], of determinant 1, g = gcd(a, b)
+    = x a + y b for the pivot a and the entry b.  The product of the
+    diagonal is then det(A) modulo P, and `coords` of it over den^n is
+    det(M)."""
     n = len(M)
-    order = math.lcm(*(x.order for row in M for x in row))
-    rows = [[x.lift(order) for x in row] for row in M]
-    det = CycNumber.from_rational(1, order)
+    m, den, nums, _, coords, _, P = _packed_field(
+        [x for row in M for x in row], math.factorial(n), n, conjugates=False
+    )
+    rows = [[v % P for v in nums[i : i + n]] for i in range(0, n * n, n)]
+    det = 1
     for c in range(n):
-        pivot = next((r for r in range(c, n) if not rows[r][c].is_zero), None)
-        if pivot is None:
-            return CycNumber.from_rational(0, order)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
+        unit = next((r for r in range(c, n) if math.gcd(rows[r][c], P) == 1), None)
+        if unit not in (None, c):
+            rows[c], rows[unit] = rows[unit], rows[c]
             det = -det
         top = rows[c]
-        det = det * top[c]
-        inv = top[c].inverse()
-        for r in range(c + 1, n):
-            row = rows[r]
-            if row[c].is_zero:
+        inv = None if unit is None else pow(top[c], -1, P)
+        for row in rows[c + 1 :]:
+            if not row[c]:
                 continue
-            f = row[c] * inv
-            for j in range(c + 1, n):
-                if not top[j].is_zero:
-                    row[j] = row[j] - f * top[j]
-    return det
+            if inv is not None:
+                f = row[c] * inv % P
+                row[c:] = [(v - f * u) % P for u, v in zip(top[c:], row[c:])]
+                continue
+            g = math.gcd(top[c], row[c])
+            a, b = top[c] // g, row[c] // g
+            x = pow(a, -1, b)
+            y = (1 - x * a) // b
+            pairs = list(zip(top[c:], row[c:]))
+            top[c:] = [(x * u + y * v) % P for u, v in pairs]
+            row[c:] = [(a * v - b * u) % P for u, v in pairs]
+        det = det * top[c] % P
+    return _cyc(m, coords(det), den ** n)
 
 
 class DegeneracyReport(NamedTuple):
@@ -226,58 +247,3 @@ def degeneracy_class(data: PremodularData) -> DegeneracyReport:
         return DegeneracyReport(SLIGHTLY_DEGENERATE, center, True)
     return DegeneracyReport(PROPERLY_DEGENERATE, center, False)
 
-
-class RowComparison(NamedTuple):
-    """S-matrix row of an invertible fixing the extra object vs the unit."""
-
-    g: int
-    twist_is_one: bool
-    rows_equal: bool
-    first_difference: Optional[int]
-    trivial: bool
-
-
-class TannakianReport(NamedTuple):
-    comparisons: tuple[RowComparison, ...]
-    degenerate: bool
-    message: Optional[str]
-
-
-def tannakian_row_obstruction(
-    data: PremodularData, mr: MRData
-) -> TannakianReport:
-    """Row-degeneracy argument against a trivial twist on a fixing invertible.
-
-    For each invertible g with g tensor X_n = X_n, the balancing equation
-    collapses s_{g,X_n} to theta_g^-1 * d_{X_n}; with theta_g = 1 the whole
-    S-row of g equals the row of the unit, so the S-matrix is degenerate
-    and the pointed part cannot be Tannakian.  The unit itself is reported
-    as a trivial witness.
-    """
-    if mr is None:
-        raise ValueError("corank-one structure is required")
-    ring = data.ring
-    extra = mr.extra
-    group = invertibles(ring, mr)
-    comparisons: list[RowComparison] = []
-    degenerate = False
-    for g in group.elements:
-        if ring.N[g][extra][extra] != 1:
-            continue
-        theta_one = data.twists[g] == 1
-        diff = None
-        for j in range(ring.rank):
-            if data.S[g][j] != data.S[0][j]:
-                diff = j
-                break
-        equal = diff is None
-        trivial = g == 0
-        if equal and theta_one and not trivial:
-            degenerate = True
-        comparisons.append(
-            RowComparison(g, theta_one, equal, diff, trivial)
-        )
-    message = (
-        "S degenerate: C_pt cannot be Tannakian" if degenerate else None
-    )
-    return TannakianReport(tuple(comparisons), degenerate, message)

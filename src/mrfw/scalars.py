@@ -121,6 +121,12 @@ def _quad(a: int, b: int, c: int, D: int) -> "QuadExt":
     return x
 
 
+def _ratio_text(a: int, c: int) -> str:
+    """str(Fraction(a, c)) for integers a and c > 0, without the Fraction."""
+    g = math.gcd(a, c)
+    return str(a // g) if g == c else f"{a // g}/{c // g}"
+
+
 def _sign_of(x: int, y: int, D: int) -> int:
     """Sign of x + y*sqrt(D) for integers x, y and D >= 1: when x and y
     differ in sign, the larger of x^2 and y^2 D decides."""
@@ -305,20 +311,26 @@ class QuadExt(_Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        """c (a - b sqrt(D)) / (a^2 - b^2 D)."""
-        a, b, c, D = self._a, self._b, self._c, self.D
+        return _quad(1, 0, 1, 1) / self
+
+    def __truediv__(self, other):
+        """c (a1 + b1 sqrt(D)) (a - b sqrt(D)) / (c1 (a^2 - b^2 D)) for
+        self = (a1 + b1 sqrt(D)) / c1 and other = (a + b sqrt(D)) / c."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, D = o
+        a1, b1 = self._a, self._b
+        if b1:
+            D = self.D
         n = a * a - b * b * D
         if not n:
             raise ZeroDivisionError("zero or degenerate quadratic element")
-        return _quad(a * c, -b * c, n, D)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * _quad(*o).inverse()
+        return _quad(c * (a1 * a - b1 * b * D), c * (b1 * a - a1 * b), self._c * n, D)
 
     def __rtruediv__(self, other):
         o = _parts(other)
-        return NotImplemented if o is None else _quad(*o) * self.inverse()
+        return NotImplemented if o is None else _quad(*o) / self
 
     def __pow__(self, n: int):
         return _power(self, n, _quad(1, 0, 1, 1))
@@ -370,9 +382,11 @@ class QuadExt(_Frozen):
         return f"QuadExt({self})"
 
     def __str__(self):
-        if not self._b:
-            return str(self.p)
-        return f"{self.p} + {self.q}*sqrt({self.D})"
+        # the text of str(p) and str(q) for the Fractions p and q
+        a, b, c = self._a, self._b, self._c
+        if not b:
+            return _ratio_text(a, c)
+        return f"{_ratio_text(a, c)} + {_ratio_text(b, c)}*sqrt({self.D})"
 
 
 # slot setters for _quad and QuadExt.__init__; __setattr__ refuses them all
@@ -831,14 +845,14 @@ def _cyc_dot(n: int, xs, ys) -> list[int]:
     return _reduce_ints(acc, n)
 
 
-def _cyclotomic_field(values) -> tuple[int, int, list, list]:
+def _cyclotomic_field(values, conjugates: bool = True) -> tuple[int, int, list, list]:
     """`(n, den, nums, conjs)` over one field and one common denominator:
     n is the lcm of the orders of the `CycNumber` values, den the lcm of
     their denominators, and `nums[k]` and `conjs[k]` are the phi(n)
     integer coordinates (powers of zeta_n, reduced modulo Phi_n) of
     `values[k]` and of its complex conjugate, times den; for a rational
     value, `conjs[k]` is the tuple `nums[k]` itself.  Equal values get
-    equal coordinates.
+    equal coordinates.  With `conjugates` false, `conjs` is empty.
 
     The cyclotomic analogue of `_integer_field`: sums of products of the
     values are then `_cyc_dot` or packed sums (`_packed_field`), with no
@@ -849,13 +863,14 @@ def _cyclotomic_field(values) -> tuple[int, int, list, list]:
 
     def coords(x: CycNumber) -> tuple[int, ...]:
         scale = den // x._den
-        return tuple(c * scale for c in x._num)
+        return x._num if scale == 1 else tuple(c * scale for c in x._num)
 
     nums, conjs = [], []
     for v in values:
         x = v.lift(n)
         nums.append(coords(x))
-        conjs.append(nums[-1] if x.is_rational else coords(x.conjugate()))
+        if conjugates:
+            conjs.append(nums[-1] if x.is_rational else coords(x.conjugate()))
     return n, den, nums, conjs
 
 
@@ -905,9 +920,9 @@ def _unpack_remainder(P: int, B: int, d: int, v: int) -> list[int]:
     return out
 
 
-def _packed_field(values, weight: int, factors: int) -> tuple:
-    """`(n, den, nums, conjs, coords, rational)`: `_cyclotomic_field` of
-    the values with every coordinate vector packed (`_pack`).  A sum S of
+def _packed_field(values, weight: int, factors: int, conjugates: bool = True) -> tuple:
+    """`(n, den, nums, conjs, coords, rational, P)`: `_cyclotomic_field`
+    of the values with every coordinate vector packed (`_pack`).  A sum S of
     products of up to `factors` values, with integer weights of total
     absolute value at most `weight`, is then a sum of products of ints,
     S(2^B), and r = S mod Phi_n is read from the symmetric remainder of
@@ -926,15 +941,26 @@ def _packed_field(values, weight: int, factors: int) -> tuple:
     digits, each below 2^(B-1), unpack to r; r is rational iff |r(2^B)| <
     2^(B-1).  A wider slot reads the same sums.  Packing is injective at
     any weight, so packed values compare as the values; a rational value
-    is its own conjugate, and its packed int is reused."""
-    n, den, nums, conjs = _cyclotomic_field(values)
+    is its own conjugate, and its packed int is reused.
+
+    The slot is then widened until P is prime to n.  P is odd, and an odd
+    prime q of n divides Phi_n(2^B) only when 2^B has order n / q^v
+    modulo q, q^v the power of q in n; so a B that
+    the order of 2 modulo every odd prime of n divides leaves a factor q
+    only when n = q^v, and B + 1 then leaves none: the widening ends.
+    Any other prime p of P has 2^B of order n modulo p, and if p divides
+    a packed x(2^B) it divides the norm of x; so a value whose norm has
+    only primes of n, such as 1 - zeta_n, packs to a unit modulo P, as
+    elimination modulo P wants of its pivots (`premodular._det`)."""
+    n, den, nums, conjs = _cyclotomic_field(values, conjugates)
     M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
     B = (max(weight, 1) * M ** factors * _reduction_growth(n)).bit_length() + 2
+    while math.gcd(P := cyclotomic_polynomial(n)(1 << B), n) != 1:
+        B += 1
     packed = [_pack(v, B) for v in nums]
     conj = [pv if c is v else _pack(c, B) for pv, v, c in zip(packed, nums, conjs)]
-    P = cyclotomic_polynomial(n)(1 << B)
     return (n, den, packed, conj, partial(_unpack_remainder, P, B, _phi_tail(n)[0]),
-            partial(_remainder_rational, P, 1 << (B - 1)))
+            partial(_remainder_rational, P, 1 << (B - 1)), P)
 
 
 def _remainder_rational(P: int, top: int, v: int) -> Optional[int]:

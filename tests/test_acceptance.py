@@ -44,9 +44,8 @@ from mrfw.premodular import (
     SYMMETRIC,
     degeneracy_class,
     premodular_data,
-    tannakian_row_obstruction,
 )
-from mrfw.ring import detect_mr, fpdims, subrings
+from mrfw.ring import detect_mr, fpdims, invertibles, subrings
 from mrfw.scalars import CycNumber, QuadExt
 
 
@@ -272,12 +271,14 @@ def test_criterion_7_premodular_corpus():
         data = premodular_data(ring, dims, [1] * ring.rank)
         assert degeneracy_class(data).label == SYMMETRIC
 
+    # an invertible g with g X = X and twist 1 has s_{g,X} = d_X, and so
+    # the S-row of the unit
     rep = rep_s3_ring()
     data = premodular_data(rep, [1, 2, 1], [1, 1, 1])
-    report = tannakian_row_obstruction(data, detect_mr(rep))
-    assert report.degenerate
-    nontrivial = [c for c in report.comparisons if not c.trivial]
-    assert nontrivial and all(c.rows_equal and c.twist_is_one for c in nontrivial)
+    mr = detect_mr(rep)
+    fixing = [g for g in invertibles(rep, mr).elements
+              if g != 0 and rep.N[g][mr.extra][mr.extra] == 1]
+    assert fixing and all(data.twists[g] == 1 and data.S[g] == data.S[0] for g in fixing)
     emit(
         7,
         True,

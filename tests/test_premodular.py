@@ -18,6 +18,7 @@ from mrfw.corpus import (
 from mrfw.mr import mr_extend
 from mrfw.premodular import (
     _det,
+    _is_root_of_unity,
     _to_cyc,
     NON_DEGENERATE,
     PROPERLY_DEGENERATE,
@@ -26,10 +27,9 @@ from mrfw.premodular import (
     centralizer_of,
     degeneracy_class,
     premodular_data,
-    tannakian_row_obstruction,
 )
-from mrfw.ring import FusionRing, InvalidRingError, detect_mr, fpdims
-from mrfw.scalars import MAX_CYCLOTOMIC_ORDER, CycNumber, QuadExt
+from mrfw.ring import FusionRing, InvalidRingError, fpdims
+from mrfw.scalars import MAX_CYCLOTOMIC_ORDER, CycNumber, QuadExt, _packed_field
 
 Z5 = CycNumber.root_of_unity(5)
 PHI = 1 + Z5 + Z5 ** 4
@@ -359,51 +359,6 @@ class TestDegeneracy:
         assert report.center == frozenset({0, 2})
 
 
-class TestTannakianRowObstruction:
-    def test_trivial_twist_degenerate(self):
-        ring = rep_s3_ring()
-        mr = detect_mr(ring)
-        data = premodular_data(ring, [1, 2, 1], [1, 1, 1])
-        report = tannakian_row_obstruction(data, mr)
-        assert report.degenerate
-        assert report.message == "S degenerate: C_pt cannot be Tannakian"
-        nontrivial = [c for c in report.comparisons if not c.trivial]
-        assert nontrivial and all(c.rows_equal for c in nontrivial)
-
-    def test_minus_one_twist_rows_differ_at_extra(self):
-        ring = rep_s3_ring()
-        mr = detect_mr(ring)
-        data = premodular_data(ring, [1, 2, 1], [1, 1, -1])
-        report = tannakian_row_obstruction(data, mr)
-        assert not report.degenerate
-        (cmp,) = [c for c in report.comparisons if not c.trivial]
-        assert cmp.first_difference == mr.extra
-        assert data.S[cmp.g][mr.extra] == -data.dims[mr.extra]
-
-    def test_unit_is_trivial_witness(self):
-        ring = rep_s3_ring()
-        mr = detect_mr(ring)
-        data = premodular_data(ring, [1, 2, 1], [1, 1, -1])
-        report = tannakian_row_obstruction(data, mr)
-        unit = [c for c in report.comparisons if c.trivial]
-        assert len(unit) == 1 and unit[0].g == 0 and unit[0].rows_equal
-        assert not report.degenerate
-
-    def test_z3_base_all_invertibles_fix_extra(self):
-        ring = z3_base_ring(2)
-        mr = detect_mr(ring)
-        d = [int(v.as_fraction()) for v in fpdims(ring).dims]
-        data = premodular_data(ring, d, [1, 1, 1, 1])
-        report = tannakian_row_obstruction(data, mr)
-        assert report.degenerate
-        assert {c.g for c in report.comparisons} == {0, 1, 2}
-
-    def test_requires_mr(self):
-        data = fib_data()
-        with pytest.raises(ValueError):
-            tannakian_row_obstruction(data, None)
-
-
 def laplace_det(M):
     """Cofactor expansion along the first row: the O(n!) oracle."""
     n = len(M)
@@ -415,6 +370,30 @@ def laplace_det(M):
         term = M[0][c] * laplace_det(minor)
         acc = acc + term if c % 2 == 0 else acc - term
     return acc
+
+
+def elimination_det(M):
+    """Gaussian elimination over the common cyclotomic field, one inverse
+    per pivot: the oracle where cofactor expansion is too slow."""
+    n = len(M)
+    order = math.lcm(*(x.order for row in M for x in row))
+    rows = [[x.lift(order) for x in row] for row in M]
+    det = CycNumber.from_rational(1, order)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if not rows[r][c].is_zero), None)
+        if pivot is None:
+            return CycNumber.from_rational(0, order)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det = det * top[c]
+        inv = top[c].inverse()
+        for row in rows[c + 1:]:
+            f = row[c] * inv
+            for j in range(c + 1, n):
+                row[j] = row[j] - f * top[j]
+    return det
 
 
 def pointed_smatrix(n):
@@ -472,3 +451,98 @@ class TestDeterminant:
         M = [[0, 1, 2], [1, 0, 3], [4, 5, 0]]
         C = [[CycNumber.from_rational(x) for x in row] for row in M]
         assert _det(C) == laplace_det(C) == 22
+
+    @pytest.mark.parametrize("n", range(8, 22))
+    def test_pointed_matches_elimination(self, n):
+        S = pointed_smatrix(n)
+        det = _det(S)
+        assert det == elimination_det(S)
+        assert det.is_zero == (n % 2 == 0)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 5, 12, 105])
+    def test_random_mixed_orders_match_laplace(self, order):
+        # entries with Fraction coordinates, each over Q(zeta_k) for a
+        # random divisor k of the order, and one matrix per size
+        rng = random.Random(f"mixed:{order}")
+        divisors = [k for k in range(1, order + 1) if order % k == 0]
+
+        def entry():
+            k = rng.choice(divisors)
+            return CycNumber(k, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+                                 for _ in range(k)])
+
+        for size in range(1, 6):
+            M = [[entry() for _ in range(size)] for _ in range(size)]
+            assert _det(M) == laplace_det(M)
+
+    def test_singular_at_order_105(self):
+        rng = random.Random("singular:105")
+        M = random_cyc_matrix(rng, 3, 105)
+        repeated = [M[0], M[1], M[0]]
+        zeta = CycNumber.root_of_unity(105, 11)
+        combined = [M[0], M[1], [zeta * x - Fraction(3, 7) * y for x, y in zip(M[0], M[1])]]
+        zero_column = [[CycNumber.from_rational(0)] + row[1:] for row in M]
+        for S in (repeated, combined, zero_column):
+            assert laplace_det(S).is_zero
+            assert _det(S).is_zero
+
+    def test_column_without_a_unit_pivot(self):
+        # the first column holds multiples of a prime q of P = Phi_12(2^B),
+        # so none of its entries is a unit modulo P and the 2 x 2 gcd
+        # transforms clear it; the large entry L fixes the slot width
+        # whatever q is, as long as 3 q <= L
+        zeta = CycNumber.root_of_unity(12)
+        rng = random.Random("nonunit")
+        rest = random_cyc_matrix(rng, 3, 12)
+
+        def matrix(q, L):
+            col = [CycNumber.from_rational(q, 12), -2 * q * zeta, q * zeta ** 5]
+            M = [[c] + row[1:] for c, row in zip(col, rest)]
+            M[0][1] = CycNumber.from_rational(L, 12)
+            return M
+
+        def modulus(M):
+            return _packed_field([x for row in M for x in row], 6, 3, conjugates=False)
+
+        for L in range(1000, 1100):
+            P = modulus(matrix(1, L))[6]
+            q = next((q for q in range(3, L // 3) if P % q == 0), None)
+            if q:
+                break
+        M = matrix(q, L)
+        _, _, nums, _, _, _, P2 = modulus(M)
+        assert P2 == P and all(math.gcd(nums[3 * r] % P, P) > 1 for r in range(3))
+        assert _det(M) == laplace_det(M) == elimination_det(M)
+        assert not _det(M).is_zero
+
+    @pytest.mark.parametrize("order", [256, 1024, MAX_CYCLOTOMIC_ORDER])
+    def test_two_by_two_at_high_order(self, order):
+        # pointed Z2 with twist zeta: S = [[1, 1], [1, zeta^-2]]
+        zeta = CycNumber.root_of_unity(order)
+        S = premodular_data(cyclic_ring(2), [1, 1], [1, zeta]).S
+        assert _det(S) == zeta ** (order - 2) - 1
+
+
+def _roots_of_unity_and_randoms(order, rng):
+    zeta = CycNumber.root_of_unity(order)
+    yield from (sign * zeta ** k for k in range(order) for sign in (1, -1))
+    for _ in range(20):
+        yield CycNumber(order, [rng.randint(-2, 2) for _ in range(order)])
+        yield CycNumber(order, [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 5]))
+                                for _ in range(order)])
+
+
+class TestRootOfUnity:
+    @pytest.mark.parametrize("order", list(range(1, 61)) + [105])
+    def test_norm_test_matches_power(self, order):
+        rng = random.Random(f"root:{order}")
+        for x in _roots_of_unity_and_randoms(order, rng):
+            want = not x.is_zero and x ** (2 * x.order) == 1
+            assert _is_root_of_unity(x) == want, x
+
+    def test_norm_one_non_integer_rejected(self):
+        # (3 + 4i) / 5 has x * conj(x) = 1 but is no algebraic integer
+        x = (3 + 4 * I4) / 5
+        assert x * x.conjugate() == 1
+        assert not _is_root_of_unity(x)
+        assert x ** 8 != 1

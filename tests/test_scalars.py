@@ -17,6 +17,7 @@ from mrfw.scalars import (
     IntPoly,
     QuadExt,
     UnsupportedFieldError,
+    _cyc,
     _cyc_dot,
     _cyclotomic_field,
     _integer_field,
@@ -433,6 +434,33 @@ def test_quadext_matches_fraction_oracle(pair, k):
         for _ in range(abs(k)):
             want = ref_mul(want, rx if k > 0 else ref_inverse(rx))
         assert_matches(x ** k, want)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 6), st.sampled_from(ORACLE_RADICANDS))
+@example(0, 0, 7, 1)
+@example(0, 3, 9, 2)
+@example(-6, 4, 2, 5)
+@example(-4, -9, 6, 2)
+@settings(max_examples=300)
+def test_quadext_text_is_the_fraction_text(a, b, c, D):
+    # the text is formatted from the integers; p and q need not be in
+    # lowest terms over the shared c, and either may be zero or negative
+    x = QuadExt(Fraction(a, c), Fraction(b, c), D)
+    p, q = x.p, x.q
+    assert str(x) == (str(p) if x.is_rational else f"{p} + {q}*sqrt({x.D})")
+    assert repr(x) == f"QuadExt({x})"
+
+
+@given(same_field_pairs(), st.sampled_from([1, -1, 2, Fraction(-3, 4), Fraction(5, 6)]))
+@settings(max_examples=200)
+def test_quadext_division_in_one_step(pair, r):
+    # x / y and x / r by one _quad call equal the product by the inverse
+    (x, rx), (y, ry) = pair
+    assert_matches(x / r, ref_mul(rx, ref_inverse(ref_quad(r, 0, 1))))
+    if ref_norm(ry):
+        assert x / y == x * y.inverse()
+        assert_matches(r / y, ref_mul(ref_quad(r, 0, 1), ref_inverse(ry)))
 
 
 @given(st.lists(st.tuples(oracle_parts, oracle_parts, st.sampled_from(ORACLE_RADICANDS)),
@@ -1060,7 +1088,7 @@ def test_packed_field_sums_match_per_term(drawn):
     # every coefficient of the sum is within the bound the slots are cut to
     values, factors, terms = drawn
     weight = sum(abs(w) for w, _ in terms)
-    n, den, nums, conjs, coords, rational = _packed_field(values, weight, factors)
+    n, den, nums, conjs, coords, rational, _ = _packed_field(values, weight, factors)
     plain = _cyclotomic_field(values)
     assert (n, den) == plain[:2]
     packed = 0
@@ -1095,7 +1123,7 @@ def test_packed_field_keeps_values_apart_at_weight_zero(drawn, repeat):
     # 2-bit slots the example's 1 and -3 + zeta_4 would both pack to 1
     values = [CycNumber(n, xs) for n, xs in drawn]
     values += values[:repeat]
-    _, _, nums, conjs, _, _ = _packed_field(values, 0, 1)
+    _, _, nums, conjs, _, _, _ = _packed_field(values, 0, 1)
     everything = values + [v.conjugate() for v in values]
     packed = nums + conjs
     for a, pa in zip(everything, packed):
@@ -1162,7 +1190,8 @@ def _check_read_off(values, factors, terms, weight=None):
     passed defaults to the sum of the absolute weights."""
     if weight is None:
         weight = sum(abs(w) for w, _ in terms)
-    n, den, nums, conjs, coords, rational = _packed_field(values, weight, factors)
+    n, den, nums, conjs, coords, rational, P = _packed_field(values, weight, factors)
+    assert P == coords.args[0] and math.gcd(P, n) == 1
     packed, total = 0, CycNumber.from_rational(0, n)
     for w, picks in terms:
         p, x = w, CycNumber.from_rational(w, n)
@@ -1249,9 +1278,45 @@ def test_packed_field_slot_holds_the_reduction_growth():
     assert max(abs(c) for c in total.coeffs) == 3 * U
 
 
+@pytest.mark.parametrize("n", [3, 7, 9, 12, 18, 105])
+def test_remainder_reads_sums_without_conjugates(n):
+    # with conjugates off no conjugate is taken, and the slot is cut from
+    # the values alone; a sum of products of values still reads exactly
+    rng = random.Random(f"noconj:{n}")
+    d = len(cyclotomic_polynomial(n).coeffs) - 1
+    values = [CycNumber(n, [Fraction(rng.randint(-50, 50), rng.choice([1, 3])) for _ in range(d)])
+              for _ in range(4)] + [CycNumber.root_of_unity(n, n - 1)]
+    assert _cyclotomic_field(values, False) == _cyclotomic_field(values)[:3] + ([],)
+    m, den, nums, conjs, coords, rational, P = _packed_field(values, 24, 3, conjugates=False)
+    assert conjs == [] and math.gcd(P, n) == 1
+    packed, total = 0, CycNumber.from_rational(0, n)
+    for _ in range(4):
+        w, picks = rng.choice([-6, 6]), [rng.randrange(len(values)) for _ in range(3)]
+        p, x = w, CycNumber.from_rational(w, n)
+        for i in picks:
+            p, x = p * nums[i], x * values[i]
+        packed, total = packed + p, total + x
+    assert _cyc(m, coords(packed), den ** 3) == total
+
+
+@pytest.mark.parametrize("n", REMAINDER_ORDERS)
+def test_slot_widened_until_the_modulus_is_prime_to_the_order(n):
+    # at the least slot width, Phi_n(2^B) can share a prime with n (3 when
+    # B is even at n = 3); the widened one never does, and is at most a
+    # few bits wider
+    value = [CycNumber.root_of_unity(n)]
+    for weight in range(1, 40):
+        _, _, _, _, coords, _, P = _packed_field(value, weight, 2, conjugates=False)
+        B = coords.args[1]
+        least = (weight * _reduction_growth(n)).bit_length() + 2
+        assert math.gcd(P, n) == 1 and least <= B <= least + 2
+        assert P == cyclotomic_polynomial(n)(1 << B)
+        assert all(math.gcd(cyclotomic_polynomial(n)(1 << b), n) > 1 for b in range(least, B))
+
+
 def test_remainder_reads_an_empty_value_list():
-    n, den, nums, conjs, coords, rational = _packed_field([], 0, 3)
-    assert (n, den, nums, conjs) == (1, 1, [], [])
+    n, den, nums, conjs, coords, rational, P = _packed_field([], 0, 3)
+    assert (n, den, nums, conjs, P) == (1, 1, [], [], 3)
     assert coords(0) == [0] and rational(0) == 0
 
 
