@@ -166,8 +166,12 @@ def _det(M: Sequence[Sequence[CycNumber]]) -> CycNumber:
 
     Over the common denominator den, A = den M has integer coordinates,
     and det(A) = den^n det(M) = Sum_sigma sign(sigma) Prod_i A_{i,sigma(i)}
-    is a sum of n! products of n entries, of total weight n!.  So at the
-    slots of `_packed_field(entries, n!, n)`, `coords` reads det(A) from
+    is a sum of n! products of n entries, of total weight n!, each product
+    taking one entry from each row.  So at the slots of
+    `_packed_field(entries, n!, n, row=n)`, sized by the smaller of n! M^n
+    (M the largest l1 norm of an entry) and the product of the rows' l1
+    sums, which is at least Sum_sigma Prod_i |A_{i,sigma(i)}|_1, the
+    permanent of the norms, `coords` reads det(A) from
     any integer congruent modulo P to its packed value, such as the
     determinant of the packed matrix (packing is a ring map).  That is
     taken over Z/PZ by row operations of determinant +-1: a swap negates
@@ -179,7 +183,7 @@ def _det(M: Sequence[Sequence[CycNumber]]) -> CycNumber:
     det(M)."""
     n = len(M)
     m, den, nums, _, coords, _, P = _packed_field(
-        [x for row in M for x in row], math.factorial(n), n, conjugates=False
+        [x for row in M for x in row], math.factorial(n), n, conjugates=False, row=n
     )
     rows = [[v % P for v in nums[i : i + n]] for i in range(0, n * n, n)]
     det = 1

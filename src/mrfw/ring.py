@@ -302,11 +302,13 @@ class FusionRing(_Frozen):
         A worklist: each element, once taken from it, is multiplied on both
         sides by itself and by every element taken before it, so each pair
         is expanded once.  The elements of `closed` count as taken already:
-        their products stay inside it, so no pair within it is expanded."""
-        S, dual = self.sparse, self.dual
+        their products stay inside it, so no pair within it is expanded.
+        The worklist stops once `cur` holds the whole basis, which no
+        closure can exceed."""
+        n, S, dual = self.rank, self.sparse, self.dual
         cur = {*closed, *seed}
         todo, done = list(seed - closed), list(closed)
-        while todo:
+        while todo and len(cur) < n:
             i = todo.pop()
             done.append(i)
             for j in done:
@@ -351,12 +353,11 @@ def _reciprocal(ring: FusionRing) -> bool:
 
 
 def _sparse_index(ring: FusionRing):
-    """The index behind `FusionRing.sparse`, built from lists, which is
-    quicker than nesting generators."""
-    return tuple([
-        tuple([tuple([(k, c) for k, c in enumerate(row) if c]) for row in plane])
-        for plane in ring.N
-    ])
+    """The index behind `FusionRing.sparse`: the nonzeros are listed once
+    per distinct row of N, so equal rows share one (immutable) tuple."""
+    index = {row: tuple([(k, c) for k, c in enumerate(row) if c])
+             for row in set(itertools.chain.from_iterable(ring.N))}
+    return tuple([tuple(map(index.__getitem__, plane)) for plane in ring.N])
 
 
 class FPDims(NamedTuple):
@@ -655,10 +656,17 @@ def _search_mr(ring: FusionRing) -> Optional[MRData]:
 
 def adjoint_and_grading(ring: FusionRing) -> GradingData:
     """Adjoint subring (closure of all X (x) X^*) and the universal grading
-    it induces; components of rank 1 are flagged."""
+    it induces; components of rank 1 are flagged.
+
+    When the adjoint is the whole ring the grading is trivial: one
+    component, table ((0,),), with no products or FP totals to compare;
+    `fpdims` still runs, so its errors surface."""
     ring.require_valid()
     n, S, dual = ring.rank, ring.sparse, ring.dual
     adjoint = ring.closure([k for i in range(n) for k, _ in S[i][dual[i]]])
+    if len(adjoint) == n:
+        fpdims(ring)
+        return GradingData(adjoint, (adjoint,), ((0,),), ())
 
     def related(i: int, j: int) -> bool:
         return any(k in adjoint for k, _ in S[i][dual[j]])

@@ -31,7 +31,13 @@ class ExactnessError(ArithmeticError):
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = c^2 * D with D squarefree.  Requires n >= 0."""
+    """Write n = c^2 * D with D squarefree.  Requires n >= 0.
+
+    Trial division stops after 10^6.  The cofactor m left has no prime
+    below p, the next divisor to try, so when m < p^3 it has at most two
+    prime factors: a square joins c, and any other such m is squarefree.
+    So every n below 10^18 is decomposed as by unbounded trial division;
+    a larger cofactor that is not a square raises ExactnessError."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
@@ -39,7 +45,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     c, d = 1, 1
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= 10**6:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -49,8 +55,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m
-    return c, d
+    if p * p <= m:  # else m is 1 or a prime
+        r = math.isqrt(m)
+        if r * r == m:
+            return c * r, d
+        if m >= p**3:
+            raise ExactnessError(f"radicand {n} is beyond trial division to 10^6")
+    return c, d * m
 
 
 def is_perfect_square(n: int) -> bool:
@@ -920,7 +931,8 @@ def _unpack_remainder(P: int, B: int, d: int, v: int) -> list[int]:
     return out
 
 
-def _packed_field(values, weight: int, factors: int, conjugates: bool = True) -> tuple:
+def _packed_field(values, weight: int, factors: int, conjugates: bool = True, *,
+                  row: int = 0) -> tuple:
     """`(n, den, nums, conjs, coords, rational, P)`: `_cyclotomic_field`
     of the values with every coordinate vector packed (`_pack`).  A sum S of
     products of up to `factors` values, with integer weights of total
@@ -939,9 +951,12 @@ def _packed_field(values, weight: int, factors: int, conjugates: bool = True) ->
     2/3 > 2 |r(2^B)|.  Phi_n divides S - r, so r(2^B) is the symmetric
     remainder of S(2^B) modulo P (which is odd: Phi_n(0) = +-1), and its
     digits, each below 2^(B-1), unpack to r; r is rational iff |r(2^B)| <
-    2^(B-1).  A wider slot reads the same sums.  Packing is injective at
-    any weight, so packed values compare as the values; a rational value
-    is its own conjugate, and its packed int is reused.
+    2^(B-1).  When the values are the rows of a determinant, `row` to a
+    row, each of its products takes one value from each row, so U may be
+    the product of the rows' l1 sums instead, if that is smaller.  A wider
+    slot reads the same sums.  Packing is injective at any weight, so
+    packed values compare as the values; a rational value is its own
+    conjugate, and its packed int is reused.
 
     The slot is then widened until P is prime to n.  P is odd, and an odd
     prime q of n divides Phi_n(2^B) only when 2^B has order n / q^v
@@ -953,8 +968,11 @@ def _packed_field(values, weight: int, factors: int, conjugates: bool = True) ->
     only primes of n, such as 1 - zeta_n, packs to a unit modulo P, as
     elimination modulo P wants of its pivots (`premodular._det`)."""
     n, den, nums, conjs = _cyclotomic_field(values, conjugates)
-    M = max((sum(map(abs, v)) for v in nums + conjs), default=0)
-    B = (max(weight, 1) * M ** factors * _reduction_growth(n)).bit_length() + 2
+    norms = [sum(map(abs, v)) for v in nums + conjs]
+    U = max(weight, 1) * max(norms, default=0) ** factors
+    if row:
+        U = min(U, math.prod(sum(norms[i : i + row]) for i in range(0, len(nums), row)))
+    B = (U * _reduction_growth(n)).bit_length() + 2
     while math.gcd(P := cyclotomic_polynomial(n)(1 << B), n) != 1:
         B += 1
     packed = [_pack(v, B) for v in nums]

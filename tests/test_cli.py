@@ -451,6 +451,22 @@ class TestExitCodes:
         result = invoke(*args, str(p))
         assert_exit(result, 2, "error: approximate Frobenius-Perron dimensions")
 
+    def test_radicand_beyond_trial_division(self, tmp_path):
+        # C(Z_1, 10^30) is a valid ring, but the radicand 10^60 + 4 of its
+        # extra dimension keeps a cofactor that trial division to 10^6
+        # cannot split: obstruct completes as inconclusive at codegrees,
+        # and report, which needs the dimension, is an operational error
+        p = tmp_path / "huge.json"
+        save_document(ring_to_doc(mr_extend(trivial_ring(), 10**30)), p)
+        assert invoke("check", str(p)).exit_code == 0
+        result = invoke("obstruct", str(p))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)["payload"]
+        assert (payload["status"], payload["stage"]) == ("inconclusive", "codegrees")
+        result = invoke("report", str(p))
+        assert_exit(result, 2, f"error: radicand {10**60 + 4} ")
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "args", [["check"], ["obstruct", "--replay"]], ids=["check", "replay"]
     )

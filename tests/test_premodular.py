@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from ring_oracles import deligne_product
 
+from mrfw import premodular
 from mrfw.corpus import (
     PREMODULAR_BUILDERS,
     cyclic_ring,
@@ -431,7 +432,7 @@ class TestDeterminant:
         rng = random.Random(f"det:{size}:{order}")
         for _ in range(5):
             M = random_cyc_matrix(rng, size, order)
-            assert _det(M) == laplace_det(M)
+            assert _det(M) == laplace_det(M) == elimination_det(M)
 
     @pytest.mark.parametrize("size", [3, 4])
     def test_singular(self, size):
@@ -452,12 +453,34 @@ class TestDeterminant:
         C = [[CycNumber.from_rational(x) for x in row] for row in M]
         assert _det(C) == laplace_det(C) == 22
 
-    @pytest.mark.parametrize("n", range(8, 22))
+    @pytest.mark.parametrize("n", range(2, 22))
     def test_pointed_matches_elimination(self, n):
         S = pointed_smatrix(n)
         det = _det(S)
         assert det == elimination_det(S)
         assert det.is_zero == (n % 2 == 0)
+
+    def test_slot_is_the_smaller_bound(self, monkeypatch):
+        # the rows' l1 sums never widen the slot of n! M^n, and narrow it
+        # at the prime orders, where zeta^(p-1) has l1 norm p - 1; `_det`
+        # eliminates modulo the narrower P
+        moduli = []
+
+        def spy(*args, **kwargs):
+            field = _packed_field(*args, **kwargs)
+            moduli.append(field[6])
+            return field
+
+        monkeypatch.setattr(premodular, "_packed_field", spy)
+        for n in range(2, 22):
+            S = pointed_smatrix(n)
+            entries = [x for row in S for x in row]
+            old = _packed_field(entries, math.factorial(n), n, conjugates=False)[6]
+            new = _packed_field(entries, math.factorial(n), n, conjugates=False, row=n)[6]
+            assert new.bit_length() < old.bit_length() if n in (5, 7, 11, 13, 17, 19) else new <= old
+            moduli.clear()
+            _det(S)
+            assert moduli == [new]
 
     @pytest.mark.parametrize("order", [1, 2, 4, 5, 12, 105])
     def test_random_mixed_orders_match_laplace(self, order):
@@ -473,7 +496,7 @@ class TestDeterminant:
 
         for size in range(1, 6):
             M = [[entry() for _ in range(size)] for _ in range(size)]
-            assert _det(M) == laplace_det(M)
+            assert _det(M) == laplace_det(M) == elimination_det(M)
 
     def test_singular_at_order_105(self):
         rng = random.Random("singular:105")
@@ -487,31 +510,27 @@ class TestDeterminant:
             assert _det(S).is_zero
 
     def test_column_without_a_unit_pivot(self):
-        # the first column holds multiples of a prime q of P = Phi_12(2^B),
-        # so none of its entries is a unit modulo P and the 2 x 2 gcd
-        # transforms clear it; the large entry L fixes the slot width
-        # whatever q is, as long as 3 q <= L
+        # the first column holds multiples of 13, which divides
+        # P = Phi_12(2^B) whenever B is prime to 12 (2 has order 12 modulo
+        # 13), so none of its entries is a unit modulo P and the 2 x 2 gcd
+        # transforms clear it; the entry L widens the slot, taken as `_det`
+        # takes it, until 13 divides P
         zeta = CycNumber.root_of_unity(12)
         rng = random.Random("nonunit")
         rest = random_cyc_matrix(rng, 3, 12)
 
-        def matrix(q, L):
-            col = [CycNumber.from_rational(q, 12), -2 * q * zeta, q * zeta ** 5]
+        def matrix(L):
+            col = [CycNumber.from_rational(13, 12), -26 * zeta, 13 * zeta ** 5]
             M = [[c] + row[1:] for c, row in zip(col, rest)]
             M[0][1] = CycNumber.from_rational(L, 12)
             return M
 
         def modulus(M):
-            return _packed_field([x for row in M for x in row], 6, 3, conjugates=False)
+            return _packed_field([x for row in M for x in row], 6, 3, conjugates=False, row=3)
 
-        for L in range(1000, 1100):
-            P = modulus(matrix(1, L))[6]
-            q = next((q for q in range(3, L // 3) if P % q == 0), None)
-            if q:
-                break
-        M = matrix(q, L)
-        _, _, nums, _, _, _, P2 = modulus(M)
-        assert P2 == P and all(math.gcd(nums[3 * r] % P, P) > 1 for r in range(3))
+        M = next(matrix(1 << k) for k in range(10, 20) if modulus(matrix(1 << k))[6] % 13 == 0)
+        _, _, nums, _, _, _, P = modulus(M)
+        assert all(math.gcd(nums[3 * r] % P, P) > 1 for r in range(3))
         assert _det(M) == laplace_det(M) == elimination_det(M)
         assert not _det(M).is_zero
 

@@ -825,6 +825,21 @@ class TestGrading:
         assert g.group_order == 1
         assert g.adjoint == frozenset({0, 1})
 
+    def test_one_component_needs_no_table(self, monkeypatch):
+        # C(Z_5, 3) has kappa > 0, so its adjoint subring is the whole ring
+        ring = mr_extend(cyclic_ring(5), 3)
+        g = adjoint_and_grading(ring)
+        assert g.components == (frozenset(range(6)),) and g.table == ((0,),)
+        assert g.rank_one_components == ()
+        assert (g.adjoint, g.components, g.table) == dense_grading(ring)
+
+        def refuse(ring):
+            raise InvalidRingError("refused")
+
+        monkeypatch.setattr(ring_module, "fpdims", refuse)
+        with pytest.raises(InvalidRingError, match="refused"):
+            adjoint_and_grading(mr_extend(cyclic_ring(5), 3))
+
     def test_mr_kappa0_z2_grading(self):
         ring = z3_base_ring(0)
         g = adjoint_and_grading(ring)
@@ -976,6 +991,30 @@ class TestSparseIndex:
             assert TestValidate.checked_rows(fresh)[0] == generator_rows(ring), name
             count += 1
         assert count == 602 + 14
+
+    def test_equal_rows_share_one_entry(self):
+        for name, ring in [*index_rings(), *perturbed_rings()]:
+            entries = {}
+            for plane, index in zip(ring.N, ring.sparse):
+                for row, entry in zip(plane, index):
+                    assert entries.setdefault(row, entry) is entry, name
+
+    def test_close_stops_at_the_full_basis(self, monkeypatch):
+        # a seed that holds the basis is the closure, read off no index entry
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        rings = list(index_rings())
+        monkeypatch.setattr(FusionRing, "sparse", property(lambda r: Counted(ring_module._sparse_index(r))))
+        for name, ring in rings:
+            basis = frozenset(range(ring.rank))
+            assert ring._close(frozenset(), set(basis)) == basis, name
+            assert ring._close(frozenset({0}), set(basis) - {0}) == basis, name
+        assert reads == []
 
     def test_negative_entries_are_indexed_not_supported(self):
         ring = FusionRing(["1", "X"], [[[1, 0], [0, 1]], [[0, 1], [1, -1]]])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mrfw import scalars
 from mrfw.scalars import (
     CycNumber,
+    ExactnessError,
     IntPoly,
     QuadExt,
     UnsupportedFieldError,
@@ -47,6 +48,61 @@ def test_squarefree_decompose():
     assert squarefree_decompose(12) == (2, 3)
     assert squarefree_decompose(49) == (7, 1)
     assert squarefree_decompose(0) == (0, 1)
+
+
+def unbounded_squarefree(n):
+    """`squarefree_decompose` by trial division up to sqrt(n) with no
+    bound: the oracle wherever the bounded one answers."""
+    c, d, m, p = 1, 1, n, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        c *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    return c, d * m
+
+
+class TestBoundedTrialDivision:
+    # primes just below and above 10^6, where trial division stops
+    LOW, HIGH = (999_979, 999_983), (1_000_003, 1_000_033, 1_000_037)
+
+    def test_matches_unbounded_trial_division_up_to_10_12(self):
+        rng = random.Random("squarefree")
+        samples = [rng.randrange(1, 10**12 + 1) for _ in range(25)]
+        samples += [10**12, 10**12 - 11, 999_983 ** 2, 2 * 3 * 999_979 ** 2]
+        for n in samples:
+            assert squarefree_decompose(n) == unbounded_squarefree(n), n
+
+    def test_prime_just_above_10_12(self):
+        # the radicand kappa^2 + 4 of C(Z_1, 1000007): a cofactor above
+        # (10^6 + 1)^2 with no prime below it is accepted below p^3
+        assert squarefree_decompose(1_000_007**2 + 4) == (1, 1_000_014_000_053)
+
+    def test_products_of_primes_near_10_6(self):
+        # a cofactor of two primes above 10^6, equal or not, is below p^3
+        for p in self.LOW + self.HIGH:
+            for n in (p * 1_000_003, 12 * p * 1_000_033):
+                assert squarefree_decompose(n) == unbounded_squarefree(n), n
+
+    def test_three_large_primes_are_refused(self):
+        # p q r may be p^2 r, which is not squarefree, so it is refused
+        for p, q, r in ((1_000_003, 1_000_033, 1_000_037), (1_000_003, 1_000_003, 1_000_033)):
+            for k in (1, 12):
+                with pytest.raises(ExactnessError, match=f"radicand {k * p * q * r} "):
+                    squarefree_decompose(k * p * q * r)
+
+    def test_squares_of_large_primes(self):
+        # k p^2 with p a prime not dividing k = c^2 d is (p c, d); the
+        # oracle itself checks the primes near 10^6
+        for p in (*self.HIGH[:2], 10**9 + 7, 2**61 - 1):
+            for k in (1, 12, 999_983):
+                c, d = unbounded_squarefree(k)
+                assert squarefree_decompose(k * p * p) == (p * c, d)
+                if p < 10**7:
+                    assert squarefree_decompose(k * p * p) == unbounded_squarefree(k * p * p)
 
 
 class TestQuadExt:
