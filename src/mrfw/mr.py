@@ -42,16 +42,11 @@ def mr_extend(base: FusionRing, kappa: int, extra_label: str = "Z") -> FusionRin
     while label in base.labels:
         label += "'"
     labels = base.labels + (label,)
-    N = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                N[i][j][k] = base.N[i][j][k]
-    for i in range(n):
-        N[i][n][n] = d[i]
-        N[n][i][n] = d[i]
-        N[n][n][i] = d[i]
-    N[n][n][n] = kappa
+    # row j of plane i < n is the base's row, then X_i X_n = d_i X_n;
+    # the plane of X_n holds X_n X_j = d_j X_n, then X_n X_n
+    pad = (0,) * n
+    N = [[(*row, 0) for row in plane] + [(*pad, di)] for plane, di in zip(base.N, d)]
+    N.append([(*pad, dj) for dj in d] + [(*d, kappa)])
     return FusionRing(labels, N)
 
 

@@ -276,7 +276,7 @@ def test_criterion_7_premodular_corpus():
     rep = rep_s3_ring()
     data = premodular_data(rep, [1, 2, 1], [1, 1, 1])
     mr = detect_mr(rep)
-    fixing = [g for g in invertibles(rep, mr).elements
+    fixing = [g for g in invertibles(rep).elements
               if g != 0 and rep.N[g][mr.extra][mr.extra] == 1]
     assert fixing and all(data.twists[g] == 1 and data.S[g] == data.S[0] for g in fixing)
     emit(

@@ -197,6 +197,31 @@ def one_term_products(ring):
             if len(S[i][j]) == 1 and S[i][j][0][0] != 0 and S[i][j][0][1] == 1]
 
 
+def row_swaps(ring):
+    """Each (i, j, a, b) with N_ij^a != N_ij^b, and the ring with those two
+    entries of row (i, j) swapped."""
+    n = ring.rank
+    for i, j in itertools.product(range(n), repeat=2):
+        row = ring.N[i][j]
+        for a, b in itertools.combinations(range(n), 2):
+            if row[a] != row[b]:
+                N = [[list(r) for r in plane] for plane in ring.N]
+                N[i][j][a], N[i][j][b] = row[b], row[a]
+                yield (i, j, a, b), FusionRing(ring.labels, N)
+
+
+# two-element rings whose inferred dual is not injective, with a violation
+# that validate reports
+NON_INJECTIVE_DUALS = [
+    # dual = (0, 0): plane 0 and slice 0 have three nonzeros, plane 1 and
+    # slice 1, which must be their transposes, one each
+    ([[[1, 1], [1, 0]], [[1, 0], [0, 0]]], ((0, 1, 1), "0, 0, 1")),
+    # dual = (1, 1): the planes have three nonzeros each, but slice 0 has
+    # two and slice 1, its transpose, four
+    ([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], ((0, 0, 0), "0, 0, 1")),
+]
+
+
 # rings for the comparison with dense_validate: the corpus and C(Z_a,
 # kappa), a <= 12, where the generating set {g, extra} leaves most rows
 # unchecked
@@ -415,37 +440,40 @@ class TestValidate:
         # keeps its nonzero count, so only the matches can catch it
         count = 0
         for name, ring in SMALL_VALIDATE_RINGS.items():
-            n = ring.rank
-            for i, j in itertools.product(range(n), repeat=2):
-                row = ring.N[i][j]
-                for a, b in itertools.combinations(range(n), 2):
-                    if row[a] != row[b]:
-                        N = [[list(r) for r in plane] for plane in ring.N]
-                        N[i][j][a], N[i][j][b] = row[b], row[a]
-                        mutant = FusionRing(ring.labels, N)
-                        report = mutant.validate()
-                        assert report == dense_validate(mutant), (name, i, j, a, b)
-                        assert "frobenius-reciprocity" in {v.axiom for v in report}
-                        count += 1
+            for where, mutant in row_swaps(ring):
+                report = mutant.validate()
+                assert report == dense_validate(mutant), (name, *where)
+                assert "frobenius-reciprocity" in {v.axiom for v in report}
+                count += 1
         assert count == 2160
 
-    @pytest.mark.parametrize(
-        "N,violation",
-        [
-            # dual = (0, 0): plane 0 and slice 0 have three nonzeros, plane 1
-            # and slice 1, which must be their transposes, one each
-            ([[[1, 1], [1, 0]], [[1, 0], [0, 0]]], ((0, 1, 1), "0, 0, 1")),
-            # dual = (1, 1): the planes have three nonzeros each, but slice 0
-            # has two and slice 1, its transpose, four
-            ([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], ((0, 0, 0), "0, 0, 1")),
-        ],
-    )
+    @pytest.mark.parametrize("N,violation", NON_INJECTIVE_DUALS)
     def test_reciprocity_counts_catch_a_dual_that_is_not_injective(self, N, violation):
         # every nonzero has its matches; only the counts show the failure
         ring = FusionRing(["e", "x"], N)
         report = ring.validate()
         assert report == dense_validate(ring)
         assert Violation("frobenius-reciprocity", *violation) in report
+
+    def test_matches_decide_reciprocity_for_an_involutive_dual(self):
+        # _reciprocal holds exactly when dual is an involution and every
+        # entry passes the dense reciprocity test
+        def dense(ring):
+            n, N, dual = ring.rank, ring.N, ring.dual
+            return all(dual[dual[i]] == i for i in range(n)) and all(
+                N[i][j][k] == N[dual[i]][k][j] == N[k][dual[j]][i]
+                for i, j, k in itertools.product(range(n), repeat=3)
+            )
+
+        rings = [
+            *SMALL_VALIDATE_RINGS.values(),
+            *(mutant for ring in SMALL_VALIDATE_RINGS.values() for _, mutant in row_swaps(ring)),
+            *(FusionRing(["e", "x"], N) for N, _ in NON_INJECTIVE_DUALS),
+        ]
+        outcomes = [ring_module._reciprocal(ring) for ring in rings]
+        assert outcomes == list(map(dense, rings))
+        assert outcomes.count(True) == len(SMALL_VALIDATE_RINGS) == 27
+        assert len(rings) == 27 + 2160 + 2
 
     def test_explicit_zero_sum_is_no_violation(self):
         # (x x) y = y y + z y = y - y sums to an explicit 0 at y, and
@@ -825,7 +853,7 @@ class TestGrading:
         assert g.group_order == 1
         assert g.adjoint == frozenset({0, 1})
 
-    def test_one_component_needs_no_table(self, monkeypatch):
+    def test_one_component_needs_no_table(self):
         # C(Z_5, 3) has kappa > 0, so its adjoint subring is the whole ring
         ring = mr_extend(cyclic_ring(5), 3)
         g = adjoint_and_grading(ring)
@@ -833,12 +861,17 @@ class TestGrading:
         assert g.rank_one_components == ()
         assert (g.adjoint, g.components, g.table) == dense_grading(ring)
 
+    def test_grading_needs_no_fpdims(self, monkeypatch):
+        # neither a one-component grading nor the Z2 grading of a kappa = 0
+        # ring reads FP dimensions, so an fpdims that raises stops neither
         def refuse(ring):
             raise InvalidRingError("refused")
 
         monkeypatch.setattr(ring_module, "fpdims", refuse)
-        with pytest.raises(InvalidRingError, match="refused"):
-            adjoint_and_grading(mr_extend(cyclic_ring(5), 3))
+        for ring, order in ((mr_extend(cyclic_ring(5), 3), 1), (z3_base_ring(0), 2)):
+            g = adjoint_and_grading(FusionRing(ring.labels, ring.N))
+            assert g.group_order == order
+            assert (g.adjoint, g.components, g.table) == dense_grading(ring)
 
     def test_mr_kappa0_z2_grading(self):
         ring = z3_base_ring(0)
@@ -859,9 +892,8 @@ class TestGrading:
 class TestInvertibles:
     def test_z3_base(self):
         ring = z3_base_ring(4)
-        group = invertibles(ring, detect_mr(ring))
+        group = invertibles(ring)
         assert group.elements == (0, 1, 2)
-        assert group.fixes_extra is True
         # cyclic of order 3: g1 * g1 = g2
         assert group.table[1][1] == 2
 
