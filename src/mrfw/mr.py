@@ -42,8 +42,8 @@ def mr_extend(base: FusionRing, kappa: int, extra_label: str = "Z") -> FusionRin
     while label in base.labels:
         label += "'"
     labels = base.labels + (label,)
-    # row j of plane i < n is the base's row, then X_i X_n = d_i X_n;
-    # the plane of X_n holds X_n X_j = d_j X_n, then X_n X_n
+    # plane i < n: the base's rows padded with 0, then X_i X_n = d_i X_n;
+    # plane n: X_n X_j = d_j X_n, then X_n X_n
     pad = (0,) * n
     N = [[(*row, 0) for row in plane] + [(*pad, di)] for plane, di in zip(base.N, d)]
     N.append([(*pad, dj) for dj in d] + [(*d, kappa)])

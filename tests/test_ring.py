@@ -210,14 +210,11 @@ def row_swaps(ring):
                 yield (i, j, a, b), FusionRing(ring.labels, N)
 
 
-# two-element rings whose inferred dual is not injective, with a violation
-# that validate reports
+# two-element rings whose inferred dual, (0, 0) and (1, 1), is not
+# injective: every nonzero has its reciprocity matches, yet reciprocity
+# fails at the violation given
 NON_INJECTIVE_DUALS = [
-    # dual = (0, 0): plane 0 and slice 0 have three nonzeros, plane 1 and
-    # slice 1, which must be their transposes, one each
     ([[[1, 1], [1, 0]], [[1, 0], [0, 0]]], ((0, 1, 1), "0, 0, 1")),
-    # dual = (1, 1): the planes have three nonzeros each, but slice 0 has
-    # two and slice 1, its transpose, four
     ([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], ((0, 0, 0), "0, 0, 1")),
 ]
 
@@ -449,7 +446,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("N,violation", NON_INJECTIVE_DUALS)
     def test_reciprocity_counts_catch_a_dual_that_is_not_injective(self, N, violation):
-        # every nonzero has its matches; only the counts show the failure
+        # every nonzero has its matches; the dual, not an involution, is
+        # what makes the ordered scan run
         ring = FusionRing(["e", "x"], N)
         report = ring.validate()
         assert report == dense_validate(ring)
